@@ -6,8 +6,8 @@ Re-expresses the capabilities of snowplow-archive/schema-guru (reference at
 * micro-schema derivation per JSON value (reference SchemaGenerator.scala:54-150)
   becomes a per-batch partial aggregation inside ``map_batches`` over Arrow;
 * the commutative monoid merge (reference Helpers.scala:209-224) becomes
-  ``groupby().map_groups`` over tiny serialized states / a driver fold of
-  per-batch states;
+  one fold of tiny serialized per-batch states,
+  :func:`schema_guru_ray.fold.fold_keyed`;
 * finalization transforms (numeric-range encasing, maxLength correction, enum
   substitution, reference SchemaGuru.scala:73-79) run on the merged state;
 * constraint validation over large Arrow tables (column stats, HLL/KLL

@@ -5,9 +5,11 @@ Topology (SURVEY.md §3.5): ``Dataset`` → ``map_batches(StateBatcher)``
 emitting one tiny pickled partial state per batch (per segment key when
 segmented) → merge:
 
-* global: the per-batch states are a few KB × #batches — they stream to the
-  driver and fold there (the reference's ``RDD.reduce`` final merge,
-  SchemaGuruRDD.scala:89, without ever collecting rows);
+* global: the per-batch states are a few KB × #batches — they fold through
+  :func:`schema_guru_ray.fold.fold_keyed`, on the driver when few and
+  through a sharded worker level first when many (the reference's
+  ``RDD.reduce`` final merge, SchemaGuruRDD.scala:89, without ever
+  collecting rows);
 * segmented: ``groupby('segment').map_groups(merge)`` over states only —
   the rows themselves never shuffle, unlike the reference's
   ``RDD.groupBy`` which materializes whole groups
@@ -21,80 +23,40 @@ import pickle
 from typing import Any, Dict, Optional
 
 import pandas as pd
-import pyarrow as pa
 
 from schema_guru_ray.context import SchemaContext
+from schema_guru_ray.fold import fold_keyed
 from schema_guru_ray.schema.finalize import describe, merge_and_transform
 from schema_guru_ray.schema.keys import duplicate_key_pairs, extract_keys
 from schema_guru_ray.schema.states import ZERO, State, merge
 from schema_guru_ray.stages.derive import StateBatcher
 
 
-def fold_states(states_ds, ctx: SchemaContext, tree_fanin: int = 32,
+def fold_states(states_ds, ctx: SchemaContext,
                 est_states: Optional[int] = None) -> Dict[str, Any]:
-    """Merge the per-batch state rows into one global state.
+    """Merge the per-batch state rows into one global state through
+    :func:`schema_guru_ray.fold.fold_keyed` (unkeyed; the states merge
+    associatively, hypothesis-tested). Returns {state, n_errors, n_rows}.
 
-    Topology: one distributed tree level — ``groupby(hash(state) % fanin)``
-    merges the states in parallel on workers — then the driver folds only
-    the ≤ ``tree_fanin`` survivors. At 100 TB (~10^6 batches) the driver
-    does 32 unpickle+merge calls instead of 10^6; the states merge
-    associatively (hypothesis-tested), so the grouping is free to be
-    arbitrary.
+    ``est_states`` is accepted and ignored: ``fold_keyed`` picks its
+    regime from the row count, and existing callers still pass it."""
 
-    When ``est_states`` (caller's estimate of the per-batch state count)
-    says the input is small, the groupby's fixed shuffle cost exceeds its
-    benefit and the states stream straight to the driver instead — same
-    result either way (associativity), pure topology choice.
-    Returns {state, n_errors, n_rows}."""
-    import numpy as np
-
-    from schema_guru_ray.stages.profile import stable_hash64
-
-    if est_states is not None and est_states <= max(256, 4 * tree_fanin):
+    def combine(frame: pd.DataFrame) -> pd.DataFrame:
         acc: State = ZERO
-        n_errors = 0
-        n_rows = 0
-        for batch in states_ds.iter_batches(batch_size=1024, batch_format="pyarrow"):
-            for st_bytes, ne, nr in zip(
-                batch["state"].to_pylist(),
-                batch["n_errors"].to_pylist(),
-                batch["n_rows"].to_pylist(),
-            ):
-                acc = merge(acc, pickle.loads(st_bytes), ctx)
-                n_errors += ne
-                n_rows += nr
-        return {"state": acc, "n_errors": n_errors, "n_rows": n_rows}
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            shard=(stable_hash64(b["state"]) % np.uint64(tree_fanin)).astype(np.int32)
-        )
-
-    def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
-        acc: State = ZERO
-        for buf in g["state"]:
+        for buf in frame["state"]:
             acc = merge(acc, pickle.loads(buf), ctx)
-        return pd.DataFrame(
-            {
-                "state": [pickle.dumps(acc)],
-                "n_errors": [int(g["n_errors"].sum())],
-                "n_rows": [int(g["n_rows"].sum())],
-            }
-        )
+        return pd.DataFrame({
+            "state": [pickle.dumps(acc)],
+            "n_errors": [int(frame["n_errors"].sum())],
+            "n_rows": [int(frame["n_rows"].sum())],
+        })
 
-    shards = (
-        states_ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("shard")
-        .map_groups(merge_shard, batch_format="pandas")
-    )
-    acc: State = ZERO
-    n_errors = 0
-    n_rows = 0
-    for row in shards.take_all():  # ≤ tree_fanin tiny rows
-        acc = merge(acc, pickle.loads(row["state"]), ctx)
-        n_errors += int(row["n_errors"])
-        n_rows += int(row["n_rows"])
-    return {"state": acc, "n_errors": n_errors, "n_rows": n_rows}
+    out = fold_keyed(states_ds, [], combine)
+    if out.empty:
+        return {"state": ZERO, "n_errors": 0, "n_rows": 0}
+    return {"state": pickle.loads(out["state"].iloc[0]),
+            "n_errors": int(out["n_errors"].iloc[0]),
+            "n_rows": int(out["n_rows"].iloc[0])}
 
 
 def infer_schema(
@@ -123,9 +85,7 @@ def infer_schema(
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    folded = fold_states(
-        states, ctx, est_states=-(-int(ctx.quantity or 0) // batch_size) or None
-    )
+    folded = fold_states(states, ctx)
     state = folded["state"]
     schema = merge_and_transform(state, ctx)
     if vendor and name:

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
+from schema_guru_ray.fold import fold_keyed
 from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.stages.warm import warm_kernel
 from schema_guru_ray.pipelines.queries._common import (
@@ -603,84 +604,35 @@ GROUP BY 1, 2
 )
 
 
-def _fold_label_sums(parts, fanin: int = 64, driver_fold_limit: int = 256):
-    """Exactly reduce (label:int64, n:int64, sums:binary int64-vector) partial
-    rows to per-label totals with a BOUNDED driver fold — the ``cmvn_stats``
-    fanin topology (stages/audio_features.py) keyed by label.
+def _combine_label_sums(frame: pd.DataFrame) -> pd.DataFrame:
+    labs = frame["label"].to_numpy().astype(np.int64)
+    S = np.stack([np.frombuffer(x, np.int64) for x in frame["sums"]])
+    uniq, inv = np.unique(labs, return_inverse=True)
+    sums = np.zeros((len(uniq), S.shape[1]), dtype=np.int64)
+    np.add.at(sums, inv, S)
+    counts = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(counts, inv, frame["n"].to_numpy().astype(np.int64))
+    return pd.DataFrame(
+        {"label": uniq, "n": counts, "sums": [r.tobytes() for r in sums]})
 
-    Past ``driver_fold_limit`` partial rows, a worker-side tree level
-    (``groupby(label % fanin)``) merges each shard's labels and emits ONE
-    packed row per shard (label ids / counts / sum-matrix as int64 buffers),
-    so the driver reads ≤ ``fanin`` rows REGARDLESS of block count AND label
-    count — never O(#blocks × #labels) driver pandas. Shards own disjoint
-    label sets, so the driver fold is pure vectorized concatenation (no
-    per-row merging). Returns (labels sorted asc, counts, sums[len(labels),
-    dim], n_driver_rows) — all int64-exact.
+
+def _fold_label_sums(parts):
+    """Exactly reduce (label:int64, n:int64, sums:binary int64-vector)
+    partial rows to per-label totals through
+    :func:`schema_guru_ray.fold.fold_keyed` keyed by label. Returns
+    (labels sorted asc, counts, sums[len(labels), dim]) — all int64-exact.
     """
-    parts = parts.materialize()
-    packed = parts.count() > driver_fold_limit
-    if packed:
-        def add_shard(t: pa.Table) -> pa.Table:
-            shard = pc.cast(
-                pc.bit_wise_and(t["label"], fanin - 1), pa.int32()
-            ) if (fanin & (fanin - 1)) == 0 else pa.array(
-                (t["label"].to_numpy(zero_copy_only=False) % fanin)
-                .astype(np.int32))
-            return t.append_column("__shard", shard)
-
-        def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g["label"].to_numpy().astype(np.int64)
-            n = g["n"].to_numpy().astype(np.int64)
-            S = np.stack([np.frombuffer(x, np.int64) for x in g["sums"]])
-            uniq, inv = np.unique(labs, return_inverse=True)
-            acc = np.zeros((len(uniq), S.shape[1]), dtype=np.int64)
-            np.add.at(acc, inv, S)
-            cnt = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(cnt, inv, n)
-            return pd.DataFrame({
-                "labels": [uniq.tobytes()],
-                "ns": [cnt.tobytes()],
-                "sums": [acc.tobytes()],
-                "dim": [np.int64(S.shape[1])],
-            })
-
-        rows = (
-            parts.map_batches(add_shard, batch_format="pyarrow")
-            .groupby("__shard")
-            .map_groups(merge_shard, batch_format="pandas")
-            .to_pandas()
-        )  # ≤ fanin rows, disjoint label sets
-        n_driver = len(rows)
-        labels = np.concatenate(
-            [np.frombuffer(x, np.int64) for x in rows["labels"]])
-        counts = np.concatenate(
-            [np.frombuffer(x, np.int64) for x in rows["ns"]])
-        dim = int(rows["dim"].iloc[0]) if n_driver else 0
-        sums = np.concatenate([
-            np.frombuffer(x, np.int64).reshape(-1, dim) for x in rows["sums"]
-        ]) if n_driver else np.zeros((0, 0), np.int64)
-    else:
-        rows = _pandas_cols(parts, ["label", "n", "sums"],
-                            {"label": "int64", "n": "int64"})
-        # ≤ driver_fold_limit rows (typed-empty on an empty shard)
-        n_driver = len(rows)
-        labs = rows["label"].to_numpy().astype(np.int64)
-        n = rows["n"].to_numpy().astype(np.int64)
-        S = (np.stack([np.frombuffer(x, np.int64) for x in rows["sums"]])
-             if n_driver else np.zeros((0, 0), np.int64))
-        uniq, inv = np.unique(labs, return_inverse=True)
-        sums = np.zeros((len(uniq), S.shape[1]), dtype=np.int64)
-        np.add.at(sums, inv, S)
-        counts = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(counts, inv, n)
-        labels = uniq
+    out = fold_keyed(parts, ["label"], _combine_label_sums)
+    if out.empty:
+        return (np.zeros(0, np.int64), np.zeros(0, np.int64),
+                np.zeros((0, 0), np.int64))
+    labels = out["label"].to_numpy().astype(np.int64)
     order = np.argsort(labels)
-    return labels[order], counts[order], sums[order], n_driver
+    sums = np.stack([np.frombuffer(x, np.int64) for x in out["sums"]])
+    return labels[order], out["n"].to_numpy().astype(np.int64)[order], sums[order]
 
 
-def label_centroid_confusion(sf_dir: str, fanin: int = 64,
-                             driver_fold_limit: int = 256,
-                             _batch_size: int | None = None):
+def label_centroid_confusion(sf_dir: str, _batch_size: int | None = None):
     """Embedding label-quality audit: per-label centroid in EXACT
     milli-integer space (the cluster_assign convention), every vector
     re-assigned to its nearest label centroid by exact integer squared
@@ -697,8 +649,8 @@ def label_centroid_confusion(sf_dir: str, fanin: int = 64,
     expanded as v·v - 2 v·c + c·c in int64 (≤ ~6e8 per term at milli
     scale). 100-TB shape: pass 1 reduces to (#labels × dim) integer
     sums via per-batch partials folded through ``_fold_label_sums``
-    (worker-side fanin tree — the driver reads ≤ ``fanin`` packed rows
-    regardless of block count); centroids broadcast via ray.put; pass
+    (``fold_keyed`` by label — at scale the driver reads one row per
+    label regardless of block count); centroids broadcast via ray.put; pass
     2 is a streaming map emitting ≤ #labels² count partials per batch."""
     import ray
     from ray.data.aggregate import Sum
@@ -735,9 +687,7 @@ def label_centroid_confusion(sf_dir: str, fanin: int = 64,
         sum_partial, batch_format="pyarrow",
         **({"batch_size": _batch_size} if _batch_size else {}),
     )
-    labels, counts, sums, n_driver = _fold_label_sums(
-        parts, fanin=fanin, driver_fold_limit=driver_fold_limit)
-    label_centroid_confusion.last_fold_driver_rows = n_driver
+    labels, counts, sums = _fold_label_sums(parts)
     C = np.floor(sums / counts[:, None] + 0.5).astype(np.int64)
     ref = ray.put((labels, C))
 

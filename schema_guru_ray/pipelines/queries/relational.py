@@ -231,7 +231,7 @@ def column_stats_lineitem(sf_dir: str):
     prof_ds = ds.map_batches(
         TableProfiler(cols, with_sketches=False), batch_format="pyarrow", batch_size=65536
     )
-    # tree-fold: the driver merges ≤ fanin states no matter the batch count
+    # fold_keyed: the driver never merges one state per batch at scale
     # (.get: zero state rows on an empty shard → identity profiles, the
     # same rows SQL's count()/min() UNION ALL emits on an empty table)
     from schema_guru_ray.stages.profile import ColumnProfile

@@ -7,9 +7,9 @@ Topology (SURVEY.md §3.5):
       ├─ write/consume verdict rows + exploded violation rows
       ├─ exact clip_id dedup: groupby(clip_id) count>1     [hash shuffle of ids only]
       └─ per-codec aggregate: per-batch partials keyed by (codec, salt)
-         → groupby([codec, salt]) merge → groupby(codec) merge+finalize
-         (two-level salted aggregate — codec is Zipf-skewed by construction;
-         the salt bounds any single reducer's load, north rule)
+         → fold_keyed by codec (schema_guru_ray.fold) → driver finalize
+         (codec is Zipf-skewed by construction; the map-side combiner
+         collapses a hot codec to one state per batch before any shuffle)
 
 Only tiny pickled aggregate states shuffle; the wide ``bytes`` column is
 projected away by the validator stage itself.
@@ -27,11 +27,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from schema_guru_ray.fold import DRIVER_FOLD_ROWS, fold_keyed
 from schema_guru_ray.sketches.drift import ks_statistic, psi
 from schema_guru_ray.sketches.hll import HLL
 from schema_guru_ray.sketches.kll import KLL
 from schema_guru_ray.stages.audio import ClipValidator, explode_violations
 from schema_guru_ray.stages.profile import stable_hash64
+from schema_guru_ray.state.sketch_store import NULL_CODEC, decode_codecs
 
 
 @dataclass(frozen=True)
@@ -144,24 +146,16 @@ class CodecAgg:
         return out
 
 
-# sentinel key for a NULL codec inside the two groupby levels (sort-based
-# shuffles need a totally ordered string key); decoded back to None when the
-# per-codec verdict rows are finalized. The \x00 prefix cannot collide with a
-# real codec label.
-NULL_CODEC = "\x00<null>"
-
-# codec_verdicts takes the driver-fold fast path when the partial-state row
-# count is at most this (each row ~50 KB of pickled sketches: bounded pull).
-# A full-corpus run (hundreds of blocks × codecs × salts) stays on the
-# distributed two-level groupby; a checkpoint chunk of a few blocks skips
-# two all-to-all plan executions of pure fixed overhead.
-DRIVER_FOLD_PARTIALS = 512
+# codec_verdicts folds on the driver when the partial-state row count is at
+# most this (each row ~4.8 KB of pickled sketches: a bounded pull). Re-exported
+# from schema_guru_ray.fold so the benchmark can report the regime.
+DRIVER_FOLD_PARTIALS = DRIVER_FOLD_ROWS
 
 
 class CodecPartialAggregator:
     """map_batches kernel over verdict batches → one pickled CodecAgg per
-    (codec, salt) per batch. The salt (stable hash of clip_id mod S) spreads
-    a hot codec over S reducers for the first-level merge."""
+    (codec, salt) per batch. The salt is a stable hash of clip_id mod S;
+    the codec fold is keyed by codec alone and drops it."""
 
     def __init__(self, cfg: ValidationConfig):
         self.cfg = cfg
@@ -171,10 +165,10 @@ class CodecPartialAggregator:
         hashes = stable_hash64(batch["clip_id"].to_pandas())
         salts = (hashes % np.uint64(cfg.n_salts)).astype(np.int32)
         # a null codec (broken upstream field) is one GROUP, per SQL GROUP BY
-        # semantics — encoded as a sentinel string so the two sort-based
-        # groupby levels see a totally ordered key; decoded back to None in
-        # the finalize loop. np.unique over a None-bearing object array would
-        # TypeError here; fill_null keeps the encoding vectorized.
+        # semantics — encoded as a sentinel string so every fold level sees
+        # a totally ordered key; decoded back to None in the finalize loop.
+        # np.unique over a None-bearing object array would TypeError here;
+        # fill_null keeps the encoding vectorized.
         codecs = np.asarray(
             pc.fill_null(batch["codec"], NULL_CODEC).to_pylist()
         )
@@ -217,30 +211,25 @@ class CodecPartialAggregator:
         )
 
 
-def _merge_agg_group(g: pd.DataFrame) -> pd.DataFrame:
-    acc: Optional[CodecAgg] = None
-    for buf in g["agg"]:
-        a = pickle.loads(buf)
-        acc = a if acc is None else acc.merge(a)
-    return pd.DataFrame(
-        {"codec": [g["codec"].iloc[0]], "salt": [0], "agg": [pickle.dumps(acc)]}
-    )
-
-
-def _local_merge_batch(b: pd.DataFrame) -> pd.DataFrame:
-    """Combiner level: merge a batch's states by (codec, salt) WITHOUT a
-    shuffle — a batch of a few thousand per-block partials collapses to ≤
-    codecs × salts rows, so the sort-based groupby that follows moves
-    dozens of states instead of one per (block × codec × salt). By
-    associativity the result is identical."""
-    out = []
-    for (codec, salt), g in b.groupby(["codec", "salt"], sort=False):
+def _combine_codec_aggs(frame: pd.DataFrame) -> pd.DataFrame:
+    """Merge CodecAgg states per codec. The salt column is dropped here:
+    projecting it away before the fold measured ~0.2 s slower."""
+    rows = []
+    for codec, g in frame.groupby("codec", sort=False, dropna=False):
         acc: Optional[CodecAgg] = None
         for buf in g["agg"]:
             a = pickle.loads(buf)
             acc = a if acc is None else acc.merge(a)
-        out.append({"codec": codec, "salt": int(salt), "agg": pickle.dumps(acc)})
-    return pd.DataFrame(out)
+        rows.append({"codec": codec, "agg": pickle.dumps(acc)})
+    return pd.DataFrame(rows, columns=["codec", "agg"])
+
+
+_VERDICT_DTYPES = {
+    "codec": object, "n_clips": "int64", "n_ok": "int64", "n_violations": "int64",
+    "violation_rate": "float64", "violations_by_kind": object,
+    "approx_distinct_clips": "float64", "approx_dup_ratio": "float64",
+    "dur_p50": "float64", "dur_p95": "float64", "snr_p50": "float64", "passed": "bool",
+}
 
 
 def codec_verdicts(
@@ -257,71 +246,35 @@ def codec_verdicts(
     commits it per partition so baseline refreshes never re-aggregate
     verdict rows.
 
-    Two-level salted aggregate: groupby([codec, salt]) merges the per-batch
-    partials, then groupby(codec) merges the ≤ n_salts survivors and
-    finalizes (counts, HLL distinct, KLL quantiles, PSI/KS drift vs the
-    broadcast baseline store, pass/fail).
+    The per-batch partials fold by codec through
+    :func:`schema_guru_ray.fold.fold_keyed`, then the driver finalizes
+    each codec (counts, HLL distinct, KLL quantiles, PSI/KS drift vs the
+    baseline store, pass/fail). ``batch_size=None`` on the partial
+    aggregator is load-bearing (measured on the 250k-clip scaling corpus
+    at 8 CPUs): it inherits the upstream (validator) batching. A fixed
+    large batch_size LOOKS harmless — the aggregator reads tiny verdict
+    rows — but map-fusion propagates it UP into the fused
+    read→validate→aggregate task and re-batches the wide binary clips
+    into ~batch_size×38KB bundles. ``fold_keyed`` materializes the
+    partials before any shuffle, so the decode map never shares a
+    streaming plan with an all-to-all whose resource reservation would
+    starve it (measured 274 s → 55 s at 8 CPUs).
 
-    Two execution-shape choices here are load-bearing (both measured on
-    the 250k-clip scaling corpus at 8 CPUs):
-
-    * ``batch_size=None`` on the partial aggregator: inherit the upstream
-      (validator) batching. A fixed large batch_size LOOKS harmless — the
-      aggregator reads tiny verdict rows — but map-fusion propagates it UP
-      into the fused read→validate→aggregate task and re-batches the wide
-      binary clips into ~batch_size×38KB bundles.
-    * ``materialize()`` of the partial states BEFORE the groupby: when the
-      sort-based groupby shares one streaming plan with the heavy fused
-      decode map, the all-to-all's resource reservation starves the map
-      operator down to ~1 concurrent task at small CPU counts (measured:
-      271s wall for 260 CPU-s — serial; the same map runs at full
-      concurrency alone). Splitting the plan costs one materialization of
-      KB-scale state rows (distributed, spillable — never the clips) and
-      restored 8-CPU wall time from 274s to 55s (5x).
-
-    A shuffle-free combiner (``_local_merge_batch``) then collapses the
-    per-block states to ≤ codecs × salts per 4096-state batch, so the
-    sort-based groupby moves dozens of rows — the aggregate tail stays
-    O(seconds) regardless of block count (the Amdahl term of the N-vs-4N
-    scaling measurement).
-
-    Small-partition fast path: when the materialized partials hold at
-    most ``DRIVER_FOLD_PARTIALS`` state rows (a checkpoint CHUNK of a few
-    blocks — the shape the incremental runner executes dozens of times
-    per resubmission), the two sort-based groupby levels are replaced by
-    one ``take_all`` + driver fold: the merge is associative, the pull is
-    ≤ limit × ~50 KB, and the two all-to-all plan executions (~1-2 s of
-    fixed overhead each at tiny data) disappear.
+    The store keys the null codec as ``NULL_CODEC``, so it persists as
+    JSON; a baseline may key it either way.
     """
     partials = verdicts.map_batches(
         CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
-    ).materialize()
-    if partials.count() <= DRIVER_FOLD_PARTIALS:
-        merged: Dict[str, CodecAgg] = {}
-        for row in partials.take_all():
-            a = pickle.loads(row["agg"])
-            c = row["codec"]
-            merged[c] = merged[c].merge(a) if c in merged else a
-        level2_rows = [
-            {"codec": c, "agg": pickle.dumps(a)} for c, a in sorted(merged.items())
-        ]
-    else:
-        combined = partials.map_batches(
-            _local_merge_batch, batch_format="pandas", batch_size=4096
-        )
-        level1 = combined.groupby(["codec", "salt"]).map_groups(
-            _merge_agg_group, batch_format="pandas"
-        )
-        level2 = level1.groupby("codec").map_groups(
-            _merge_agg_group, batch_format="pandas")
-        level2_rows = level2.take_all()  # one row per codec — tiny
+    )
+    folded = fold_keyed(partials, ["codec"], _combine_codec_aggs)
+    baseline = decode_codecs(baseline) if baseline else baseline
     rows = []
-    store: Dict[Optional[str], Dict[str, bytes]] = {}
-    for row in level2_rows:
+    store: Dict[str, Dict[str, bytes]] = {}
+    for row in folded.to_dict("records"):
         codec = None if row["codec"] == NULL_CODEC else row["codec"]
         agg: CodecAgg = pickle.loads(row["agg"])
         if return_store:
-            store[codec] = {
+            store[row["codec"]] = {
                 "dur_ms": agg.dur_kll.to_bytes(),
                 "sr_hz": agg.sr_kll.to_bytes(),
             }
@@ -356,23 +309,8 @@ def codec_verdicts(
         rows.append(rec)
     if not rows:
         # empty shard-day: typed zero-row verdict table, not a KeyError on
-        # sort_values over a columnless frame (Ray yields no groups at all)
-        cv = pd.DataFrame(
-            {
-                "codec": pd.Series(dtype=object),
-                "n_clips": pd.Series(dtype="int64"),
-                "n_ok": pd.Series(dtype="int64"),
-                "n_violations": pd.Series(dtype="int64"),
-                "violation_rate": pd.Series(dtype="float64"),
-                "violations_by_kind": pd.Series(dtype=object),
-                "approx_distinct_clips": pd.Series(dtype="float64"),
-                "approx_dup_ratio": pd.Series(dtype="float64"),
-                "dur_p50": pd.Series(dtype="float64"),
-                "dur_p95": pd.Series(dtype="float64"),
-                "snr_p50": pd.Series(dtype="float64"),
-                "passed": pd.Series(dtype="bool"),
-            }
-        )
+        # sort_values over a columnless frame
+        cv = pd.DataFrame(columns=list(_VERDICT_DTYPES)).astype(_VERDICT_DTYPES)
         return (cv, store) if return_store else cv
     # None codec sorts last (na_position default) — deterministic order
     cv = pd.DataFrame(rows).sort_values("codec", na_position="last").reset_index(drop=True)
@@ -523,8 +461,7 @@ def merge_partition_baselines(
     the driver; above it the loads+merges fan out as a ``map_batches``
     over the dir list, each task emitting ONE pre-merged store, and the
     driver folds ≤ #tasks results (KLL merge is associative and
-    order-insensitive for quantile queries — same tree-fold argument as
-    the cmvn/label fanin patterns)."""
+    order-insensitive for quantile queries)."""
     import os
 
     from schema_guru_ray.state.sketch_store import (
@@ -555,7 +492,9 @@ def merge_partition_baselines(
         loaded = [load_one(p) for p in b["dir"]]
         merged = merge_stores([s for s, _ in loaded])
         n = sum(int(m.get("meta", {}).get("n_clips", 0)) for _, m in loaded)
-        return pd.DataFrame({"store": [pickle.dumps(merged)], "n": [n]})
+        # one typed row even when every store is empty
+        return pd.DataFrame({"store": pd.Series([pickle.dumps(merged)], dtype=object),
+                             "n": pd.Series([n], dtype="int64")})
 
     parts = rd.from_items(
         [{"dir": p} for p in part_dirs]
@@ -573,6 +512,18 @@ def merge_partition_baselines(
         merge_stores([pickle.loads(r["store"]) for r in rows]),
         int(sum(r["n"] for r in rows)),
     )
+
+
+_DRIFT_DTYPES = {
+    "partition": object, "codec": object, "col": object, "n_clips": "int64",
+    "n": "int64", "psi": "float64", "ks": "float64", "drifted": "bool",
+}
+
+
+def _drift_frame(rows: list) -> pd.DataFrame:
+    """Drift rows with the same columns and dtypes whether or not there
+    are any, so Ray can unify the blocks of the distributed regime."""
+    return pd.DataFrame(rows, columns=list(_DRIFT_DTYPES)).astype(_DRIFT_DTYPES)
 
 
 def drift_by_partition(
@@ -608,6 +559,7 @@ def drift_by_partition(
     part_dirs = _sketch_part_dirs(out_dir, active)
     _require_sketches(part_dirs)
     expect = sketch_cfg_hash(cfg)
+    baseline = decode_codecs(baseline)
 
     def score_dir(p: str, base: Dict) -> list:
         name = os.path.basename(p).split("=", 1)[1]
@@ -641,7 +593,7 @@ def drift_by_partition(
 
         def score_task(b: pd.DataFrame) -> pd.DataFrame:
             base = ray.get(base_ref)
-            return pd.DataFrame(
+            return _drift_frame(
                 [r for p in b["dir"] for r in score_dir(p, base)])
 
         try:
@@ -653,17 +605,6 @@ def drift_by_partition(
             # normalize RayTaskError for typed callers (see _require_sketches)
             raise ValueError(
                 f"distributed drift scoring failed: {exc}") from exc
-    if not rows:
-        return pd.DataFrame({
-            "partition": pd.Series(dtype=object),
-            "codec": pd.Series(dtype=object),
-            "col": pd.Series(dtype=object),
-            "n_clips": pd.Series(dtype="int64"),
-            "n": pd.Series(dtype="int64"),
-            "psi": pd.Series(dtype="float64"),
-            "ks": pd.Series(dtype="float64"),
-            "drifted": pd.Series(dtype="bool"),
-        })
-    return (pd.DataFrame(rows)
+    return (_drift_frame(rows)
             .sort_values(["partition", "codec", "col"])
             .reset_index(drop=True))

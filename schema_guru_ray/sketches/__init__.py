@@ -4,8 +4,8 @@ Misra-Gries heavy hitters, Bloom membership) and distribution-drift scores
 
 All sketches are commutative monoids — same contract as the schema states —
 so they flow through the identical per-batch partial + tiny final merge
-topology (SURVEY.md §2.5 A11). :func:`fold_sketch_states` is that topology
-as a reusable operator for any of them.
+topology (SURVEY.md §2.5 A11). :func:`fold_sketch_states` folds any of them
+with :func:`schema_guru_ray.fold.fold_keyed`.
 """
 
 from __future__ import annotations
@@ -18,47 +18,24 @@ from schema_guru_ray.sketches.hll import HLL
 from schema_guru_ray.sketches.kll import KLL
 
 
-def fold_sketch_states(states_ds, fanin: int = 64, driver_fold_limit: int = 256):
+def fold_sketch_states(states_ds):
     """Fold a Dataset with one pickled mergeable-sketch per row (column
-    ``state``) down to ONE sketch via ``a.merge(b)``.
-
-    Same tree topology as ``fold_profiles`` (stages/profile.py) /
-    ``fold_states`` (pipelines/infer.py): above ``driver_fold_limit`` rows,
-    a worker-side ``groupby(shard)`` level merges first so the driver folds
-    ≤ ``fanin`` states regardless of batch count — a plain ``take_all``
-    fold is O(#batches) driver unpickle+merges, millions at 100 TB.
-    Returns None for an empty input."""
-    import numpy as np
+    ``state``) down to ONE sketch via ``a.merge(b)``, through
+    :func:`schema_guru_ray.fold.fold_keyed`. Returns None for an empty
+    input."""
     import pandas as pd
 
-    def _driver_fold(ds):
+    from schema_guru_ray.fold import fold_keyed
+
+    def combine(frame: "pd.DataFrame") -> "pd.DataFrame":
         acc = None
-        for b in ds.iter_batches(batch_size=256, batch_format="pandas"):
-            for buf in b["state"]:
-                sk = pickle.loads(buf)
-                acc = sk if acc is None else acc.merge(sk)
-        return acc
-
-    states = states_ds.materialize()
-    if states.count() <= driver_fold_limit:
-        return _driver_fold(states)
-
-    def add_shard(b: "pd.DataFrame") -> "pd.DataFrame":
-        return b.assign(__shard=(np.arange(len(b)) % fanin).astype(np.int32))
-
-    def merge_shard(g: "pd.DataFrame") -> "pd.DataFrame":
-        acc = None
-        for buf in g["state"]:
+        for buf in frame["state"]:
             sk = pickle.loads(buf)
             acc = sk if acc is None else acc.merge(sk)
         return pd.DataFrame({"state": [pickle.dumps(acc)]})
 
-    folded = (
-        states.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(merge_shard, batch_format="pandas")
-    )
-    return _driver_fold(folded)
+    out = fold_keyed(states_ds, [], combine)
+    return None if out.empty else pickle.loads(out["state"].iloc[0])
 
 
 __all__ = ["HLL", "KLL", "MisraGries", "psi", "ks_statistic", "fold_sketch_states"]

@@ -466,19 +466,25 @@ class SpecAugmentFeaturizer:
         )
 
 
+def _combine_moments(frame: pd.DataFrame) -> pd.DataFrame:
+    return pd.DataFrame({
+        "s": [np.sum([np.frombuffer(x) for x in frame["s"]], axis=0).tobytes()],
+        "ss": [np.sum([np.frombuffer(x) for x in frame["ss"]], axis=0).tobytes()],
+        "n": [int(frame["n"].sum())],
+    })
+
+
 def cmvn_stats(feats_ds, column: str = "embedding",
-               dim: int = FEATURE_DIM, clamp: bool = True,
-               fanin: int = 64, driver_fold_limit: int = 256) -> tuple:
+               dim: int = FEATURE_DIM, clamp: bool = True) -> tuple:
     """Corpus-level per-dimension (mean, std) over a list<float> feature
     column — the CMVN gather pass. 100-TB shape: each batch reduces to ONE
     (sum, sumsq, n) sufficient-statistic row (vectorized numpy over the
-    stacked batch); past ``driver_fold_limit`` partial rows a distributed
-    tree level (``groupby(shard % fanin)``, the fold_profiles topology)
-    merges them worker-side first, so the driver folds ≤ ``fanin`` rows
-    REGARDLESS of batch count — never O(#batches) driver pandas. With
-    ``clamp`` (default) zero-variance dims get std=1 so apply_cmvn is
-    always well-defined; verification callers pass ``clamp=False`` for the
-    raw statistics."""
+    stacked batch), and the rows fold through
+    :func:`schema_guru_ray.fold.fold_keyed` — never O(#batches) driver
+    pandas. With ``clamp`` (default) zero-variance dims get std=1 so
+    apply_cmvn is always well-defined; verification callers pass
+    ``clamp=False`` for the raw statistics."""
+    from schema_guru_ray.fold import fold_keyed
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -495,37 +501,18 @@ def cmvn_stats(feats_ds, column: str = "embedding",
             }
         )
 
-    parts = feats_ds.map_batches(partial, batch_format="pandas").materialize()
-    if parts.count() > driver_fold_limit:
-        def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-            return b.assign(
-                __shard=(np.arange(len(b)) % fanin).astype(np.int32)
-            )
-
-        def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
-            s = np.sum([np.frombuffer(x) for x in g["s"]], axis=0)
-            ss = np.sum([np.frombuffer(x) for x in g["ss"]], axis=0)
-            return pd.DataFrame(
-                {"s": [s.tobytes()], "ss": [ss.tobytes()],
-                 "n": [int(g["n"].sum())]}
-            )
-
-        parts = (
-            parts.map_batches(add_shard, batch_format="pandas")
-            .groupby("__shard")
-            .map_groups(merge_shard, batch_format="pandas")
-        )
-    rows = parts.to_pandas()  # ≤ max(fanin, driver_fold_limit) rows
-    if not len(rows) or "s" not in rows.columns:
+    rows = fold_keyed(
+        feats_ds.map_batches(partial, batch_format="pandas"), [], _combine_moments)
+    if rows.empty:
         # fully-empty feature set (e.g. an all-undecodable shard after the
-        # decodable filter): Ray never ran the partial UDF, so to_pandas()
-        # is a bare columnless frame — return the identity statistics
+        # decodable filter): Ray never ran the partial UDF — return the
+        # identity statistics
         mean = np.zeros(dim, np.float64)
         std = np.ones(dim, np.float64) if clamp else np.zeros(dim, np.float64)
         return mean, std
-    s = np.sum([np.frombuffer(x) for x in rows["s"]], axis=0)
-    ss = np.sum([np.frombuffer(x) for x in rows["ss"]], axis=0)
-    n = int(rows["n"].sum())
+    s = np.frombuffer(rows["s"].iloc[0])
+    ss = np.frombuffer(rows["ss"].iloc[0])
+    n = int(rows["n"].iloc[0])
     mean = s / max(n, 1)
     var = np.maximum(ss / max(n, 1) - mean ** 2, 0.0)
     std = np.sqrt(var)

@@ -105,10 +105,10 @@ _PARTIAL_SCHEMA = pa.schema([
 
 
 def _partials_batch(batch: pd.DataFrame, *, cents_ref, column: str) -> pa.Table:
-    # Output is ARROW: the >driver_fold_limit regime shuffles these partials
-    # through groupby("cluster"), and Ray's sort shuffle handles pandas
-    # blocks (object-dtype vec_sum) via the measured ~5x slow path; a
-    # list<float64> column also keeps the block size estimator exact.
+    # Output is ARROW: fold_keyed's tree regime shuffles these partials by
+    # cluster, and Ray's sort shuffle takes pandas blocks (object-dtype
+    # vec_sum) through a measured ~5x slow path; a list<float64> column
+    # also keeps the block size estimator exact.
     C = _fetch(cents_ref)
     batch = drop_null_vectors(batch, column)
     if batch.empty or not len(C):
@@ -138,46 +138,26 @@ def _partials_batch(batch: pd.DataFrame, *, cents_ref, column: str) -> pa.Table:
     })
 
 
-def _merge_cluster(g: pd.DataFrame) -> pa.Table:
-    return pa.table({
-        "cluster": pa.array([int(g["cluster"].iloc[0])], pa.int64()),
-        "n": pa.array([int(g["n"].sum())], pa.int64()),
-        "vec_sum": pa.array(
-            [np.stack(g["vec_sum"].to_numpy()).sum(axis=0)],
-            pa.list_(pa.float64()),
-        ),
-        "sse": pa.array([float(g["sse"].sum())], pa.float64()),
-    })
-
-
-def _fold_cluster_partials(partials, driver_fold_limit: int = 4096) -> list:
-    """Fold a per-batch Lloyd-partial Dataset to ≤ k merged rows — the
-    ``fold_profiles`` two-regime topology. Small partial sets (the
-    interactive case: ≤ ``driver_fold_limit`` rows of (cluster, n,
-    vec_sum, sse)) fold on the driver with one vectorized pandas groupby,
-    skipping the per-round ``groupby("cluster")`` sort-exchange whose
-    fixed overhead (~0.4-0.6 s) dominated every Lloyd round at sf0.1.
-    Large partial sets (10^6 blocks at 10^12 rows) keep the worker-side
-    shuffle merge, so the driver never reads one row per
-    (batch × cluster). Associative merge ⇒ identical result either way."""
-    states = partials.materialize()  # tiny rows; counting must not re-run
-    if states.count() > driver_fold_limit:
-        states = states.groupby("cluster").map_groups(
-            _merge_cluster, batch_format="pandas"
-        )
-    df = states.to_pandas()
-    if df.empty or "cluster" not in df.columns:
-        return []
-    out = (
-        df.groupby("cluster", sort=False)
-        .apply(lambda g: pd.Series({
-            "n": int(g["n"].sum()),
-            "vec_sum": np.stack(g["vec_sum"].to_numpy()).sum(axis=0),
-            "sse": float(g["sse"].sum()),
-        }))
-        .reset_index()
+def _combine_cluster_partials(frame: pd.DataFrame) -> pd.DataFrame:
+    return pd.DataFrame(
+        [
+            {"cluster": c, "n": int(g["n"].sum()),
+             "vec_sum": np.stack(g["vec_sum"].to_numpy()).sum(axis=0),
+             "sse": float(g["sse"].sum())}
+            for c, g in frame.groupby("cluster", sort=False, dropna=False)
+        ],
+        columns=["cluster", "n", "vec_sum", "sse"],
     )
-    return out.to_dict("records")
+
+
+def _fold_cluster_partials(partials) -> list:
+    """Fold a per-batch Lloyd-partial Dataset to ≤ k merged rows, keyed by
+    cluster through :func:`schema_guru_ray.fold.fold_keyed`. The
+    interactive case folds on the driver, skipping a sort-exchange whose
+    fixed ~0.4-0.6 s dominated every Lloyd round at sf0.1."""
+    from schema_guru_ray.fold import fold_keyed
+
+    return fold_keyed(partials, ["cluster"], _combine_cluster_partials).to_dict("records")
 
 
 def _seed_partial(batch: pd.DataFrame, *, k: int, column: str,

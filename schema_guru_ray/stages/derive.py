@@ -15,7 +15,8 @@ Two paths:
   state leaves per batch.
 
 Both emit pickled states; merging happens via
-``pipelines.infer.fold_states`` (driver) or a grouped aggregate.
+``schema_guru_ray.fold.fold_keyed`` (``pipelines.infer.fold_states``) or,
+per segment, a grouped aggregate.
 """
 
 from __future__ import annotations

@@ -34,6 +34,16 @@ STORE_VERSION = 1
 
 Store = Dict[str, Dict[str, bytes]]
 
+# the NULL codec's key wherever codecs must be totally ordered strings: the
+# per-codec fold and the persisted store, whose sorted JSON keys cannot mix
+# None with str. The \x00 prefix cannot collide with a real codec label.
+NULL_CODEC = "\x00<null>"
+
+
+def decode_codecs(store: Store) -> Store:
+    """The store with the null codec keyed as None again."""
+    return {None if c == NULL_CODEC else c: cols for c, cols in store.items()}
+
 
 def sketch_cfg_hash(cfg) -> str:
     """Hash of ONLY the parameters that shape the sketches, so unrelated
@@ -54,7 +64,7 @@ def save_baseline(store: Store, path: str, *, source: str = "",
         "n_codecs": len(store),
         "meta": meta or {},
         "sketches": {
-            codec: {
+            NULL_CODEC if codec is None else codec: {
                 col: base64.b64encode(raw).decode("ascii")
                 for col, raw in cols.items()
             }
@@ -75,12 +85,13 @@ def merge_stores(stores) -> Store:
     rebuilding a corpus baseline from per-partition checkpoint sketches —
     at 10^12 rows, re-aggregating verdict ROWS for a baseline refresh is
     corpus-scale work every night, while merging partition BLOBS is KBs
-    per partition regardless of row count."""
+    per partition regardless of row count. The null codec comes out
+    keyed as None."""
     from schema_guru_ray.sketches.kll import KLL
 
     acc: Dict[str, Dict[str, KLL]] = {}
     for store in stores:
-        for codec, cols in store.items():
+        for codec, cols in decode_codecs(store).items():
             slot = acc.setdefault(codec, {})
             for col, raw in cols.items():
                 k = KLL.from_bytes(raw)
@@ -93,8 +104,9 @@ def merge_stores(stores) -> Store:
 
 def load_baseline(path: str, *, expect_cfg_hash: Optional[str] = None
                   ) -> Tuple[Store, dict]:
-    """Load a store; raises ValueError on version mismatch or (when
-    ``expect_cfg_hash`` is given) on sketch-parameter mismatch."""
+    """Load a store, with the null codec keyed as None; raises ValueError
+    on version mismatch or (when ``expect_cfg_hash`` is given) on
+    sketch-parameter mismatch."""
     with open(path) as f:
         manifest = json.load(f)
     if manifest.get("version") != STORE_VERSION:
@@ -108,9 +120,9 @@ def load_baseline(path: str, *, expect_cfg_hash: Optional[str] = None
             f"current={expect_cfg_hash!r}); rebuild the baseline or pass "
             "matching hll_p/kll_k"
         )
-    store: Store = {
+    store: Store = decode_codecs({
         codec: {col: base64.b64decode(b64) for col, b64 in cols.items()}
         for codec, cols in manifest["sketches"].items()
-    }
+    })
     meta = {k: v for k, v in manifest.items() if k != "sketches"}
     return store, meta

@@ -234,22 +234,25 @@ class TestCmvn:
         assert np.allclose(mean, ref.mean(axis=0), atol=1e-9)
         assert np.allclose(std, ref.std(axis=0), atol=1e-9)
 
-    def test_tree_fold_and_empty_batches_match_numpy(self):
+    def test_tree_fold_and_empty_batches_match_numpy(self, monkeypatch):
         """Forced-tiny-batch path: many partial rows trigger the
-        distributed tree level (driver folds ≤ fanin rows), and blocks
+        distributed tree level (driver folds ≤ FANIN rows), and blocks
         emptied by an upstream filter don't crash the partial kernel."""
         import pandas as pd
 
+        from schema_guru_ray import fold
         from schema_guru_ray.stages.audio_features import apply_cmvn, cmvn_stats
 
         ds, vecs = self._feats_ds(n=60)
-        # one row per block → 60 partial rows > driver_fold_limit → tree;
+        # one row per block → 60 partial rows > DRIVER_FOLD_ROWS → tree;
         # drop a block's rows entirely so an empty block reaches partial()
         tiny = ds.repartition(60).map_batches(
             lambda b: b if len(b) == 0 or float(b["embedding"].iloc[0][0]) != float(vecs[0, 0]) else b.iloc[:0],
             batch_format="pandas",
         )
-        mean, std = cmvn_stats(tiny, fanin=8, driver_fold_limit=4)
+        monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 4)
+        monkeypatch.setattr(fold, "FANIN", 8)
+        mean, std = cmvn_stats(tiny)
         ref = np.stack([v for v in vecs if float(v[0]) != float(vecs[0, 0])]).astype(np.float64)
         assert np.allclose(mean, ref.mean(axis=0), atol=1e-9)
         assert np.allclose(std, ref.std(axis=0), atol=1e-9)

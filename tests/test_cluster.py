@@ -94,8 +94,8 @@ class TestAssignQuantized:
 
 @pytest.mark.usefixtures("ray_session")
 class TestFoldRegimes:
-    def test_merge_regime_matches_driver_fold(self):
-        """The >driver_fold_limit regime (worker-side groupby merge of the
+    def test_merge_regime_matches_driver_fold(self, monkeypatch):
+        """The >DRIVER_FOLD_ROWS regime (worker-side groupby merge of the
         Arrow Lloyd partials) must fold to exactly the small-regime result;
         exercised directly because kmeans() only crosses the limit at block
         counts a unit test shouldn't pay for."""
@@ -119,8 +119,12 @@ class TestFoldRegimes:
             _partials_batch, fn_kwargs=dict(cents_ref=ref, column="embedding"),
             batch_format="pandas",
         )
-        small = _fold_cluster_partials(parts, driver_fold_limit=10_000)
-        large = _fold_cluster_partials(parts, driver_fold_limit=1)
+        from schema_guru_ray import fold
+
+        monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 10_000)
+        small = _fold_cluster_partials(parts)
+        monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 1)
+        large = _fold_cluster_partials(parts)
         assert {r["cluster"] for r in small} == {r["cluster"] for r in large}
         s = {r["cluster"]: r for r in small}
         for r in large:

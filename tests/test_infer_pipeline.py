@@ -202,12 +202,13 @@ class TestInferPipelines:
         b = infer_schema(ds, ctx, batch_size=4096)["schema"]
         assert a == b
 
-    def test_fold_states_tree_bounded(self, sf_dir):
+    def test_fold_states_tree_bounded(self, sf_dir, monkeypatch):
         """Tree-merge level: with forced tiny batches (many per-batch
-        states) the driver folds only ≤ tree_fanin shard survivors, and the
+        states) the driver folds only ≤ FANIN shard survivors, and the
         result is identical for any fan-in (associative merge)."""
         import ray.data as rd
 
+        from schema_guru_ray import fold
         from schema_guru_ray.pipelines.infer import fold_states
         from schema_guru_ray.schema.finalize import merge_and_transform
         from schema_guru_ray.stages.derive import StateBatcher
@@ -218,8 +219,11 @@ class TestInferPipelines:
             StateBatcher(ctx), batch_format="pyarrow", batch_size=32
         )
         assert states.count() > 8  # genuinely many partial states
-        small = fold_states(states, ctx, tree_fanin=4)
-        big = fold_states(states, ctx, tree_fanin=512)
+        monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 8)
+        monkeypatch.setattr(fold, "FANIN", 4)
+        small = fold_states(states, ctx)
+        monkeypatch.setattr(fold, "FANIN", 512)
+        big = fold_states(states, ctx)
         assert merge_and_transform(small["state"], ctx) == merge_and_transform(
             big["state"], ctx
         )

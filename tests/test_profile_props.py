@@ -66,13 +66,14 @@ def test_merge_commutative(parts):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_fold_profiles_tree_level(sf_dir):
-    """Tiny batches force state rows >> driver_fold_limit so the
-    distributed shard level engages; the driver then folds ≤ fanin states
+def test_fold_profiles_tree_level(sf_dir, monkeypatch):
+    """Tiny batches force state rows >> DRIVER_FOLD_ROWS so the
+    distributed shard level engages; the driver then folds one state
     per group and the result is identical to the flat driver fold (the
     exact-expansion total makes even the float sum grouping-free)."""
     import ray.data as rd
 
+    from schema_guru_ray import fold
     from schema_guru_ray.stages.profile import TableProfiler, fold_profiles
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
@@ -83,7 +84,9 @@ def test_fold_profiles_tree_level(sf_dir):
     ).materialize()
     n_states = prof_ds.count()
     assert n_states > 8  # the shard level must actually engage below
-    folded = fold_profiles(prof_ds, fanin=4, driver_fold_limit=8)[""]["value"]
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 8)
+    monkeypatch.setattr(fold, "FANIN", 4)
+    folded = fold_profiles(prof_ds)[""]["value"]
     whole = merge_profile_rows([r["profile"] for r in prof_ds.take_all()])["value"]
     assert folded.non_null == whole.non_null
     assert folded.nulls == whole.nulls

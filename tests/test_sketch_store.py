@@ -279,3 +279,85 @@ def test_legacy_tree_raises_catchably_in_distributed_regime(tmp_path):
         merge_partition_baselines(str(tmp_path / "out"), driver_limit=0)
     with pytest.raises(FileNotFoundError, match="predate"):
         drift_by_partition(str(tmp_path / "out"), {}, driver_limit=0)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_null_codec_survives_checkpointed_baseline(tmp_path):
+    """A partition holding null-codec clips next to real codecs commits its
+    sketches (the null codec persists as NULL_CODEC), and the merged
+    baseline's drift lookups find the None codec again."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from schema_guru_ray.pipelines.validate import (
+        ValidationConfig,
+        codec_verdicts,
+        drift_by_partition,
+        merge_partition_baselines,
+        run_validation_checkpointed,
+    )
+    from schema_guru_ray.sources.clips import ClipsConfig, generate_clips_table
+    from schema_guru_ray.state.sketch_store import NULL_CODEC
+
+    tab = generate_clips_table(300, ClipsConfig(seed=5))
+    codecs = [None if i % 3 == 0 else c for i, c in enumerate(tab["codec"].to_pylist())]
+    i = tab.schema.get_field_index("codec")
+    tab = tab.set_column(i, tab.schema.field(i), pa.array(codecs, tab.schema.field(i).type))
+    src = tmp_path / "clips"
+    src.mkdir()
+    pq.write_table(tab, str(src / "a.parquet"))
+
+    cfg = ValidationConfig()
+    out = str(tmp_path / "out")
+    run_validation_checkpointed(str(src), out, cfg, num_partitions=1)
+    (sk,) = glob.glob(os.path.join(out, "partition=*", "sketches.json"))
+    with open(sk) as f:
+        keys = set(json.load(f)["sketches"])
+    assert NULL_CODEC in keys and len(keys) > 1
+
+    merged, _ = merge_partition_baselines(out, cfg=cfg)
+    assert None in merged and NULL_CODEC not in merged
+    report = drift_by_partition(out, merged, cfg)
+    null_rows = report[report["codec"].isna()]
+    assert len(null_rows) == 2 and null_rows["psi"].notna().all()
+
+    verdicts = rd.read_parquet(
+        glob.glob(os.path.join(out, "partition=*", "verdicts", "*.parquet")))
+    cv = codec_verdicts(verdicts, cfg, baseline=merged)
+    assert cv.loc[cv["codec"].isna(), "psi_dur_ms"].notna().all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path):
+    """driver_limit=0 over 128 partitions whose first 64 — one 64-dir
+    task — hold only empty sketch stores: that task's frames are typed,
+    so the distributed regime answers like the driver regime."""
+    import numpy as np
+    import pandas as pd
+
+    from schema_guru_ray.pipelines.validate import (
+        ValidationConfig,
+        drift_by_partition,
+        merge_partition_baselines,
+    )
+    from schema_guru_ray.sketches.kll import KLL
+
+    cfg = ValidationConfig()
+    out = tmp_path / "out"
+    rng = np.random.default_rng(0)
+    for i in range(128):
+        store = {} if i < 64 else {"pcm16": {
+            "dur_ms": KLL(cfg.kll_k).add_many(rng.normal(1000, 50, 200)).to_bytes()}}
+        save_baseline(store, str(out / f"partition={i:04d}" / "sketches.json"),
+                      cfg_hash=sketch_cfg_hash(cfg), meta={"n_clips": 200 * len(store)})
+
+    drv_store, drv_n = merge_partition_baselines(str(out), cfg=cfg)
+    dist_store, dist_n = merge_partition_baselines(str(out), cfg=cfg, driver_limit=0)
+    assert drv_n == dist_n == 64 * 200
+    assert set(drv_store) == set(dist_store) == {"pcm16"}
+
+    drv = drift_by_partition(str(out), drv_store, cfg)
+    dist = drift_by_partition(str(out), drv_store, cfg, driver_limit=0)
+    assert len(dist) == 64
+    pd.testing.assert_frame_equal(drv, dist)

@@ -142,12 +142,13 @@ class TestCheckpointResume:
 @pytest.mark.usefixtures("ray_session")
 def test_codec_verdicts_driver_fold_matches_distributed(monkeypatch, tmp_path):
     """The small-partition driver-fold fast path of codec_verdicts must
-    answer exactly like the two-level distributed groupby (below KLL
+    answer exactly like the distributed tree fold (below KLL
     compaction size the sketches are order-exact, so the frames are
     bit-equal)."""
     import pandas as pd
     import ray.data as rd
 
+    from schema_guru_ray import fold
     from schema_guru_ray.pipelines import validate as V
     from schema_guru_ray.sources.clips import ClipsConfig, generate_clips_table
 
@@ -157,7 +158,7 @@ def test_codec_verdicts_driver_fold_matches_distributed(monkeypatch, tmp_path):
     ).materialize()
 
     fast, fast_store = V.codec_verdicts(verdicts, cfg, return_store=True)
-    monkeypatch.setattr(V, "DRIVER_FOLD_PARTIALS", -1)  # force distributed
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", -1)  # force distributed
     dist, dist_store = V.codec_verdicts(verdicts, cfg, return_store=True)
     pd.testing.assert_frame_equal(fast, dist)
     # sketch BYTES differ by within-level concatenation order; the
