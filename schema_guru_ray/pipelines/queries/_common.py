@@ -28,6 +28,15 @@ def _read(sf_dir: str, table: str, columns=None):
     return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
 
 
+def _read_documents(sf_dir: str):
+    """``documents(doc_id, text)`` in at least 8 blocks and never fewer than
+    the read produced: a small single-file corpus arrives as ONE block (so
+    the per-document stages would not parallelize), while a large one keeps
+    its own block count instead of being capped at 8."""
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
+    return ds.repartition(max(8, ds.num_blocks()))
+
+
 
 def _meta_rows(sf_dir: str, table: str) -> int:
     """Row count from parquet FOOTER metadata — free, no plan execution.

@@ -23,6 +23,7 @@ from schema_guru_ray.pipelines.queries._common import (
     _meta_rows,
     _pandas_cols,
     _read,
+    _read_documents,
 )
 
 
@@ -61,7 +62,7 @@ def minhash_dedup_documents(sf_dir: str, measure_recall: bool = True):
 
     _pair_cols = ["id_a", "id_b", "est_jaccard"]
     _pair_types = {"id_a": "int64", "id_b": "int64", "est_jaccard": "float64"}
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).repartition(8).materialize()
+    ds = _read_documents(sf_dir).materialize()
     cands = _pandas_cols(
         minhash_candidate_pairs(ds, MinHashSigner(), min_est_jaccard=0.5),
         _pair_cols, _pair_types,
@@ -99,9 +100,7 @@ def near_dup_pairs_documents(sf_dir: str):
         verify_pairs_jaccard_distributed,
     )
 
-    # small single-file test corpora arrive as ONE block — repartition so
-    # the signing stage parallelizes (real corpora are multi-block already)
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).repartition(8)
+    ds = _read_documents(sf_dir)
     signer = MinHashSigner(num_perm=63, bands=21)
     cands = minhash_candidate_pairs(ds, signer, min_est_jaccard=0.5)
     # NB: no select_columns here — the verify output is exactly
@@ -152,7 +151,7 @@ def dup_components_documents(sf_dir: str):
         verify_pairs_jaccard_distributed,
     )
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).repartition(8)
+    ds = _read_documents(sf_dir)
     signer = MinHashSigner(num_perm=63, bands=21)
     cands = minhash_candidate_pairs(ds, signer, min_est_jaccard=0.5)
     pairs = verify_pairs_jaccard_distributed(cands, ds, threshold=0.8)

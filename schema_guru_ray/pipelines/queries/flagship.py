@@ -19,7 +19,7 @@ from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,
     _meta_rows,
-    _read,
+    _read_documents,
 )
 
 
@@ -32,7 +32,7 @@ def curate_documents(sf_dir: str):
     deterministic, so the final kept set hash-matches exactly."""
     from schema_guru_ray.pipelines.curate import curate_documents as _curate
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).repartition(8)
+    ds = _read_documents(sf_dir)
     return _curate(ds)
 
 
@@ -113,7 +113,7 @@ def prepare_training_corpus(sf_dir: str):
     )
     from schema_guru_ray.stages.text import WORD_RE, PiiScrubber
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).repartition(8)
+    ds = _read_documents(sf_dir)
     bench = ds.map_batches(
         lambda b: b[b["doc_id"] % 97 == 0], batch_format="pandas"
     )

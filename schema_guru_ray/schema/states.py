@@ -5,6 +5,14 @@ Re-implements the reference's nine-node JsonSchema ADT
 Python dataclasses with an associative, commutative ``merge`` so partial
 states can flow through Ray Data ``map_batches`` + ``groupby().aggregate()``.
 
+Derive: the reference builds one micro-schema per JSON instance and merges
+them. Here :class:`Accumulator` folds a whole batch of parsed instances in
+place into one mutable node per JSON path and freezes into the ADT once.
+Every field's merge is a running min/max, an eq-or-None or a tombstoned
+union, so the result equals the per-instance fold. ``derive_value``,
+``derive_instance``, ``derive`` and ``derive_with_errors`` all go through
+it; ``merge`` combines the per-batch states.
+
 Merge semantics (all cited against the reference):
 
 * ``format``/``pattern``: eq-or-None (JsonSchema.scala:160-163).
@@ -18,6 +26,8 @@ Merge semantics (all cited against the reference):
   schema as the reference's per-merge cap.
 * integer ⊔ number → number with int bounds cast to float
   (NumberSchema.scala:49-62; the numeric lattice ``integer ⊑ number``).
+  When an int and a float enum member are equal (``1 == 1.0``) the int is
+  kept, so the rendered enum does not depend on merge order.
 * different types → ProductState with one slot per type; number's presence
   absorbs the integer slot (ProductSchema.scala:90-102,139-159). We use the
   symmetric closure of the reference's rule so merge order cannot matter.
@@ -26,8 +36,9 @@ Merge semantics (all cited against the reference):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Optional, Union
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from schema_guru_ray.context import SchemaContext
 from schema_guru_ray.schema import formats as fmt
@@ -57,16 +68,6 @@ def _merge_enums(a: EnumState, b: EnumState, ctx: SchemaContext) -> EnumState:
         return None
     u = a | b
     return u if len(u) <= ctx.enum_keep_threshold else None
-
-
-def _construct_enum(value: EnumVal, ctx: SchemaContext) -> EnumState:
-    """constructEnum (SchemaGenerator.scala:231-240): wrap a single value iff
-    cardinality > 0 or the value belongs to a predefined set."""
-    if ctx.enum_cardinality == 0 and not ctx.enum_sets:
-        return None
-    if ctx.enum_cardinality > 0 or ctx.in_any_enum_set(value):
-        return frozenset((value,))
-    return None
 
 
 # --- node states ------------------------------------------------------------
@@ -248,11 +249,22 @@ def _int_to_num(a: IntState) -> NumState:
     )
 
 
+def _merge_num_enums(a: EnumState, b: EnumState, ctx) -> EnumState:
+    """:func:`_merge_enums` for a number slot, whose members may be ints
+    (promoted from an integer slot) or floats. ``1 == 1.0``, so a plain union
+    keeps whichever operand came first; the integer member wins instead, so
+    the rendered enum does not depend on merge order."""
+    u = _merge_enums(a, b, ctx)
+    if u is None or len(u) == len(a) + len(b):  # no equal members collided
+        return u
+    return frozenset(v for v in chain(a, b) if not isinstance(v, float)).union(a, b)
+
+
 def _merge_num(a: NumState, b: NumState, ctx) -> NumState:
     return NumState(
         minimum=_min_or_none(a.minimum, b.minimum),
         maximum=_max_or_none(a.maximum, b.maximum),
-        enum=_merge_enums(a.enum, b.enum, ctx),
+        enum=_merge_num_enums(a.enum, b.enum, ctx),
     )
 
 
@@ -344,40 +356,192 @@ def merge(a: State, b: State, ctx: SchemaContext) -> State:
 # --- derive -----------------------------------------------------------------
 
 
-def derive_value(value, ctx: SchemaContext) -> State:
-    """Micro-schema for ONE parsed JSON value (jsonToSchema recursion,
-    SchemaGenerator.scala:93-148 + Annotations :152-275)."""
+class _Node:
+    """Everything seen so far at one JSON path. ``string`` is
+    ``[format, pattern, min_len, max_len, enum]``; ``integer`` and ``number``
+    are ``[min, max, enum]``; an enum is a mutable set or the None
+    tombstone. ``object`` maps key -> child node; ``array`` is the single
+    items node (created even for an empty array)."""
+
+    __slots__ = ("null", "boolean", "string", "integer", "number", "object", "array")
+
+    def __init__(self):
+        self.null = self.boolean = False
+        self.string = self.integer = self.number = self.object = self.array = None
+
+
+_NoneType = type(None)
+_EXACT_JSON_TYPES = frozenset((dict, list, str, int, float, bool, _NoneType))
+
+
+def _json_type(value) -> type:
+    """The JSON kind of a non-exact value (subclasses; tuples are arrays),
+    checked in the reference's order: bool before int."""
     if value is None:
-        return NULL
-    if isinstance(value, bool):  # must precede int: bool is a subtype of int
-        return BOOL
-    if isinstance(value, str):
-        return StringState(
-            format=fmt.suggest_format(value),
-            pattern=fmt.suggest_pattern(value, ctx.quantity),
-            min_length=len(value) if ctx.derive_length else None,
-            max_length=len(value) if ctx.derive_length else None,
-            enum=_construct_enum(value, ctx),
-        )
-    if isinstance(value, int):
-        return IntState(minimum=value, maximum=value, enum=_construct_enum(value, ctx))
-    if isinstance(value, float):
-        return NumState(minimum=value, maximum=value, enum=_construct_enum(value, ctx))
-    if isinstance(value, dict):
-        return ObjectState({k: derive_value(v, ctx) for k, v in value.items()})
+        return _NoneType
+    for t in (bool, str, int, float, dict):
+        if isinstance(value, t):
+            return t
     if isinstance(value, (list, tuple)):
-        items: State = ZERO
-        for v in value:
-            items = merge(items, derive_value(v, ctx), ctx)
-        return ArrayState(items)
+        return list
     raise TypeError(f"unsupported JSON value type: {type(value)!r}")
 
 
-def derive_instance(value, ctx: SchemaContext) -> State:
-    """Top-level derive: only object or array instances are schema-derivable
+class Accumulator:
+    """Folds parsed JSON values into one mutable tree of :class:`_Node`;
+    :meth:`state` freezes it into the :data:`State` ADT.
+
+    Once a path's format, pattern or enum is None it stays None (None
+    absorbs in ``_eq_or_none`` and in the enum tombstone), so the
+    suggesters and enum inserts are skipped from then on. A value that
+    raises ``TypeError`` may leave part of itself behind: callers that
+    continue past an error rebuild (see :func:`derive_with_failures`)."""
+
+    __slots__ = ("ctx", "root", "_quantity", "_lengths", "_keep", "_enum_all")
+
+    def __init__(self, ctx: SchemaContext):
+        self.ctx = ctx
+        self.root = _Node()
+        self._quantity = ctx.quantity
+        self._lengths = ctx.derive_length
+        self._keep = ctx.enum_keep_threshold
+        # constructEnum (SchemaGenerator.scala:231-240) keeps every value,
+        # only members of a predefined set, or none
+        if ctx.enum_cardinality > 0:
+            self._enum_all = True
+        elif ctx.enum_sets:
+            self._enum_all = False
+        else:
+            self._enum_all = None
+
+    def add(self, value) -> None:
+        self._add(self.root, value)
+
+    def _new_enum(self, v) -> Optional[set]:
+        mode = self._enum_all
+        if mode or (mode is not None and self.ctx.in_any_enum_set(v)):
+            return {v}
+        return None
+
+    def _add_enum(self, slot: list, i: int, v) -> None:
+        enum = slot[i]
+        if self._enum_all or self.ctx.in_any_enum_set(v):
+            enum.add(v)
+            if len(enum) > self._keep:
+                slot[i] = None
+        else:
+            slot[i] = None
+
+    def _add(self, node: _Node, v) -> None:
+        t = type(v)
+        if t not in _EXACT_JSON_TYPES:
+            t = _json_type(v)
+        if t is dict:
+            props = node.object
+            if props is None:
+                props = node.object = {}
+            for k, x in v.items():
+                child = props.get(k)
+                if child is None:
+                    child = props[k] = _Node()
+                self._add(child, x)
+        elif t is str:
+            s = node.string
+            n = len(v) if self._lengths else None
+            if s is None:
+                node.string = [fmt.suggest_format(v), fmt.suggest_pattern(v, self._quantity),
+                               n, n, self._new_enum(v)]
+                return
+            if s[0] is not None and fmt.suggest_format(v) != s[0]:
+                s[0] = None
+            if s[1] is not None and fmt.suggest_pattern(v, self._quantity) != s[1]:
+                s[1] = None
+            if n is not None:
+                if n < s[2]:
+                    s[2] = n
+                if n > s[3]:
+                    s[3] = n
+            if s[4] is not None:
+                self._add_enum(s, 4, v)
+        elif t is int or t is float:
+            r = node.integer if t is int else node.number
+            if r is None:
+                r = [v, v, self._new_enum(v)]
+                if t is int:
+                    node.integer = r
+                else:
+                    node.number = r
+                return
+            if v < r[0]:
+                r[0] = v
+            if v > r[1]:
+                r[1] = v
+            if r[2] is not None:
+                self._add_enum(r, 2, v)
+        elif t is list:
+            items = node.array
+            if items is None:
+                items = node.array = _Node()
+            for x in v:
+                self._add(items, x)
+        elif t is bool:
+            node.boolean = True
+        else:
+            node.null = True
+
+    def state(self) -> State:
+        return self._freeze(self.root)
+
+    def _freeze(self, node: _Node) -> State:
+        slots: Dict[str, State] = {}
+        if node.object is not None:
+            slots["object"] = ObjectState(
+                {k: self._freeze(c) for k, c in node.object.items()})
+        if node.array is not None:
+            slots["array"] = ArrayState(self._freeze(node.array))
+        if node.string is not None:
+            f, p, lo, hi, e = node.string
+            slots["string"] = StringState(f, p, lo, hi, _frozen(e))
+        if node.integer is not None:
+            lo, hi, e = node.integer
+            slots["integer"] = IntState(lo, hi, _frozen(e))
+        if node.number is not None:
+            lo, hi, e = node.number
+            num = NumState(lo, hi, _frozen(e))
+            if "integer" in slots:  # number absorbs integer (see _merge_product)
+                num = _merge_num(_int_to_num(slots.pop("integer")), num, self.ctx)
+            slots["number"] = num
+        if node.boolean:
+            slots["boolean"] = BOOL
+        if node.null:
+            slots["null"] = NULL
+        if len(slots) > 1:
+            return ProductState(slots)
+        return next(iter(slots.values()), ZERO)
+
+
+def _frozen(enum: Optional[set]) -> EnumState:
+    return None if enum is None else frozenset(enum)
+
+
+def _check_instance(value) -> None:
+    """Only object or array instances are schema-derivable
     (SchemaGenerator.scala:54-59)."""
     if not isinstance(value, (dict, list, tuple)):
         raise ValueError("JSON instance must be an object or array at top level")
+
+
+def derive_value(value, ctx: SchemaContext) -> State:
+    """Micro-schema for ONE parsed JSON value (jsonToSchema recursion,
+    SchemaGenerator.scala:93-148 + Annotations :152-275)."""
+    acc = Accumulator(ctx)
+    acc.add(value)
+    return acc.state()
+
+
+def derive_instance(value, ctx: SchemaContext) -> State:
+    """Top-level derive: only object or array instances are schema-derivable."""
+    _check_instance(value)
     return derive_value(value, ctx)
 
 
@@ -386,20 +550,43 @@ def derive(values, ctx: SchemaContext) -> State:
     (the per-batch partial-aggregation kernel; reference ``schemas.suml``,
     SchemaGuru.scala:71). Invalid top-level instances raise — callers that
     need error capture use :func:`derive_with_errors`."""
-    acc: State = ZERO
+    acc = Accumulator(ctx)
     for v in values:
-        acc = merge(acc, derive_instance(v, ctx), ctx)
-    return acc
+        _check_instance(v)
+        acc.add(v)
+    return acc.state()
+
+
+def derive_with_failures(values, ctx: SchemaContext) -> Tuple[State, List[Tuple[int, Exception]]]:
+    """Fold instances into one state, collecting ``(index, error)`` for each
+    instance that cannot be derived instead of raising. A failing instance
+    contributes nothing: the top-level check runs before any mutation, and
+    after a mid-instance ``TypeError`` (a non-JSON Python value, which
+    ``json.loads`` never produces) the accumulator is rebuilt from the
+    instances accepted so far."""
+    acc = Accumulator(ctx)
+    accepted: list = []
+    failed: List[Tuple[int, Exception]] = []
+    for i, v in enumerate(values):
+        try:
+            _check_instance(v)
+        except ValueError as e:
+            failed.append((i, e))
+            continue
+        try:
+            acc.add(v)
+        except (ValueError, TypeError) as e:
+            failed.append((i, e))
+            acc = Accumulator(ctx)
+            for ok in accepted:
+                acc.add(ok)
+            continue
+        accepted.append(v)
+    return acc.state(), failed
 
 
 def derive_with_errors(values, ctx: SchemaContext):
     """Like :func:`derive` but collects per-instance error strings instead of
     raising (the reference's Validation split, SchemaGuru.scala:46-55)."""
-    acc: State = ZERO
-    errors = []
-    for i, v in enumerate(values):
-        try:
-            acc = merge(acc, derive_instance(v, ctx), ctx)
-        except (ValueError, TypeError) as e:
-            errors.append(f"instance {i}: {e}")
-    return acc, errors
+    state, failed = derive_with_failures(values, ctx)
+    return state, [f"instance {i}: {e}" for i, e in failed]

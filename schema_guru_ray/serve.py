@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from schema_guru_ray.context import SchemaContext
 from schema_guru_ray.schema.finalize import merge_and_transform
 from schema_guru_ray.schema.keys import duplicate_key_pairs, extract_keys
-from schema_guru_ray.schema.states import ZERO, derive_instance, merge
+from schema_guru_ray.schema.states import derive_with_failures
 
 
 def parse_multipart(content_type: str, body: bytes) -> List[Tuple[Optional[str], str]]:
@@ -126,15 +126,10 @@ def handle_upload(content_type: str, body: bytes) -> Dict[str, object]:
     ctx = SchemaContext(
         enum_cardinality=get_cardinality(fields), quantity=len(fields)
     )
-    state = ZERO
-    derive_errors: List[str] = []
-    for i, doc in enumerate(docs):
-        try:
-            state = merge(state, derive_instance(doc, ctx), ctx)
-        except (ValueError, TypeError) as e:
-            derive_errors.append(
-                _error_obj(f"instance {i}", "Cannot derive schema", str(e))
-            )
+    state, failed = derive_with_failures(docs, ctx)
+    derive_errors = [
+        _error_obj(f"instance {i}", "Cannot derive schema", str(e)) for i, e in failed
+    ]
     schema = merge_and_transform(state, ctx)
     dups = sorted(duplicate_key_pairs(extract_keys(state)))
     warning = (

@@ -10,9 +10,12 @@ Two paths:
   Helpers.scala:209-224) at column granularity — semantically identical
   because the per-value states of a homogeneous column merge pointwise.
 * :func:`derive_json_batch` — per-document derivation for a column of JSON
-  strings (the reference's actual input shape); the tree recursion is
-  inherently per-row but states pre-merge inside the batch so only one tiny
-  state leaves per batch.
+  strings (the reference's actual input shape). The reference derives one
+  micro-schema per document and merges them; here every parsed document of
+  the batch folds in place into one mutable per-path
+  ``schema.states.Accumulator``, which freezes into a single state at the
+  end of the batch. The result equals the per-document fold, and only that
+  one small state leaves the batch.
 
 Both emit pickled states; merging happens via
 ``schema_guru_ray.fold.fold_keyed`` (``pipelines.infer.fold_states``) or,
@@ -39,11 +42,9 @@ from schema_guru_ray.schema.states import (
     NullState,
     NumState,
     ObjectState,
-    ProductState,
     State,
     StringState,
     TimestampState,
-    ZeroState,
     ZERO,
     derive_with_errors,
     merge,
@@ -226,30 +227,28 @@ class StateBatcher:
 
     def _segment_by_jsonpath(self, batch: pa.Table):
         """--schema-by semantics: key = normalized JSONPath lookup per doc
-        (JsonPathExtractorRDD.scala:53-88); derive pre-merges per key."""
-        import json as _json
-
+        (JsonPathExtractorRDD.scala:53-88); one accumulator per key. A doc
+        that fails to parse or to yield a key counts against "unmatched"."""
         from schema_guru_ray.schema.jsonpath import UNMATCHED, segment_key
-        from schema_guru_ray.schema.states import derive_instance
 
-        groups: dict = {}
-        errors: dict = {}
-        counts: dict = {}
+        docs: dict = {}
+        bad: dict = {}
         for s in batch.column(self.json_column).to_pylist():
             key = UNMATCHED
             try:
-                doc = _json.loads(s)
+                doc = json.loads(s)
                 key = segment_key(self.segment_jsonpath, doc)
-                st = derive_instance(doc, self.ctx)
-                groups[key] = merge(groups.get(key, ZERO), st, self.ctx)
             except (ValueError, TypeError):
-                errors[key] = errors.get(key, 0) + 1
-                groups.setdefault(key, ZERO)
-            counts[key] = counts.get(key, 0) + 1  # exactly once per row
-        return [
-            (k, pickle.dumps(groups[k]), errors.get(k, 0), counts.get(k, 0))
-            for k in groups
-        ]
+                bad[key] = bad.get(key, 0) + 1
+                docs.setdefault(key, [])
+                continue
+            docs.setdefault(key, []).append(doc)
+        rows = []
+        for key, group in docs.items():
+            state, errors = derive_with_errors(group, self.ctx)
+            n_bad = bad.get(key, 0)
+            rows.append((key, pickle.dumps(state), n_bad + len(errors), n_bad + len(group)))
+        return rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: List[Tuple[str, bytes, int, int]] = []

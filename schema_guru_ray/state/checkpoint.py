@@ -8,7 +8,7 @@ The reference has no checkpointing at all (SURVEY.md §4). Our layout:
         <outputs>.parquet ...
         _SUCCESS.json     ← lineage (input files + config hash) + metrics
       partition=0001/ ...
-      _MANIFEST.json      ← run-level summary, written last
+      _MANIFEST.json      ← run-level summary, written last (tmp + rename)
 
 A partition directory is written to a ``.tmp-`` sibling and atomically
 renamed, so a crash mid-partition leaves no half-trusted output. On resume,
@@ -120,6 +120,16 @@ def _execute_partitions(
             log(f"partition {ident}: done in {meta['wall_sec']}s")
 
 
+def _write_manifest(out_dir: str, summary: Dict) -> None:
+    """Commit ``_MANIFEST.json`` via a tmp file + ``os.replace``: consumers
+    read the active set from it, so a crash mid-write must leave the
+    previous manifest, never a truncated one."""
+    path = os.path.join(out_dir, MANIFEST)
+    with open(path + ".tmp", "w") as f:
+        json.dump(summary, f, indent=1, sort_keys=True, default=str)
+    os.replace(path + ".tmp", path)
+
+
 def run_partitioned(
     input_files: Sequence[str],
     out_dir: str,
@@ -138,8 +148,7 @@ def run_partitioned(
         [(f"{idx:04d}", idx, files) for idx, files in enumerate(parts)],
         out_dir, process_partition, cfg_hash, summary, "idx", log,
     )
-    with open(os.path.join(out_dir, MANIFEST), "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True, default=str)
+    _write_manifest(out_dir, summary)
     return summary
 
 
@@ -184,7 +193,9 @@ def run_incremental(
     on disk — consumers must read the active set from ``_MANIFEST.json``,
     never by globbing partition dirs. ``gc_orphans=True`` deletes them
     after the active set is fully committed (delete-last ordering: a
-    crash during GC never loses live work, only delays reclamation)."""
+    crash during GC never loses live work, only delays reclamation), and
+    sweeps the ``.tmp-partition=*`` dirs crashed runs left behind
+    (``summary["tmp_swept"]``)."""
     os.makedirs(out_dir, exist_ok=True)
     parts = partition_chunks(input_files, files_per_partition)
     active = [partition_digest(files) for files in parts]
@@ -200,12 +211,17 @@ def run_incremental(
     summary["orphaned"] = len(orphans)
     summary["orphans"] = orphans
     summary["active"] = active
-    if gc_orphans and orphans:
-        for o in orphans:
+    if gc_orphans:
+        # every active partition is committed by now, so any .tmp- dir is
+        # the leftover of a crashed run (its digest may never run again)
+        stale = sorted(p for p in os.listdir(out_dir) if p.startswith(".tmp-partition="))
+        for o in orphans + stale:
             shutil.rmtree(os.path.join(out_dir, o), ignore_errors=True)
-        summary["gc_removed"] = len(orphans)
-        if log:
-            log(f"gc: removed {len(orphans)} orphaned partition(s)")
-    with open(os.path.join(out_dir, MANIFEST), "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True, default=str)
+        if orphans:
+            summary["gc_removed"] = len(orphans)
+        summary["tmp_swept"] = len(stale)
+        if log and (orphans or stale):
+            log(f"gc: removed {len(orphans)} orphaned partition(s), "
+                f"{len(stale)} stale tmp dir(s)")
+    _write_manifest(out_dir, summary)
     return summary

@@ -1,11 +1,15 @@
 """Merge-semantics conformance vectors ported from the reference's
 MergeSpec (src/test/scala/MergeSpec.scala:26-105). See FIXTURES.md §B1."""
 
+import json
+
 import pytest
 
 from schema_guru_ray.context import SchemaContext
 from schema_guru_ray.schema.finalize import merge_and_transform, to_json_schema
-from schema_guru_ray.schema.states import ZERO, derive_instance, derive_value, merge
+from schema_guru_ray.schema.states import (
+    ZERO, IntState, NumState, derive_instance, derive_value, merge,
+)
 
 CTX = SchemaContext(enum_cardinality=0)
 
@@ -140,3 +144,24 @@ def test_int_range_encased_in_finalize():
     st = m(d(-2), d(3))
     s = merge_and_transform(st, CTX)
     assert s["minimum"] == -32768 and s["maximum"] == 32767
+
+
+def test_int_float_enum_collision_renders_the_same_in_either_order():
+    # 1 == 1.0: the integer member wins, so the rendered enum (and the schema
+    # bytes) do not depend on which operand came first
+    ctx = SchemaContext(enum_cardinality=5)
+
+    def both(a, b):
+        return (json.dumps(merge_and_transform(m(a, b, ctx), ctx), sort_keys=True),
+                json.dumps(merge_and_transform(m(b, a, ctx), ctx), sort_keys=True))
+
+    i, n = IntState(1, 1, frozenset({1})), NumState(1.0, 1.0, frozenset({1.0}))
+    plain = both(i, n)
+    assert plain[0] == plain[1] and json.loads(plain[0])["enum"] == [1]
+    product = both(m(d("s", ctx), i, ctx), m(d(None, ctx), n, ctx))
+    assert product[0] == product[1]
+    assert json.loads(product[0])["enum"] == ["s", 1]
+    arrays = [json.dumps(merge_and_transform(d(v, ctx), ctx), sort_keys=True)
+              for v in ([1, 1.0], [1.0, 1])]
+    assert arrays[0] == arrays[1]
+    assert json.loads(arrays[0])["items"]["enum"] == [1]
