@@ -4,12 +4,13 @@ Topology (SURVEY.md §3.5):
 
     read clips → map_batches(ClipValidator, actor pool)   [bytes dropped here]
       → verdicts Dataset (streams; audio never crosses a shuffle)
+      → materialized verdicts coalesce to TAIL_ROWS-row blocks  [no shuffle]
       ├─ write/consume verdict rows + exploded violation rows
-      ├─ exact clip_id dedup: groupby(clip_id) count>1     [hash shuffle of ids only]
-      └─ per-codec aggregate: per-batch partials keyed by (codec, salt)
+      ├─ exact clip_id dedup: sort-based groupby of hash buckets of the ids
+      └─ per-codec aggregate: one CodecAgg partial per codec per block
          → fold_keyed by codec (schema_guru_ray.fold) → driver finalize
          (codec is Zipf-skewed by construction; the map-side combiner
-         collapses a hot codec to one state per batch before any shuffle)
+         collapses a hot codec to one state per block before any shuffle)
 
 Only tiny pickled aggregate states shuffle; the wide ``bytes`` column is
 projected away by the validator stage itself.
@@ -17,6 +18,7 @@ projected away by the validator stage itself.
 
 from __future__ import annotations
 
+import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,7 +45,6 @@ class ValidationConfig:
     strict_codecs: bool = False
     pass_violation_rate: float = 0.02  # per-codec verdict threshold
     pass_psi: float = 0.25  # drift verdict threshold (industry convention)
-    n_salts: int = 8
     hll_p: int = 12
     kll_k: int = 800  # tail accuracy: q0.99 err 2% vs 12.5% at k=200, state ~15 KB
     validator_batch_size: int = 512
@@ -87,27 +88,59 @@ def validate_clips(ds, cfg: ValidationConfig = ValidationConfig()):
     )
 
 
+# rows per block once materialized verdicts reach the tail operators: the
+# validator batch (512 clips) is far too small a unit for a Ray task over
+# tiny verdict rows
+TAIL_ROWS = 4096
+
+
+def _is_materialized(ds) -> bool:
+    from ray.data.dataset import MaterializedDataset
+
+    return isinstance(ds, MaterializedDataset)
+
+
+def _coalesced(verdicts):
+    """Materialized verdicts with adjacent blocks joined into
+    ``ceil(rows / TAIL_ROWS)`` blocks (a split repartition, no shuffle), so
+    each tail operator pays one Ray task per block of that size rather than
+    per validator batch. Lazy input, and input already at that many blocks
+    or fewer, come back unchanged: a lazy tail map fuses into the decode
+    tasks, and materializing it here would move every verdict row through
+    the object store."""
+    if not _is_materialized(verdicts):
+        return verdicts
+    k = max(1, math.ceil(verdicts.count() / TAIL_ROWS))
+    if verdicts.num_blocks() <= k:
+        return verdicts
+    return verdicts.repartition(k)
+
+
 def violations_dataset(verdicts):
     """Long-format violation rows (clip_id, codec, kind) — the error sink
     analogue (reference SchemaDerive.scala:58-62), written as a Dataset,
     never collected to the driver."""
-    return verdicts.map_batches(explode_violations, batch_format="pyarrow")
+    return _coalesced(verdicts).map_batches(explode_violations, batch_format="pyarrow")
 
 
 def duplicate_clip_ids(verdicts):
-    """Exact uniqueness check on clip_id (SURVEY.md §2.7 D4): hash-shuffle of
-    the id column only → groups with count > 1. The id projection is
-    materialized first so the decode-heavy validate map never shares a
-    streaming plan with the groupby's all-to-all (whose resource
-    reservation would starve it — see codec_verdicts)."""
+    """Exact uniqueness check on clip_id (SURVEY.md §2.7 D4): ids are
+    hash-bucketed and each bucket counted after a sort-based groupby →
+    groups with count > 1. Lazy input has its id projection materialized
+    first so the decode-heavy validate map never shares a streaming plan
+    with the groupby's all-to-all (whose resource reservation would starve
+    it — see codec_verdicts); materialized input is already behind that
+    boundary."""
     from schema_guru_ray.stages.joins import bucketed_aggregate, derive_num_buckets
 
-    ids = verdicts.select_columns(["clip_id"]).materialize()
+    if not _is_materialized(verdicts):
+        verdicts = verdicts.select_columns(["clip_id"]).materialize()
+    ids = _coalesced(verdicts).select_columns(["clip_id"])
     # clip_id is a groups≈rows key: bucketed vectorized count, not the
     # native per-group aggregate (round-5 trap — see bucketed_aggregate)
     counts = bucketed_aggregate(
         ids, "clip_id", {"n_copies": ("clip_id", "size")},
-        n_buckets=derive_num_buckets(ids.count()),
+        n_buckets=derive_num_buckets(verdicts.count()),
     )
     return counts.map_batches(
         lambda t: t.filter(pc.greater(t["n_copies"], 1)),
@@ -147,15 +180,15 @@ class CodecAgg:
 
 
 # codec_verdicts folds on the driver when the partial-state row count is at
-# most this (each row ~4.8 KB of pickled sketches: a bounded pull). Re-exported
-# from schema_guru_ray.fold so the benchmark can report the regime.
+# most this (one row per codec per verdict block, ~16 KB of pickled
+# sketches for a TAIL_ROWS block: a bounded pull). Re-exported from
+# schema_guru_ray.fold so the benchmark can report the regime.
 DRIVER_FOLD_PARTIALS = DRIVER_FOLD_ROWS
 
 
 class CodecPartialAggregator:
     """map_batches kernel over verdict batches → one pickled CodecAgg per
-    (codec, salt) per batch. The salt is a stable hash of clip_id mod S;
-    the codec fold is keyed by codec alone and drops it."""
+    codec per batch."""
 
     def __init__(self, cfg: ValidationConfig):
         self.cfg = cfg
@@ -163,7 +196,6 @@ class CodecPartialAggregator:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         hashes = stable_hash64(batch["clip_id"].to_pandas())
-        salts = (hashes % np.uint64(cfg.n_salts)).astype(np.int32)
         # a null codec (broken upstream field) is one GROUP, per SQL GROUP BY
         # semantics — encoded as a sentinel string so every fold level sees
         # a totally ordered key; decoded back to None in the finalize loop.
@@ -186,34 +218,26 @@ class CodecPartialAggregator:
 
         rows = []
         for codec in np.unique(codecs):
-            cmask = codecs == codec
-            for salt in np.unique(salts[cmask]):
-                mask = cmask & (salts == salt)
-                agg = CodecAgg(
-                    n=int(mask.sum()),
-                    n_ok=int(oks[mask].sum()),
-                    viol_counts=Counter(
-                        k for i in np.nonzero(mask)[0] for k in viols[i]
-                    ),
-                    clip_hll=HLL(cfg.hll_p).add_hashes(hashes[mask]),
-                    dur_kll=KLL(cfg.kll_k).add_many(_finite(durs[mask])),
-                    sr_kll=KLL(cfg.kll_k).add_many(_finite(srs[mask])),
-                    snr_kll=KLL(cfg.kll_k).add_many(_finite(snrs[mask])),
-                )
-                rows.append(
-                    {"codec": str(codec), "salt": int(salt), "agg": pickle.dumps(agg)}
-                )
+            mask = codecs == codec
+            agg = CodecAgg(
+                n=int(mask.sum()),
+                n_ok=int(oks[mask].sum()),
+                viol_counts=Counter(
+                    k for i in np.nonzero(mask)[0] for k in viols[i]
+                ),
+                clip_hll=HLL(cfg.hll_p).add_hashes(hashes[mask]),
+                dur_kll=KLL(cfg.kll_k).add_many(_finite(durs[mask])),
+                sr_kll=KLL(cfg.kll_k).add_many(_finite(srs[mask])),
+                snr_kll=KLL(cfg.kll_k).add_many(_finite(snrs[mask])),
+            )
+            rows.append({"codec": str(codec), "agg": pickle.dumps(agg)})
         return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("codec", pa.string()), ("salt", pa.int32()), ("agg", pa.binary())]
-            ),
+            rows, schema=pa.schema([("codec", pa.string()), ("agg", pa.binary())])
         )
 
 
 def _combine_codec_aggs(frame: pd.DataFrame) -> pd.DataFrame:
-    """Merge CodecAgg states per codec. The salt column is dropped here:
-    projecting it away before the fold measured ~0.2 s slower."""
+    """Merge CodecAgg states per codec."""
     rows = []
     for codec, g in frame.groupby("codec", sort=False, dropna=False):
         acc: Optional[CodecAgg] = None
@@ -249,21 +273,23 @@ def codec_verdicts(
     The per-batch partials fold by codec through
     :func:`schema_guru_ray.fold.fold_keyed`, then the driver finalizes
     each codec (counts, HLL distinct, KLL quantiles, PSI/KS drift vs the
-    baseline store, pass/fail). ``batch_size=None`` on the partial
-    aggregator is load-bearing (measured on the 250k-clip scaling corpus
-    at 8 CPUs): it inherits the upstream (validator) batching. A fixed
-    large batch_size LOOKS harmless — the aggregator reads tiny verdict
-    rows — but map-fusion propagates it UP into the fused
-    read→validate→aggregate task and re-batches the wide binary clips
-    into ~batch_size×38KB bundles. ``fold_keyed`` materializes the
-    partials before any shuffle, so the decode map never shares a
-    streaming plan with an all-to-all whose resource reservation would
-    starve it (measured 274 s → 55 s at 8 CPUs).
+    baseline store, pass/fail). Materialized verdicts are first coalesced
+    into ``TAIL_ROWS``-row blocks (:func:`_coalesced`), so the aggregator
+    builds one partial per codec per block. ``batch_size=None`` on the
+    partial aggregator is load-bearing for LAZY input (measured on the
+    250k-clip scaling corpus at 8 CPUs): it inherits the upstream
+    (validator) batching. A fixed large batch_size LOOKS harmless — the
+    aggregator reads tiny verdict rows — but map-fusion propagates it UP
+    into the fused read→validate→aggregate task and re-batches the wide
+    binary clips into ~batch_size×38KB bundles. ``fold_keyed``
+    materializes the partials before any shuffle, so the decode map never
+    shares a streaming plan with an all-to-all whose resource reservation
+    would starve it (measured 274 s → 55 s at 8 CPUs).
 
     The store keys the null codec as ``NULL_CODEC``, so it persists as
     JSON; a baseline may key it either way.
     """
-    partials = verdicts.map_batches(
+    partials = _coalesced(verdicts).map_batches(
         CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
     )
     folded = fold_keyed(partials, ["codec"], _combine_codec_aggs)
@@ -354,7 +380,8 @@ def run_validation_checkpointed(
 
     def process(part_files, tmp_dir):
         ds = rd.read_parquet(part_files)
-        verdicts = validate_clips(ds, cfg).materialize()  # per-partition working set
+        # per-partition working set, coalesced once for all three consumers
+        verdicts = _coalesced(validate_clips(ds, cfg).materialize()).materialize()
         verdicts.write_parquet(os.path.join(tmp_dir, "verdicts"))
         violations_dataset(verdicts).write_parquet(os.path.join(tmp_dir, "violations"))
         cv, store = codec_verdicts(

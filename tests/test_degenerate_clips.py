@@ -10,7 +10,7 @@ had: Ray erases schema on empty derived data (curate chain died on
 (``codec_verdicts`` KeyError on sort_values, ``cmvn_stats`` KeyError 's'),
 row kernels assumed non-null metadata (``abs(ms - None)`` TypeError,
 ``md5(None.encode())``), and ``np.unique`` over a None-bearing codec array
-raised TypeError inside the salted aggregate.
+raised TypeError inside the per-codec aggregate.
 
 Contract (mirrors the SQL-null semantics of tests/test_degenerate.py):
 

@@ -152,14 +152,16 @@ class TestFoldKeyed:
 
 def test_fold_policy_lives_only_in_fold_module():
     """No module but fold.py carries a fold knob or threshold, so the
-    driver-or-tree topology is not copied again. The one exception is
+    driver-or-tree topology is not copied again, and the codec salt the
+    per-block combiner made redundant stays gone. The one exception is
     validate's DRIVER_FOLD_PARTIALS re-export."""
     import pathlib
     import re
 
     pkg = pathlib.Path(fold.__file__).parent
     banned = re.compile(
-        r"driver_fold_limit|tree_fanin|\bfanin\b|\bDRIVER_FOLD_\w*\s*=(?!=)")
+        r"driver_fold_limit|tree_fanin|\bfanin\b|\bDRIVER_FOLD_\w*\s*=(?!=)"
+        r"|\bn_salts\b")
     allowed = {("pipelines/validate.py", "DRIVER_FOLD_PARTIALS = DRIVER_FOLD_ROWS")}
     hits = []
     for path in sorted(pkg.rglob("*.py")):

@@ -1,6 +1,6 @@
 """Flagship validation pipeline integration: actor-pool validator over a
 Ray Dataset, violation parity with generator ground truth, duplicate
-detection, salted per-codec verdicts, drift, and checkpoint/resume."""
+detection, per-codec verdicts, drift, and checkpoint/resume."""
 
 import glob
 import json
@@ -67,11 +67,33 @@ class TestValidatePipeline:
         assert not cv["passed"].any()
         assert (cv["n_ok"] <= cv["n_clips"]).all()
 
-    def test_salt_level_count_invariance(self, verdicts):
-        a = codec_verdicts(verdicts, ValidationConfig(n_salts=1, validator_concurrency=2))
-        b = codec_verdicts(verdicts, ValidationConfig(n_salts=16, validator_concurrency=2))
-        for col in ("n_clips", "n_ok", "n_violations"):
-            assert list(a[col]) == list(b[col])
+    def test_codec_counts_match_pandas_groupby(self, verdicts, monkeypatch):
+        """Per-codec counts equal a pandas groupby over the same verdicts,
+        for lazy and materialized input and in both fold regimes."""
+        import ray.data as rd
+
+        from schema_guru_ray import fold
+
+        frame = verdicts.to_pandas()
+        assert frame["codec"].notna().all()
+        want = (
+            frame.assign(n_violations=frame["violations"].map(len))
+            .groupby("codec")
+            .agg(n_clips=("ok", "size"), n_ok=("ok", "sum"),
+                 n_violations=("n_violations", "sum"))
+            .to_dict()
+        )
+        lazy = rd.from_arrow_refs(verdicts.to_arrow_refs()).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+        def counts(ds):
+            got = codec_verdicts(ds, VCFG).set_index("codec")
+            return got[["n_clips", "n_ok", "n_violations"]].to_dict()
+
+        assert counts(lazy) == want
+        assert counts(verdicts) == want
+        monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)  # the tree regime
+        assert counts(verdicts) == want
 
     def test_actor_pool_mode_equivalent(self, ray_session):
         import ray.data as rd
