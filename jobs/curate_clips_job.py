@@ -2,14 +2,14 @@
 
     ray job submit --working-dir /root/repo -- \
         python jobs/curate_clips_job.py CLIPS_DIR --out OUT_DIR \
-        [--partitions 8] [--sr-out 16000] [--sim-threshold 0.999]
+        [--files-per-partition 4] [--sr-out 16000] [--sim-threshold 0.999]
 
 Wraps pipelines/curate_clips.curate_clips_checkpointed: four atomic
-checkpointed stages (validate-filter per partition → global exact dedup →
-global content-signature near-dup drops → per-partition drop removal +
+checkpointed stages (validate-filter per chunk → global exact dedup →
+global content-signature near-dup drops → per-chunk drop removal +
 resample/normalize), each committing ``_SUCCESS`` manifests with input
 lineage and the config hash — a crashed run reruns only unfinished
-stages/partitions, and a config change invalidates downstream checkpoints.
+stages/chunks, and a config change invalidates downstream checkpoints.
 
 No ray.init here when run under ``ray job submit`` (RAY_ADDRESS is set);
 standalone it starts a local session.
@@ -27,12 +27,14 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO)
 os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
 
+from schema_guru_ray.state.checkpoint import FILES_PER_PARTITION  # noqa: E402
+
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("input_dir", help="directory of clips-shaped parquet files")
     p.add_argument("--out", required=True)
-    p.add_argument("--partitions", type=int, default=8)
+    p.add_argument("--files-per-partition", type=int, default=FILES_PER_PARTITION)
     p.add_argument("--sr-out", type=int, default=16000)
     p.add_argument("--sim-threshold", type=float, default=0.999)
     args = p.parse_args(argv)
@@ -58,7 +60,8 @@ def main(argv=None) -> int:
         sr_out=args.sr_out, dedup_threshold=args.sim_threshold
     )
     res = curate_clips_checkpointed(
-        files, args.out, cfg=cfg, num_partitions=args.partitions, log=print
+        files, args.out, cfg=cfg, files_per_partition=args.files_per_partition,
+        log=print,
     )
     n = res["result"].count()
     print(json.dumps({"n_curated": n, "stages": sorted(res["manifest"])}))

@@ -5,7 +5,7 @@ out in a REPRODUCIBLE shuffled order, restartable after any failure.
 
     ray job submit --working-dir /root/repo -- \
         python jobs/export_job.py INPUT_DIR --out OUT_DIR \
-        [--id-column doc_id] [--partitions 16] [--shards 64]
+        [--id-column doc_id] [--files-per-partition 4] [--shards 64]
 
 Design (the shape that holds at 10^12 rows):
 
@@ -13,15 +13,16 @@ Design (the shape that holds at 10^12 rows):
   shard is the key's first hex byte modulo ``--shards``. The key — not
   ``random_shuffle`` — makes the global order a pure function of the data,
   so a resumed or re-run export produces byte-identical shards;
-* input files are grouped into checkpoint partitions
-  (state/checkpoint.py): each partition streams its rows through the
-  keying stage and writes ``partition=NNNN/shard=SS/*.parquet``, sorted by
+* input files are grouped into content-addressed checkpoint chunks
+  (state/checkpoint.py): each chunk streams its rows through the keying
+  stage and writes ``partition=<digest>/shard=SS/*.parquet``, sorted by
   (key, id) WITHIN each fragment, then commits an atomic ``_SUCCESS``
   manifest (lineage + per-shard row counts). A crashed run reruns only
-  uncommitted partitions;
-* a reader consumes shard-major: for each shard, merge the per-partition
-  fragments by (key, id) — an O(#fragments) streaming merge, no global
-  sort anywhere. Global shuffled order = shard order + in-shard key order.
+  uncommitted chunks, an append only the changed ones;
+* a reader consumes shard-major: for each shard, merge the fragments of
+  the ``_MANIFEST.json`` active partitions by (key, id) — an
+  O(#fragments) streaming merge, no global sort anywhere. Global shuffled
+  order = shard order + in-shard key order.
 
 No ray.init here when run under ``ray job submit`` (RAY_ADDRESS is set);
 standalone it starts a local session.
@@ -42,15 +43,20 @@ os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
 
 import pandas as pd  # noqa: E402
 
+from schema_guru_ray.state.checkpoint import (  # noqa: E402
+    FILES_PER_PARTITION,
+    active_dirs,
+    config_hash,
+    run_incremental,
+)
+
 
 def export_shuffled(input_files, out_dir: str, id_column: str = "doc_id",
-                    num_partitions: int = 16, num_shards: int = 64,
-                    log=print) -> dict:
+                    files_per_partition: int = FILES_PER_PARTITION,
+                    num_shards: int = 64, log=print) -> dict:
     """Resumable shuffled export (see module docstring). Returns the run
     manifest."""
     import ray.data as rd
-
-    from schema_guru_ray.state.checkpoint import config_hash, run_partitioned
 
     cfg = config_hash(
         {"op": "export_shuffled", "id_column": id_column, "shards": num_shards}
@@ -91,16 +97,16 @@ def export_shuffled(input_files, out_dir: str, id_column: str = "doc_id",
         return {"n_rows": int(counts["n"].sum()),
                 "shards": {str(k): v for k, v in sorted(shard_counts.items())}}
 
-    return run_partitioned(
+    return run_incremental(
         list(input_files), out_dir, process, cfg,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
     )
 
 
 def read_shard(out_dir: str, shard: int, id_column: str = "doc_id",
                epoch: int = 0) -> pd.DataFrame:
     """Reader half of the contract: one shard in its global shuffled order
-    (streaming merge of per-partition fragments by (key, id)).
+    (streaming merge of the active partitions' fragments by (key, id)).
 
     ``epoch`` gives multi-epoch training loops a DIFFERENT but fully
     reproducible order per epoch WITHOUT rewriting any data: epoch 0 is
@@ -110,9 +116,8 @@ def read_shard(out_dir: str, shard: int, id_column: str = "doc_id",
     multiset of rows is identical across epochs; only the order changes.
     Shard-to-reader ASSIGNMENT stays epoch-independent, so a resumed epoch
     re-reads exactly the shards it owned."""
-    frags = sorted(
-        glob.glob(os.path.join(out_dir, "partition=*", f"shard={shard:02d}", "*.parquet"))
-    )
+    frags = [f for d in active_dirs(out_dir)
+             for f in sorted(glob.glob(os.path.join(d, f"shard={shard:02d}", "*.parquet")))]
     if not frags:
         return pd.DataFrame()
     df = pd.concat([pd.read_parquet(f) for f in frags], ignore_index=True)
@@ -135,7 +140,7 @@ def main(argv=None) -> int:
     ap.add_argument("input", help="parquet file, directory, or glob")
     ap.add_argument("--out", required=True)
     ap.add_argument("--id-column", default="doc_id")
-    ap.add_argument("--partitions", type=int, default=16)
+    ap.add_argument("--files-per-partition", type=int, default=FILES_PER_PARTITION)
     ap.add_argument("--shards", type=int, default=64)
     args = ap.parse_args(argv)
 
@@ -151,7 +156,7 @@ def main(argv=None) -> int:
         files = sorted(glob.glob(args.input)) or [args.input]
     summary = export_shuffled(
         files, args.out, id_column=args.id_column,
-        num_partitions=args.partitions, num_shards=args.shards,
+        files_per_partition=args.files_per_partition, num_shards=args.shards,
     )
     print(json.dumps({"ran": summary["ran"], "skipped": summary["skipped"]}))
     ray.shutdown()

@@ -1,12 +1,11 @@
-"""Nightly-append stress: quantify the append-aware incremental
-checkpoint mode (state/checkpoint.py run_incremental) on the validation
-pipeline.
+"""Nightly-append stress: quantify the append-aware checkpoint runner
+(state/checkpoint.py run_incremental) on the validation pipeline.
 
 Scenario: a corpus is validated in full; overnight ~5% more clips land
 as new parquet shards that sort after the existing ones; the job is
-resubmitted. In incremental mode only the new chunks (and a possibly
-re-shaped trailing partial chunk) decode — the full-corpus stripes of
-``--partitions`` mode would re-validate everything.
+resubmitted. Only the new chunks (and a possibly re-shaped trailing
+partial chunk) decode; the comparison is a full rerun of the grown
+corpus into a fresh out dir.
 
     python jobs/incremental_append_stress.py [--n 120000] [--append-pct 5]
                                              [--cpus 32] [--chunks 16]
@@ -124,12 +123,11 @@ def main() -> None:
         corpus, out_dir, cfg, files_per_partition=fpp, gc_orphans=True)
     incr_sec = time.perf_counter() - t0
 
-    # comparison: what a non-incremental resubmission costs (fresh out
-    # dir — round-robin stripes all shift on append, so nothing skips)
+    # comparison: what a full resubmission costs (same chunking into a
+    # fresh out dir, so nothing skips)
     t0 = time.perf_counter()
     s3 = run_validation_checkpointed(
-        corpus, os.path.join(WORK, "out_full"), cfg,
-        num_partitions=len(s2["active"]))
+        corpus, os.path.join(WORK, "out_full"), cfg, files_per_partition=fpp)
     full_sec = time.perf_counter() - t0
 
     n_total = args.n + n_append

@@ -4,13 +4,14 @@ Submit to a fixed-size Ray cluster (the north rule's deployment shape):
 
     ray job submit --working-dir /root/repo -- \
         python jobs/validate_job.py CLIPS_PATH --out OUT_DIR \
-        [--partitions 64] [--baseline BASELINE.pkl]
+        [--files-per-partition 4] [--gc-orphans] [--baseline BASELINE.json]
 
 Inside a `ray job` the driver connects to the existing cluster via
 RAY_ADDRESS (auto-set by the job server); standalone it starts a local
-session. The run is checkpointed per partition (atomic _SUCCESS manifests
-with lineage + metrics) — resubmitting the identical job after a failure
-skips finished partitions.
+session. The run is checkpointed per content-addressed chunk of input
+files (atomic _SUCCESS manifests with lineage + metrics) — resubmitting
+the identical job after a failure skips finished chunks, and a
+resubmission over an appended corpus re-validates only the changed ones.
 """
 
 from __future__ import annotations
@@ -28,20 +29,21 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO)
 os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
 
+from schema_guru_ray.state.checkpoint import FILES_PER_PARTITION, active_dirs  # noqa: E402
+
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser()
     p.add_argument("clips_path")
     p.add_argument("--out", required=True)
-    p.add_argument("--partitions", type=int, default=64)
-    p.add_argument("--files-per-partition", type=int, default=None,
-                   help="switch to append-aware incremental checkpoints "
-                        "(content-addressed partitions of this many files; "
-                        "nightly appends re-validate only changed chunks)")
+    p.add_argument("--files-per-partition", type=int,
+                   default=FILES_PER_PARTITION,
+                   help="input files per content-addressed checkpoint "
+                        "chunk; nightly appends re-validate only changed "
+                        "chunks")
     p.add_argument("--gc-orphans", action="store_true",
-                   help="incremental mode: delete superseded "
-                        "(boundary-shifted) partitions after the active "
-                        "set is fully committed")
+                   help="delete superseded (boundary-shifted) partitions "
+                        "after the active set is fully committed")
     p.add_argument("--baseline",
                    help="baseline sketch store (JSON from --write-baseline; "
                         "legacy .pkl also accepted)")
@@ -102,7 +104,6 @@ def main(argv=None) -> int:
 
     summary = run_validation_checkpointed(
         args.clips_path, args.out, cfg, baseline=baseline,
-        num_partitions=args.partitions,
         files_per_partition=args.files_per_partition,
         gc_orphans=args.gc_orphans,
         log=lambda m: print(m, file=sys.stderr),
@@ -111,9 +112,9 @@ def main(argv=None) -> int:
     if args.write_baseline:
         from schema_guru_ray.pipelines.validate import merge_partition_baselines
 
-        # incremental mode leaves orphaned (boundary-shifted) partitions on
-        # disk: the ACTIVE set comes from the run summary, never a glob
-        active = summary.get("active")
+        # orphaned (boundary-shifted) partitions stay on disk without
+        # --gc-orphans: the ACTIVE set comes from the run summary, never a glob
+        active = summary["active"]
         try:
             # O(#partitions): merge each partition's committed sketch blobs
             store, n_clips = merge_partition_baselines(args.out, active, cfg)
@@ -128,16 +129,12 @@ def main(argv=None) -> int:
 
             import ray.data as rd
 
-            from schema_guru_ray.pipelines.validate import (
-                _sketch_part_dirs,
-                build_baseline,
-            )
+            from schema_guru_ray.pipelines.validate import build_baseline
 
-            part_dirs = _sketch_part_dirs(args.out, active)
-            verdict_files = sorted(
-                f for p in part_dirs
-                for f in glob.glob(os.path.join(p, "verdicts", "*.parquet"))
-            )
+            verdict_files = [
+                f for p in active_dirs(args.out, active)
+                for f in sorted(glob.glob(os.path.join(p, "verdicts", "*.parquet")))
+            ]
             verdicts_ds = rd.read_parquet(verdict_files)
             store = build_baseline(verdicts_ds, cfg)
             n_clips = verdicts_ds.count()
@@ -155,7 +152,7 @@ def main(argv=None) -> int:
 
         try:
             report = drift_by_partition(
-                args.out, baseline, cfg, active=summary.get("active"))
+                args.out, baseline, cfg, active=summary["active"])
         except (FileNotFoundError, ValueError, OSError, KeyError) as exc:
             # e.g. a resumed pre-upgrade tree whose checkpoint hits never
             # wrote sketches.json: warn, keep the run's summary output

@@ -7,22 +7,24 @@ restartable after any failure.
 
     ray job submit --working-dir /root/repo -- \
         python jobs/window_export_job.py CLIPS_DIR --out OUT_DIR \
-        [--window-ms 250] [--hop-ms 100] [--partitions 16]
+        [--window-ms 250] [--hop-ms 100] [--files-per-partition 4]
 
 Design (the shape that holds at 10^12 clips):
 
 * windows MULTIPLY payload (overlap factor ≈ window/hop), so the export
-  never shuffles audio: each checkpoint partition streams its clips
-  through the chunker actor pool and writes
-  ``partition=NNNN/*.parquet`` locally — bytes go map-stage → writer,
+  never shuffles audio: each content-addressed checkpoint chunk streams
+  its clips through the chunker actor pool and writes
+  ``partition=<digest>/*.parquet`` locally — bytes go map-stage → writer,
   nothing else;
-* partitions commit atomically via state/checkpoint.py ``_SUCCESS``
+* chunks commit atomically via state/checkpoint.py ``_SUCCESS``
   manifests carrying input lineage, the window/hop config hash (a config
   change invalidates every checkpoint), window counts and payload bytes;
-  a crashed run reruns only uncommitted partitions;
-* the reader is a plain ``read_parquet`` over the committed partition
-  dirs — window order within a partition is (clip_id, win_idx), a pure
-  function of the input, so a resumed run is byte-identical.
+  a crashed run reruns only uncommitted chunks, an append only the
+  changed ones;
+* the reader is a plain ``read_parquet`` over the ``_MANIFEST.json``
+  active partitions — window order within a partition is (clip_id,
+  win_idx), a pure function of the input, so a resumed run is
+  byte-identical.
 
 No ray.init here when run under ``ray job submit`` (RAY_ADDRESS is set);
 standalone it starts a local session.
@@ -39,9 +41,18 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO)
 os.environ["PYTHONPATH"] = _REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
 
+from schema_guru_ray.state.checkpoint import (  # noqa: E402
+    FILES_PER_PARTITION,
+    SUCCESS,
+    active_dirs,
+    config_hash,
+    run_incremental,
+)
+
 
 def export_windows(input_files, out_dir: str, window_ms: int = 250,
-                   hop_ms: int = 100, num_partitions: int = 16,
+                   hop_ms: int = 100,
+                   files_per_partition: int = FILES_PER_PARTITION,
                    log=print) -> dict:
     """Resumable training-window export (see module docstring). Returns
     the run manifest."""
@@ -49,11 +60,8 @@ def export_windows(input_files, out_dir: str, window_ms: int = 250,
     import ray.data as rd
 
     from schema_guru_ray.stages.audio_transform import window_clips
-    from schema_guru_ray.state.checkpoint import config_hash, run_partitioned
 
-    cfg = config_hash(
-        {"op": "export_windows", "window_ms": window_ms, "hop_ms": hop_ms}
-    )
+    cfg = _cfg_hash(window_ms, hop_ms)
 
     def process(part_files, tmp_dir):
         ds = rd.read_parquet(part_files)
@@ -68,30 +76,32 @@ def export_windows(input_files, out_dir: str, window_ms: int = 250,
             nbytes += os.path.getsize(f)
         return {"n_windows": n, "parquet_bytes": nbytes}
 
-    return run_partitioned(
+    return run_incremental(
         list(input_files), out_dir, process, cfg,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
+    )
+
+
+def _cfg_hash(window_ms: int, hop_ms: int) -> str:
+    return config_hash(
+        {"op": "export_windows", "window_ms": window_ms, "hop_ms": hop_ms}
     )
 
 
 def _current_partitions(out_dir: str, window_ms: int, hop_ms: int):
-    """Committed partition dirs whose ``_SUCCESS`` carries THIS window/hop
-    config hash — after a config change a crash mid-rerun can leave
-    old-config partitions on disk, and those must be neither counted nor
-    read as current output."""
+    """The ``_MANIFEST.json`` active partition dirs whose ``_SUCCESS``
+    carries THIS window/hop config hash — after a config change a crash
+    mid-rerun can leave old-config partitions in the active set, and those
+    must be neither counted nor read as current output."""
     import json
 
-    from schema_guru_ray.state.checkpoint import config_hash
-
-    cfg = config_hash(
-        {"op": "export_windows", "window_ms": window_ms, "hop_ms": hop_ms}
-    )
+    cfg = _cfg_hash(window_ms, hop_ms)
     dirs = []
-    for f in sorted(glob.glob(os.path.join(out_dir, "partition=*", "_SUCCESS.json"))):
-        with open(f) as fh:
+    for d in active_dirs(out_dir):
+        with open(os.path.join(d, SUCCESS)) as fh:
             meta = json.load(fh)
         if meta.get("config_hash") == cfg:
-            dirs.append((os.path.dirname(f), meta))
+            dirs.append((d, meta))
     return dirs
 
 
@@ -112,7 +122,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--window-ms", type=int, default=250)
     p.add_argument("--hop-ms", type=int, default=100)
-    p.add_argument("--partitions", type=int, default=16)
+    p.add_argument("--files-per-partition", type=int, default=FILES_PER_PARTITION)
     args = p.parse_args(argv)
 
     import ray
@@ -128,7 +138,7 @@ def main(argv=None) -> int:
         return 2
     summary = export_windows(
         files, args.out, window_ms=args.window_ms, hop_ms=args.hop_ms,
-        num_partitions=args.partitions,
+        files_per_partition=args.files_per_partition,
     )
     # total from the COMMITTED _SUCCESS manifests, not the run summary —
     # skipped (checkpoint-hit) partitions carry no metrics in the summary,

@@ -5,7 +5,7 @@
         [--schema-by COLUMN_OR_JSONPATH] [--vendor V --name N --schemaver VER]
         [--errors-path DIR]
     python -m schema_guru_ray.cli validate CLIPS_DIR --out DIR
-        [--partitions P] [--resume]
+        [--files-per-partition K] [--resume]
     python -m schema_guru_ray.cli ddl INPUT [--output DIR] [--db redshift]
         [--varchar-size N] [--with-json-paths] [--raw-mode] [--force]
 
@@ -21,6 +21,8 @@ import argparse
 import json
 import os
 import sys
+
+from schema_guru_ray.state.checkpoint import FILES_PER_PARTITION
 
 # Ray workers must import schema_guru_ray too — propagate the repo root
 # when the CLI is launched from elsewhere
@@ -125,8 +127,8 @@ def cmd_schema(args) -> int:
         return 0
 
     if getattr(args, "checkpoint_dir", None):
-        # resumable inference over parquet inputs (per-partition state
-        # checkpoints with lineage; reruns skip finished partitions)
+        # resumable inference over parquet inputs (per-chunk state
+        # checkpoints with lineage; reruns skip finished chunks)
         import glob
 
         from schema_guru_ray.pipelines.infer import infer_schema_checkpointed
@@ -169,8 +171,8 @@ def cmd_validate(args) -> int:
     from schema_guru_ray.pipelines.validate import ValidationConfig, run_validation_checkpointed
 
     summary = run_validation_checkpointed(
-        args.input, args.out, ValidationConfig(), num_partitions=args.partitions,
-        log=lambda m: print(m, file=sys.stderr),
+        args.input, args.out, ValidationConfig(),
+        files_per_partition=args.files_per_partition, log=lambda m: print(m, file=sys.stderr),
     )
     print(json.dumps({k: summary[k] for k in ("ran", "skipped", "config_hash")}))
     return 0
@@ -200,14 +202,17 @@ def main(argv=None) -> int:
     ps.add_argument("--schemaver", default="1-0-0")
     ps.add_argument("--errors-path")
     ps.add_argument("--checkpoint-dir",
-                    help="resumable inference: per-partition state checkpoints "
-                         "(parquet inputs only)")
+                    help="resumable inference: per-chunk state checkpoints, "
+                         "content-addressed by input files (parquet inputs only)")
     ps.set_defaults(fn=cmd_schema)
 
-    pv = sub.add_parser("validate", help="checkpointed clips validation run")
+    pv = sub.add_parser("validate", help="checkpointed clips validation run "
+                        "(reruns skip committed chunks; appends re-run only "
+                        "changed ones)")
     pv.add_argument("input")
     pv.add_argument("--out", required=True)
-    pv.add_argument("--partitions", type=int, default=8)
+    pv.add_argument("--files-per-partition", type=int, default=FILES_PER_PARTITION,
+                    help="input files per content-addressed checkpoint chunk")
     pv.add_argument("--resume", action="store_true")  # resume is the default behavior
     pv.set_defaults(fn=cmd_validate)
 

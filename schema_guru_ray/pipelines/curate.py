@@ -23,8 +23,8 @@ is materialized once because three downstream stages consume it.
 
 :func:`curate_documents_checkpointed` is the resumable form: the two
 global stages (dedup survivors, verified drop ids) and the final
-per-partition filter+sample pass each commit through
-``state/checkpoint.run_partitioned`` (atomic rename, lineage + config
+per-chunk filter+sample pass each commit through
+``state/checkpoint.run_incremental`` (atomic rename, lineage + config
 hash), so a crash resumes without repeating finished work — in
 particular the expensive LSH+verify stage is never recomputed once its
 checkpoint exists.
@@ -37,6 +37,13 @@ import os
 
 import numpy as np
 import pandas as pd
+
+from schema_guru_ray.state.checkpoint import (
+    FILES_PER_PARTITION,
+    active_files,
+    config_hash,
+    run_incremental,
+)
 
 
 def _exact_dedup(ds, n_buckets: int = 64):
@@ -178,27 +185,28 @@ def curate_documents_checkpointed(
     input_files, out_dir: str, *, jaccard_threshold: float = 0.8,
     min_words: int = 30, max_words: int = 100_000, sample_rate: float = 0.5,
     n_buckets: int = 64, drop_broadcast_limit: int = 1_000_000,
-    num_partitions: int = 8, log=None,
+    files_per_partition: int = FILES_PER_PARTITION, log=None,
 ):
     """Resumable curate over a parquet file list. Three checkpointed
     stages under ``out_dir`` (each with atomic commit + lineage + config
-    hash via ``run_partitioned``):
+    hash via ``run_incremental``; each stage reads the previous one's
+    ACTIVE partitions from its run summary):
 
       dedup/  — stage 1 survivors as partitioned parquet (GLOBAL: the
-                group-keep shuffles the whole corpus; one atomic unit);
+                group-keep shuffles the whole corpus; one chunk);
       drops/  — stage 2 verified near-dup drop ids (GLOBAL: LSH + verify
                 interact across the corpus; the expensive stage a resume
                 must never repeat);
-      final/  — stages 3+4 over the dedup output files, PER PARTITION
-                (embarrassingly parallel given the drop set, so a crash
-                mid-pass finishes only the remainder).
+      final/  — stages 3+4 over the dedup output files, PER CHUNK of
+                ``files_per_partition`` files (embarrassingly parallel
+                given the drop set, so a crash mid-pass finishes only the
+                remainder; an append rewrites the dedup output, so every
+                final chunk re-runs).
 
     Returns {result: Dataset over final/, manifest: {stage: summary}}.
     A completed run's output equals ``curate_documents`` on the same
     corpus (tested, including crash-mid-run resume)."""
     import ray.data as rd
-
-    from schema_guru_ray.state.checkpoint import config_hash, run_partitioned
 
     cfg = {
         "jaccard_threshold": jaccard_threshold, "min_words": min_words,
@@ -225,15 +233,12 @@ def curate_documents_checkpointed(
             )
         return {}
 
-    manifest["dedup"] = run_partitioned(
-        list(input_files), dedup_dir, run_dedup, cfg_hash=cfg_dedup,
-        num_partitions=1, log=log,
+    input_files = list(input_files)
+    manifest["dedup"] = run_incremental(
+        input_files, dedup_dir, run_dedup, cfg_hash=cfg_dedup,
+        files_per_partition=len(input_files), log=log,
     )
-    dedup_files = sorted(
-        os.path.join(dedup_dir, "partition=0000", n)
-        for n in os.listdir(os.path.join(dedup_dir, "partition=0000"))
-        if n.endswith(".parquet")
-    )
+    dedup_files = active_files(dedup_dir, manifest["dedup"]["active"])
 
     drops_dir = os.path.join(out_dir, "drops")
     cfg_drops = config_hash(
@@ -247,16 +252,11 @@ def curate_documents_checkpointed(
         drops.write_parquet(tmp_dir)
         return {"n_drops": drops.count()}
 
-    manifest["drops"] = run_partitioned(
+    manifest["drops"] = run_incremental(
         dedup_files, drops_dir, run_drops, cfg_hash=cfg_drops,
-        num_partitions=1, log=log,
+        files_per_partition=len(dedup_files), log=log,
     )
-    drops_part = os.path.join(drops_dir, "partition=0000")
-    drop_files = sorted(
-        os.path.join(drops_part, n)
-        for n in os.listdir(drops_part)
-        if n.endswith(".parquet")
-    )
+    drop_files = active_files(drops_dir, manifest["drops"]["active"])
 
     final_dir = os.path.join(out_dir, "final")
     cfg_final = config_hash({"stage": "final", **cfg, "drops_cfg": cfg_drops})
@@ -276,17 +276,11 @@ def curate_documents_checkpointed(
         out.write_parquet(tmp_dir)
         return {"n_out": out.count()}
 
-    manifest["final"] = run_partitioned(
+    manifest["final"] = run_incremental(
         dedup_files, final_dir, run_final, cfg_hash=cfg_final,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
     )
-    final_files = sorted(
-        os.path.join(final_dir, d, n)
-        for d in os.listdir(final_dir)
-        if d.startswith("partition=")
-        for n in os.listdir(os.path.join(final_dir, d))
-        if n.endswith(".parquet")
-    )
+    final_files = active_files(final_dir, manifest["final"]["active"])
     if not final_files:  # every partition curated down to zero rows
         import pyarrow as pa
 

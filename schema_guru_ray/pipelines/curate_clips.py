@@ -39,6 +39,12 @@ from schema_guru_ray.stages.binview import binary_views
 import pyarrow as pa
 
 from schema_guru_ray.pipelines.validate import ValidationConfig
+from schema_guru_ray.state.checkpoint import (
+    FILES_PER_PARTITION,
+    active_files,
+    config_hash,
+    run_incremental,
+)
 
 
 @dataclass
@@ -373,19 +379,23 @@ def curate_clips(clips_ds, cfg: ClipCurationConfig = ClipCurationConfig()):
 
 def curate_clips_checkpointed(input_files, out_dir: str,
                               cfg: ClipCurationConfig = ClipCurationConfig(),
-                              num_partitions: int = 8, log=None):
+                              files_per_partition: int = FILES_PER_PARTITION,
+                              log=None):
     """Resumable audio curation over a parquet file list — four
     checkpointed stages under ``out_dir`` (atomic commit + lineage +
-    config hash via ``state/checkpoint.run_partitioned``):
+    config hash via ``state/checkpoint.run_incremental``; each stage reads
+    the previous one's ACTIVE partitions from its run summary):
 
-      valid/  — validate-and-filter, PER PARTITION over the input files
-                (embarrassingly parallel; a crash re-decodes only the
-                unfinished partitions — the expensive stage at 10^12);
+      valid/  — validate-and-filter, PER CHUNK of ``files_per_partition``
+                input files (embarrassingly parallel; a crash or an append
+                re-decodes only the unfinished or changed chunks — the
+                expensive stage at 10^12);
       dedup/  — exact dedup by clip_id over the valid files (GLOBAL: the
-                keep-one shuffle is one atomic unit);
-      drops/  — content-signature drop ids (GLOBAL);
-      final/  — drop removal + resample/normalize, PER PARTITION over the
-                dedup output files.
+                keep-one shuffle is one chunk);
+      drops/  — content-signature drop ids (GLOBAL, one chunk);
+      final/  — drop removal + resample/normalize, PER CHUNK over the
+                dedup output files (an append rewrites them, so every
+                final chunk re-runs).
 
     Returns {result: Dataset over final/, manifest: {stage: summary}}. A
     completed run's row set equals :func:`curate_clips` on the same
@@ -394,19 +404,9 @@ def curate_clips_checkpointed(input_files, out_dir: str,
 
     import ray.data as rd
 
-    from schema_guru_ray.state.checkpoint import config_hash, run_partitioned
     from schema_guru_ray.stages.audio_transform import resample_clips
 
     manifest = {}
-
-    def _stage_files(stage_dir):
-        return sorted(
-            os.path.join(stage_dir, d, n)
-            for d in os.listdir(stage_dir)
-            if d.startswith("partition=")
-            for n in os.listdir(os.path.join(stage_dir, d))
-            if n.endswith(".parquet")
-        )
 
     valid_dir = os.path.join(out_dir, "valid")
     # "op" versions the stage's OUTPUT SCHEMA, not just its parameters:
@@ -427,12 +427,12 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         out.write_parquet(tmp_dir)
         return {"n_valid": out.count()}
 
-    manifest["valid"] = run_partitioned(
+    manifest["valid"] = run_incremental(
         list(input_files), valid_dir, run_valid, cfg_hash=cfg_valid,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
     )
 
-    valid_files = _stage_files(valid_dir)
+    valid_files = active_files(valid_dir, manifest["valid"]["active"])
     if not valid_files:
         # every partition validated to zero survivors (empty / all-invalid
         # shard): Ray writes no parquet for an empty Dataset, so the
@@ -460,11 +460,11 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         out.write_parquet(tmp_dir)
         return {"n_dedup": out.count()}
 
-    manifest["dedup"] = run_partitioned(
+    manifest["dedup"] = run_incremental(
         valid_files, dedup_dir, run_dedup, cfg_hash=cfg_dedup,
-        num_partitions=1, log=log,
+        files_per_partition=len(valid_files), log=log,
     )
-    dedup_files = _stage_files(dedup_dir)
+    dedup_files = active_files(dedup_dir, manifest["dedup"]["active"])
 
     drops_dir = os.path.join(out_dir, "drops")
     cfg_drops = config_hash({"stage": "drops", "dedup_cfg": cfg_dedup})
@@ -479,11 +479,11 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         drops.write_parquet(tmp_dir)
         return {"n_drops": drops.count()}
 
-    manifest["drops"] = run_partitioned(
+    manifest["drops"] = run_incremental(
         dedup_files, drops_dir, run_drops, cfg_hash=cfg_drops,
-        num_partitions=1, log=log,
+        files_per_partition=len(dedup_files), log=log,
     )
-    drop_files = _stage_files(drops_dir)
+    drop_files = active_files(drops_dir, manifest["drops"]["active"])
 
     final_dir = os.path.join(out_dir, "final")
     cfg_final = config_hash(
@@ -510,8 +510,9 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         out.write_parquet(tmp_dir)
         return {"n_out": out.count()}
 
-    manifest["final"] = run_partitioned(
+    manifest["final"] = run_incremental(
         dedup_files, final_dir, run_final, cfg_hash=cfg_final,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
     )
-    return {"result": rd.read_parquet(_stage_files(final_dir)), "manifest": manifest}
+    return {"result": rd.read_parquet(active_files(final_dir, manifest["final"]["active"])),
+            "manifest": manifest}

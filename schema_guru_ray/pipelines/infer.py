@@ -30,6 +30,13 @@ from schema_guru_ray.schema.finalize import describe, merge_and_transform
 from schema_guru_ray.schema.keys import duplicate_key_pairs, extract_keys
 from schema_guru_ray.schema.states import ZERO, State, merge
 from schema_guru_ray.stages.derive import StateBatcher
+from schema_guru_ray.state.checkpoint import (
+    FILES_PER_PARTITION,
+    active_dirs,
+    config_hash,
+    partition_digest,
+    run_incremental,
+)
 
 
 def fold_states(states_ds, ctx: SchemaContext,
@@ -103,7 +110,7 @@ def infer_schema_checkpointed(
     out_dir: str,
     ctx: SchemaContext = SchemaContext(),
     json_column: Optional[str] = None,
-    num_partitions: int = 8,
+    files_per_partition: int = FILES_PER_PARTITION,
     batch_size: int = 8192,
     log=None,
 ) -> Dict[str, Any]:
@@ -111,36 +118,36 @@ def infer_schema_checkpointed(
     (north rule: resumable from per-partition checkpoints with lineage +
     metrics — the validate pipeline's layout, applied to INFER).
 
-    Each partition of input files derives and folds its own state and
-    commits ``state.pkl`` + ``_SUCCESS.json`` (input lineage + config
-    hash) atomically; a rerun skips finished partitions, a config change
-    invalidates them. The final schema merges the ≤ num_partitions
-    partition states — the merge is associative, so a resumed run yields
-    byte-identical output to a fresh one (tested).
+    Each content-addressed chunk of ``files_per_partition`` input files
+    derives and folds its own state and commits ``state.pkl`` +
+    ``_SUCCESS.json`` (input lineage + config hash) atomically; a rerun
+    skips finished chunks, an append re-runs only the changed ones, a
+    config change invalidates them. The final schema merges the run's
+    active partition states — the merge is associative, so a resumed run
+    yields byte-identical output to a fresh one (tested).
 
     Returns {schema, warnings, n_errors, n_rows, manifest}."""
     import json as _json
 
     import ray.data as rd
 
-    from schema_guru_ray.state.checkpoint import (
-        config_hash,
-        partition_inputs,
-        run_partitioned,
-    )
-
     # corpus-size-dependent rules (base64 quantity gate) must see the
     # TOTAL corpus size, not a per-partition count — otherwise the schema
-    # would depend on num_partitions and diverge from infer_schema
+    # would depend on the chunking and diverge from infer_schema
     if ctx.quantity is None:
         from dataclasses import replace as _replace
 
         total = rd.read_parquet(list(input_files)).count()  # metadata-cheap
         ctx = _replace(ctx, quantity=total)
 
+    # the quantity gate only asks "quantity < 10" (formats.suggest_pattern),
+    # so hashing that bit rather than the count keeps an append from
+    # invalidating every chunk's state
     cfg_hash = config_hash(
         {
-            "ctx": {k: str(v) for k, v in sorted(vars(ctx).items())},
+            "ctx": {k: str(v) for k, v in sorted(vars(ctx).items())
+                    if k != "quantity"},
+            "small_corpus": ctx.quantity < 10,
             "json_column": json_column,
             "batch_size": batch_size,
         }
@@ -158,24 +165,24 @@ def infer_schema_checkpointed(
             pickle.dump(folded["state"], f)
         return {"n_errors": folded["n_errors"], "n_rows": folded["n_rows"]}
 
-    manifest = run_partitioned(
+    manifest = run_incremental(
         input_files, out_dir, process, cfg_hash=cfg_hash,
-        num_partitions=num_partitions, log=log,
+        files_per_partition=files_per_partition, log=log,
     )
 
-    # merge EXACTLY this run's partition set — never whatever partition=*
-    # dirs happen to exist in out_dir (a previous run with different
-    # inputs/partitioning leaves stale dirs behind), and cross-check each
-    # _SUCCESS against the current config + lineage
-    parts = partition_inputs(input_files, num_partitions)
+    # merge EXACTLY this run's active set — never orphaned chunks a
+    # previous run over other inputs left in out_dir — and cross-check
+    # each _SUCCESS against the current config + lineage (the digest is
+    # the content address of the chunk's inputs)
     acc: State = ZERO
     n_errors = 0
     n_rows = 0
-    for idx, files in enumerate(parts):
-        pdir = os.path.join(out_dir, f"partition={idx:04d}")
+    active = manifest["active"]
+    for digest, pdir in zip(active, active_dirs(out_dir, active)):
         with open(os.path.join(pdir, "_SUCCESS.json")) as f:
             meta = _json.load(f)
-        if meta.get("config_hash") != cfg_hash or meta.get("inputs") != sorted(files):
+        if (meta.get("config_hash") != cfg_hash
+                or partition_digest(meta.get("inputs", [])) != digest):
             raise RuntimeError(
                 f"checkpoint {pdir} does not match this run's config/lineage"
             )

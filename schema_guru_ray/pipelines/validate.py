@@ -35,6 +35,12 @@ from schema_guru_ray.sketches.hll import HLL
 from schema_guru_ray.sketches.kll import KLL
 from schema_guru_ray.stages.audio import ClipValidator, explode_violations
 from schema_guru_ray.stages.profile import stable_hash64
+from schema_guru_ray.state.checkpoint import (
+    FILES_PER_PARTITION,
+    active_dirs,
+    config_hash,
+    run_incremental,
+)
 from schema_guru_ray.state.sketch_store import NULL_CODEC, decode_codecs
 
 
@@ -348,31 +354,22 @@ def run_validation_checkpointed(
     out_dir: str,
     cfg: ValidationConfig = ValidationConfig(),
     baseline: Optional[Dict[str, Dict[str, bytes]]] = None,
-    num_partitions: int = 8,
-    files_per_partition: Optional[int] = None,
+    files_per_partition: int = FILES_PER_PARTITION,
     gc_orphans: bool = False,
     log=None,
 ):
-    """Checkpointed flagship run: the clips parquet files are grouped into
-    partitions; each partition streams read → validate → write
-    (verdicts/violations parquet + codec verdict csv) and commits an atomic
-    ``_SUCCESS.json`` with lineage + metrics. A rerun skips finished
-    partitions (see state/checkpoint.py).
-
-    ``files_per_partition`` switches to the APPEND-AWARE incremental mode
-    (content-addressed partitions): a nightly resubmission over a grown
-    corpus re-validates only the chunks whose file membership changed,
-    instead of every round-robin stripe."""
+    """Checkpointed flagship run: the sorted clips parquet files are
+    grouped into content-addressed chunks of ``files_per_partition``
+    files; each chunk streams read → validate → write (verdicts/violations
+    parquet, codec verdicts, sketches) and commits an atomic ``_SUCCESS.json`` with lineage +
+    metrics. A rerun skips finished chunks, and a nightly resubmission
+    over a grown corpus re-validates only the chunks whose file
+    membership changed (see state/checkpoint.py). ``gc_orphans`` deletes
+    the chunks the new partitioning superseded."""
     import glob
     import os
 
     import ray.data as rd
-
-    from schema_guru_ray.state.checkpoint import (
-        config_hash,
-        run_incremental,
-        run_partitioned,
-    )
 
     files = sorted(glob.glob(os.path.join(clips_dir, "*.parquet")))
     if not files:
@@ -414,19 +411,10 @@ def run_validation_checkpointed(
         }
 
     cfg_h = config_hash(vars(cfg) | {"baseline": baseline is not None})
-    if files_per_partition is not None:
-        return run_incremental(
-            files, out_dir, process, cfg_hash=cfg_h,
-            files_per_partition=files_per_partition,
-            gc_orphans=gc_orphans, log=log,
-        )
-    return run_partitioned(
-        files,
-        out_dir,
-        process,
-        cfg_hash=cfg_h,
-        num_partitions=num_partitions,
-        log=log,
+    return run_incremental(
+        files, out_dir, process, cfg_hash=cfg_h,
+        files_per_partition=files_per_partition,
+        gc_orphans=gc_orphans, log=log,
     )
 
 
@@ -436,15 +424,6 @@ def build_baseline(verdicts, cfg: ValidationConfig = ValidationConfig()):
     One aggregation pass shared with the verdict table — see
     codec_verdicts(return_store=True)."""
     return codec_verdicts(verdicts, cfg, return_store=True)[1]
-
-
-def _sketch_part_dirs(out_dir: str, active: Optional[list]):
-    import glob
-    import os
-
-    if active is not None:
-        return [os.path.join(out_dir, f"partition={d}") for d in active]
-    return sorted(glob.glob(os.path.join(out_dir, "partition=*")))
 
 
 def _require_sketches(part_dirs) -> None:
@@ -478,8 +457,9 @@ def merge_partition_baselines(
     """Rebuild a corpus baseline store by merging the per-partition
     ``sketches.json`` blobs a checkpointed run commits alongside each
     partition's verdicts. Cost is O(#partitions × codecs) KB-sized loads
-    — never touches verdict rows. ``active`` restricts to the manifest's
-    active set (incremental mode leaves orphans on disk). Returns
+    — never touches verdict rows. ``active`` is the run summary's active
+    set; when None the committed ``_MANIFEST.json``'s is read, so orphaned
+    chunks left on disk are never merged. Returns
     ``(store, total_clips)``; raises FileNotFoundError when any selected
     partition predates per-partition sketches (caller falls back to the
     row-level rebuild).
@@ -497,7 +477,7 @@ def merge_partition_baselines(
         sketch_cfg_hash,
     )
 
-    part_dirs = _sketch_part_dirs(out_dir, active)
+    part_dirs = active_dirs(out_dir, active)
     _require_sketches(part_dirs)
     expect = sketch_cfg_hash(cfg)
 
@@ -561,8 +541,9 @@ def drift_by_partition(
     min_n: int = 100,
     driver_limit: int = DRIVER_SKETCH_DIRS,
 ) -> pd.DataFrame:
-    """Localize distribution drift to PARTITIONS: score every committed
-    partition's sketch blobs against the corpus baseline store and return
+    """Localize distribution drift to PARTITIONS: score every active
+    partition's sketch blobs (``active``, or the manifest's when None)
+    against the corpus baseline store and return
     one row per (partition, codec, column) with PSI/KS and a drifted
     flag. The corpus-level drift verdict (``codec_verdicts(baseline=…)``)
     says THAT a codec drifted; this says WHERE — which chunk of last
@@ -583,7 +564,7 @@ def drift_by_partition(
 
     from schema_guru_ray.state.sketch_store import load_baseline, sketch_cfg_hash
 
-    part_dirs = _sketch_part_dirs(out_dir, active)
+    part_dirs = active_dirs(out_dir, active)
     _require_sketches(part_dirs)
     expect = sketch_cfg_hash(cfg)
     baseline = decode_codecs(baseline)

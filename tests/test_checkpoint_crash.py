@@ -1,15 +1,22 @@
-"""Crash-mid-run resume semantics of the partitioned checkpoint runner
-(state/checkpoint.py): a failure between partitions must leave committed
-work trusted, uncommitted work invisible, and a rerun must finish only
-the remainder."""
+"""Crash-mid-run resume semantics of the checkpoint runner
+(state/checkpoint.py run_incremental): a failure at any step must leave
+committed work trusted, uncommitted work invisible, and a rerun must
+finish only the remainder."""
 
 import json
 import os
+import shutil
 
 import pytest
 
 from schema_guru_ray.state import checkpoint
-from schema_guru_ray.state.checkpoint import MANIFEST, config_hash, run_incremental, run_partitioned
+from schema_guru_ray.state.checkpoint import (
+    MANIFEST,
+    config_hash,
+    partition_chunks,
+    partition_digest,
+    run_incremental,
+)
 
 
 def _mk_files(tmp_path, n=6):
@@ -38,20 +45,21 @@ class TestCrashResume:
 
         cfg = config_hash({"v": 1})
         with pytest.raises(RuntimeError, match="simulated"):
-            run_partitioned(files, out, boom_on_second, cfg, num_partitions=3)
+            run_incremental(files, out, boom_on_second, cfg, files_per_partition=2)
 
         # partition 0 committed; the crashed partition left NO trusted dir
+        first, second, _ = [partition_digest(c) for c in partition_chunks(files, 2)]
         names = sorted(os.listdir(out))
-        assert "partition=0000" in names
-        assert "partition=0001" not in names  # tmp dir only, not committed
-        assert all(not n.startswith("partition=0001") or n.startswith(".tmp")
-                   for n in names if "0001" in n)
+        assert f"partition={first}" in names
+        assert f"partition={second}" not in names  # tmp dir only, not committed
+        assert all(not n.startswith(f"partition={second}") or n.startswith(".tmp")
+                   for n in names if second in n)
 
-        summary = run_partitioned(files, out, boom_on_second, cfg, num_partitions=3)
+        summary = run_incremental(files, out, boom_on_second, cfg, files_per_partition=2)
         assert summary["skipped"] == 1 and summary["ran"] == 2
         # every partition now has a committed result + matching lineage
         for i in range(3):
-            pdir = os.path.join(out, f"partition={i:04d}")
+            pdir = os.path.join(out, f"partition={summary['active'][i]}")
             with open(os.path.join(pdir, "_SUCCESS.json")) as f:
                 meta = json.load(f)
             with open(os.path.join(pdir, "result.json")) as f:
@@ -61,15 +69,16 @@ class TestCrashResume:
     def test_leftover_tmp_dir_is_cleaned_on_retry(self, tmp_path):
         files = _mk_files(tmp_path, 2)
         out = str(tmp_path / "out2")
-        os.makedirs(os.path.join(out, ".tmp-partition=0000"))
-        with open(os.path.join(out, ".tmp-partition=0000", "junk"), "w") as f:
+        tmp = os.path.join(out, f".tmp-partition={partition_digest(files[:1])}")
+        os.makedirs(tmp)
+        with open(os.path.join(tmp, "junk"), "w") as f:
             f.write("stale")
 
         def proc(part_files, tmp_dir):
             assert not os.path.exists(os.path.join(tmp_dir, "junk"))
             return {"n": len(part_files)}
 
-        summary = run_partitioned(files, out, proc, config_hash({}), num_partitions=2)
+        summary = run_incremental(files, out, proc, config_hash({}), files_per_partition=1)
         assert summary["ran"] == 2
 
 
@@ -80,11 +89,9 @@ def _write_result(part_files, tmp_dir):
 
 
 @pytest.mark.parametrize("runner", [
-    lambda files, out, **kw: run_partitioned(
-        files, out, _write_result, config_hash({}), num_partitions=2, **kw),
     lambda files, out, **kw: run_incremental(
         files, out, _write_result, config_hash({}), files_per_partition=2, **kw),
-], ids=["partitioned", "incremental"])
+], ids=["incremental"])
 def test_crash_during_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch, runner):
     files = _mk_files(tmp_path, 4)
     out = str(tmp_path / "out")
@@ -137,3 +144,102 @@ def test_gc_sweeps_tmp_dirs_left_by_a_crashed_run(tmp_path):
     assert s["tmp_swept"] == 1 and "gc_removed" not in s
     assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
     assert s["skipped"] == 1
+
+
+# ---- fault injection: every step of the commit protocol --------------------
+
+_STEPS = ["tmp_mkdir", "mid_process", "success_write", "rmtree_final",
+          "replace", "manifest_write", "gc"]
+
+
+def _tree(out):
+    """What a converged run leaves: the entries of out_dir, each active
+    partition's lineage + result, and the manifest's active set."""
+    with open(os.path.join(out, MANIFEST)) as f:
+        manifest = json.load(f)
+    parts = {}
+    for d in manifest["active"]:
+        pdir = os.path.join(out, f"partition={d}")
+        with open(os.path.join(pdir, checkpoint.SUCCESS)) as f:
+            meta = json.load(f)
+        with open(os.path.join(pdir, "result.json")) as f:
+            parts[d] = (meta["inputs"], meta["config_hash"], json.load(f))
+    return sorted(os.listdir(out)), parts, manifest["active"]
+
+
+@pytest.mark.parametrize("step", _STEPS)
+def test_fault_after_each_commit_step_converges(tmp_path, monkeypatch, step):
+    """A crash right after any step of the commit protocol — tmp mkdir,
+    mid-``process``, the ``_SUCCESS`` write, ``rmtree(final_dir)`` (reached
+    by a config change), ``os.replace``, the manifest write, GC — leaves a
+    tree that the next run turns into exactly the tree a clean run
+    produces. The crashing run is a config change over an appended
+    corpus with GC, so every step is reached: committed chunks re-run,
+    the old trailing chunk becomes an orphan."""
+    files = _mk_files(tmp_path, 6)
+    base, grown = files[:5], files
+    v1, v2 = config_hash({"v": 1}), config_hash({"v": 2})
+
+    def run(out, fs, cfg, proc=_write_result):
+        return run_incremental(fs, out, proc, cfg, files_per_partition=2,
+                               gc_orphans=True)
+
+    clean = str(tmp_path / "clean")
+    run(clean, base, v1)
+    run(clean, grown, v2)
+
+    out = str(tmp_path / "out")
+    run(out, base, v1)
+
+    def after(real, when):
+        def wrapped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if when(*args):
+                raise RuntimeError(f"injected fault after {step}")
+            return result
+        return wrapped
+
+    def base_of(path):
+        return os.path.basename(str(path))
+
+    proc = _write_result
+    if step == "tmp_mkdir":
+        monkeypatch.setattr(checkpoint.os, "makedirs", after(
+            os.makedirs, lambda p, *a: base_of(p).startswith(".tmp-partition=")))
+    elif step == "mid_process":
+        def proc(part_files, tmp_dir):
+            with open(os.path.join(tmp_dir, "result.json"), "w") as f:
+                f.write("[")
+            raise RuntimeError("injected fault mid process")
+    elif step == "success_write":
+        monkeypatch.setattr(checkpoint.json, "dump", after(
+            json.dump, lambda obj, *a: "inputs" in obj))
+    elif step == "rmtree_final":
+        monkeypatch.setattr(checkpoint.shutil, "rmtree", after(
+            shutil.rmtree, lambda p, *a: base_of(p).startswith("partition=")))
+    elif step == "replace":
+        monkeypatch.setattr(checkpoint.os, "replace", after(
+            os.replace, lambda src, dst: base_of(dst).startswith("partition=")))
+    elif step == "manifest_write":
+        monkeypatch.setattr(checkpoint.os, "replace", after(
+            os.replace, lambda src, dst: base_of(dst) == MANIFEST))
+    else:  # gc: the first deletion after the manifest commit
+        real_replace, seen = os.replace, {"manifest": False}
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            seen["manifest"] |= base_of(dst) == MANIFEST
+
+        monkeypatch.setattr(checkpoint.os, "replace", replace)
+        monkeypatch.setattr(checkpoint.shutil, "rmtree", after(
+            shutil.rmtree, lambda p, *a: seen["manifest"]))
+
+    with pytest.raises(RuntimeError, match="injected fault"):
+        run(out, grown, v2, proc)
+    monkeypatch.undo()
+
+    s = run(out, grown, v2)
+    assert _tree(out) == _tree(clean)
+    # the orphaned trailing chunk is collected by whichever run gets to GC
+    assert s.get("gc_removed", 0) == (0 if step == "gc" else 1)
+    assert s["tmp_swept"] == 0  # a crashed chunk's tmp dir is reused on rerun

@@ -1,14 +1,14 @@
-"""Append-aware incremental checkpoints (state/checkpoint.py
-run_incremental): content-addressed contiguous chunks so a nightly append
-to a 100 TB corpus re-validates only the chunks whose file membership
-changed — the round-robin stripes of run_partitioned shift EVERY
-partition's lineage on append and re-run the world.
+"""Append-aware checkpoints (state/checkpoint.py run_incremental, the one
+checkpoint runner): content-addressed contiguous chunks so a nightly
+append to a 100 TB corpus re-validates only the chunks whose file
+membership changed.
 
 Covers: (1) pure-python chunk/digest semantics, (2) the append fast path
 (full chunks skip, only trailing-partial + new chunks run, the stale
-partial is reported orphaned), (3) config-change invalidation, and (4) an
+partial is reported orphaned), (3) config-change invalidation, (4) an
 end-to-end run through the real validation pipeline with an appended
-parquet file."""
+parquet file, and (5) a guard that no reader outside the runner names
+partitions by index or globs them instead of taking the active set."""
 
 import json
 import os
@@ -279,3 +279,28 @@ class TestValidatePipelineIncremental:
             assert meta["config_hash"] == s2["config_hash"]
             vd = os.path.join(pdir, "verdicts")
             assert any(f.endswith(".parquet") for f in os.listdir(vd))
+
+
+def test_partition_set_comes_only_from_the_runner():
+    """Only state/checkpoint.py knows how partition dirs are named: no
+    module in the package or jobs/ names a partition by index or globs
+    ``partition=*`` — readers take the run summary's or the manifest's
+    active set, so orphaned chunks are never read. The striped runner
+    stays gone."""
+    import pathlib
+    import re
+
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    banned = re.compile(
+        r"\brun_partitioned\b|\bpartition_inputs\b|\bis_partition_done\b"
+        r"|partition=(\d{4}|NNNN|\{[^}]*:0?4d\})|partition=\*")
+    hits = []
+    for root in ("schema_guru_ray", "jobs"):
+        for path in sorted((repo / root).rglob("*.py")):
+            rel = path.relative_to(repo).as_posix()
+            if rel == "schema_guru_ray/state/checkpoint.py":
+                continue
+            for no, line in enumerate(path.read_text().splitlines(), 1):
+                if banned.search(line):
+                    hits.append(f"{rel}:{no}: {line.strip()}")
+    assert not hits, "\n".join(hits)

@@ -12,6 +12,12 @@ from schema_guru_ray.pipelines.curate import (
     curate_documents,
     curate_documents_checkpointed,
 )
+from schema_guru_ray.state.checkpoint import (
+    active_files,
+    partition_chunks,
+    partition_digest,
+    read_manifest,
+)
 
 
 @pytest.fixture()
@@ -42,13 +48,13 @@ class TestCurateCheckpoint:
 
         files, docs = doc_files
         out = str(tmp_path / "ckpt")
-        res = curate_documents_checkpointed(files, out, num_partitions=3)
+        res = curate_documents_checkpointed(files, out, files_per_partition=3)
         got = _canon(res["result"].to_pandas())
         want = _canon(curate_documents(rd.from_pandas(docs).repartition(8)).to_pandas())
         pd.testing.assert_frame_equal(got, want)
         assert len(got) > 0
         # second run is a pure checkpoint replay: nothing re-runs
-        res2 = curate_documents_checkpointed(files, out, num_partitions=3)
+        res2 = curate_documents_checkpointed(files, out, files_per_partition=3)
         assert res2["manifest"]["dedup"]["ran"] == 0
         assert res2["manifest"]["drops"]["ran"] == 0
         assert res2["manifest"]["final"]["ran"] == 0
@@ -72,18 +78,22 @@ class TestCurateCheckpoint:
 
         monkeypatch.setattr(curate_mod, "_remove_drops", crash_on_second)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            curate_documents_checkpointed(files, out, num_partitions=3)
+            curate_documents_checkpointed(files, out, files_per_partition=3)
         # the global stages + first final partition committed; the crashed
         # partition left no trusted dir
-        assert os.path.exists(os.path.join(out, "drops", "partition=0000"))
+        drops_active = read_manifest(os.path.join(out, "drops"))["active"]
+        assert os.path.exists(os.path.join(out, "drops", f"partition={drops_active[0]}"))
+        dedup_dir = os.path.join(out, "dedup")
+        dedup_files = active_files(dedup_dir, read_manifest(dedup_dir)["active"])
+        final_first = partition_digest(partition_chunks(dedup_files, 3)[0])
         final_parts = [
             d for d in os.listdir(os.path.join(out, "final"))
             if d.startswith("partition=")
         ]
-        assert final_parts == ["partition=0000"]
+        assert final_parts == [f"partition={final_first}"]
 
         monkeypatch.setattr(curate_mod, "_remove_drops", real_remove)
-        res = curate_documents_checkpointed(files, out, num_partitions=3)
+        res = curate_documents_checkpointed(files, out, files_per_partition=3)
         # resume skipped everything already committed — including the
         # expensive LSH+verify drops stage — and ran only the remainder
         assert res["manifest"]["dedup"]["skipped"] == 1
@@ -92,3 +102,26 @@ class TestCurateCheckpoint:
         assert res["manifest"]["final"]["ran"] == 2
         want = _canon(curate_documents(rd.from_pandas(docs).repartition(8)).to_pandas())
         pd.testing.assert_frame_equal(_canon(res["result"].to_pandas()), want)
+
+    def test_append_then_subset_rerun_reads_only_active_chunks(self, doc_files, tmp_path):
+        """A +1-file append re-runs the two one-chunk global stages (by
+        design: dedup and near-dup drops see the whole corpus) and matches
+        the plain chain; a rerun over the original subset into the same dir
+        then answers exactly like the fresh run over it, although the
+        appended run's chunks are still on disk."""
+        import ray.data as rd
+
+        files, docs = doc_files
+        out = str(tmp_path / "ckpt")
+        first = curate_documents_checkpointed(files[:2], out, files_per_partition=3)
+        fresh = _canon(first["result"].to_pandas())
+
+        grown = curate_documents_checkpointed(files, out, files_per_partition=3)
+        m = grown["manifest"]
+        assert m["dedup"]["ran"] == 1 and m["drops"]["ran"] == 1
+        want = _canon(curate_documents(rd.from_pandas(docs).repartition(8)).to_pandas())
+        pd.testing.assert_frame_equal(_canon(grown["result"].to_pandas()), want)
+
+        again = curate_documents_checkpointed(files[:2], out, files_per_partition=3)
+        assert all(s["ran"] == 0 for s in again["manifest"].values())
+        pd.testing.assert_frame_equal(_canon(again["result"].to_pandas()), fresh)

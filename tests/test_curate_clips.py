@@ -111,7 +111,7 @@ class TestCurateClipsCheckpointed:
 
         tab, files = self._split(tmp_path)
         out = str(tmp_path / "out")
-        res = curate_clips_checkpointed(files, out, num_partitions=2,
+        res = curate_clips_checkpointed(files, out, files_per_partition=2,
                                         log=lambda *_: None)
         got_ids = sorted(res["result"].to_pandas()["clip_id"])
 
@@ -120,14 +120,44 @@ class TestCurateClipsCheckpointed:
         assert got_ids == want_ids
 
         # resume: wipe one final partition commit → only it reruns
-        victim = os.path.join(out, "final", "partition=0001", "_SUCCESS.json")
+        victim = os.path.join(out, "final",
+                              f"partition={res['manifest']['final']['active'][1]}",
+                              "_SUCCESS.json")
         os.remove(victim)
-        res2 = curate_clips_checkpointed(files, out, num_partitions=2,
+        res2 = curate_clips_checkpointed(files, out, files_per_partition=2,
                                          log=lambda *_: None)
         m = res2["manifest"]
         assert m["valid"]["ran"] == 0 and m["dedup"]["ran"] == 0
         assert m["drops"]["ran"] == 0 and m["final"]["ran"] == 1
         assert sorted(res2["result"].to_pandas()["clip_id"]) == got_ids
+
+    def test_append_then_subset_rerun_reads_only_active_chunks(self, tmp_path):
+        """+1 input file re-decodes at most 2 ``valid`` chunks; the global
+        dedup/drops stages re-run by design. A rerun over the original
+        subset into the same dir then equals the fresh run over it, although
+        the appended run's chunks are still on disk."""
+        import ray.data as rd
+
+        tab, files = self._split(tmp_path, n=160, parts=4)
+        out = str(tmp_path / "out")
+
+        def run(fs):
+            res = curate_clips_checkpointed(fs, out, files_per_partition=2,
+                                            log=lambda *_: None)
+            return res["manifest"], res["result"].to_pandas()
+
+        _, fresh = run(files[:3])
+        m, grown = run(files)
+        assert m["valid"]["ran"] <= 2 and m["valid"]["skipped"] == 1
+        curated, _ = curate_clips(rd.from_arrow(tab).repartition(4))
+        assert sorted(grown["clip_id"]) == sorted(curated.to_pandas()["clip_id"])
+
+        m, again = run(files[:3])
+        assert all(s["ran"] == 0 for s in m.values())
+        key = ["clip_id"]
+        pd.testing.assert_frame_equal(
+            again.sort_values(key).reset_index(drop=True),
+            fresh.sort_values(key).reset_index(drop=True))
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -183,14 +183,14 @@ def test_export_job_empty(ray_session, empty_dir, tmp_path):
     out = str(tmp_path / "export")
     m = export_shuffled(
         [os.path.join(empty_dir, "documents.parquet")], out,
-        num_partitions=2, num_shards=4,
+        files_per_partition=1, num_shards=4,
     )
     assert m["ran"] >= 1 and m["skipped"] == 0
     assert len(read_shard(out, 0)) == 0
     # resume skips every committed partition
     m2 = export_shuffled(
         [os.path.join(empty_dir, "documents.parquet")], out,
-        num_partitions=2, num_shards=4,
+        files_per_partition=1, num_shards=4,
     )
     assert m2["ran"] == 0 and m2["skipped"] == m["ran"]
 
@@ -203,12 +203,12 @@ def test_curate_checkpointed_empty(ray_session, empty_dir, tmp_path):
 
     out = str(tmp_path / "curate")
     res = curate_documents_checkpointed(
-        [os.path.join(empty_dir, "documents.parquet")], out, num_partitions=2
+        [os.path.join(empty_dir, "documents.parquet")], out, files_per_partition=1
     )
     assert res["result"].count() == 0
     assert set(res["result"].schema().names) == {"doc_id", "n_words"}
     res2 = curate_documents_checkpointed(
-        [os.path.join(empty_dir, "documents.parquet")], out, num_partitions=2
+        [os.path.join(empty_dir, "documents.parquet")], out, files_per_partition=1
     )
     assert res2["result"].count() == 0
     assert all(s["ran"] == 0 for s in res2["manifest"].values())

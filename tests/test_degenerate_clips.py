@@ -197,7 +197,7 @@ def test_checkpointed_validation_empty(clip_shapes, tmp_path):
     for shape in ("empty", "null_meta"):
         out = str(tmp_path / f"ckpt_{shape}")
         m = run_validation_checkpointed(
-            clip_shapes[shape], out, ValidationConfig(), num_partitions=2
+            clip_shapes[shape], out, ValidationConfig(), files_per_partition=1
         )
         assert m["ran"] + m["skipped"] >= 1
 

@@ -29,7 +29,7 @@ class TestExportShuffled:
     def test_layout_and_global_order(self, sf_dir, tmp_path):
         df, files = _split_inputs(sf_dir, tmp_path)
         out = str(tmp_path / "out")
-        summary = export_shuffled(files, out, num_partitions=2, num_shards=8,
+        summary = export_shuffled(files, out, files_per_partition=2, num_shards=8,
                                   log=lambda *_: None)
         assert summary["ran"] == 2
 
@@ -55,14 +55,14 @@ class TestExportShuffled:
     def test_resume_skips_committed_and_is_deterministic(self, sf_dir, tmp_path):
         df, files = _split_inputs(sf_dir, tmp_path)
         out = str(tmp_path / "out")
-        export_shuffled(files, out, num_partitions=3, num_shards=4,
-                        log=lambda *_: None)
+        run = export_shuffled(files, out, files_per_partition=1, num_shards=4,
+                              log=lambda *_: None)
         first = {s: read_shard(out, s) for s in range(4)}
 
         # wipe one partition's commit → only it reruns
-        victim = os.path.join(out, "partition=0001", "_SUCCESS.json")
+        victim = os.path.join(out, f"partition={run['active'][1]}", "_SUCCESS.json")
         os.remove(victim)
-        summary = export_shuffled(files, out, num_partitions=3, num_shards=4,
+        summary = export_shuffled(files, out, files_per_partition=1, num_shards=4,
                                   log=lambda *_: None)
         assert summary["ran"] == 1 and summary["skipped"] == 2
 
@@ -74,12 +74,35 @@ class TestExportShuffled:
     def test_config_change_invalidates(self, sf_dir, tmp_path):
         _, files = _split_inputs(sf_dir, tmp_path)
         out = str(tmp_path / "out")
-        export_shuffled(files, out, num_partitions=2, num_shards=4,
+        export_shuffled(files, out, files_per_partition=2, num_shards=4,
                         log=lambda *_: None)
         # different shard count → different config hash → full rerun
-        summary = export_shuffled(files, out, num_partitions=2, num_shards=8,
+        summary = export_shuffled(files, out, files_per_partition=2, num_shards=8,
                                   log=lambda *_: None)
         assert summary["ran"] == 2 and summary["skipped"] == 0
+
+    def test_append_then_subset_rerun_reads_only_active_chunks(self, sf_dir, tmp_path):
+        """+1 input file runs only the new chunk; a rerun over the original
+        subset into the same dir then reads exactly the fresh run's shards,
+        although the appended run's chunk is still on disk."""
+        df, files = _split_inputs(sf_dir, tmp_path)
+        out = str(tmp_path / "out")
+
+        def run(fs):
+            return export_shuffled(fs, out, files_per_partition=2, num_shards=4,
+                                   log=lambda *_: None)
+
+        run(files[:2])
+        fresh = {s: read_shard(out, s) for s in range(4)}
+        grown = run(files)
+        assert grown["ran"] <= 2 and grown["skipped"] == 1
+        rows = pd.concat([read_shard(out, s) for s in range(4)])
+        assert sorted(rows["doc_id"]) == sorted(df["doc_id"])
+
+        again = run(files[:2])
+        assert again["ran"] == 0
+        for s in range(4):
+            pd.testing.assert_frame_equal(read_shard(out, s), fresh[s])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -87,7 +110,7 @@ class TestMultiEpochReader:
     def test_epochs_permute_reproducibly(self, sf_dir, tmp_path):
         df, files = _split_inputs(sf_dir, tmp_path)
         out = str(tmp_path / "out")
-        export_shuffled(files, out, num_partitions=2, num_shards=4,
+        export_shuffled(files, out, files_per_partition=2, num_shards=4,
                         log=lambda *_: None)
         for s in range(4):
             e0 = read_shard(out, s)

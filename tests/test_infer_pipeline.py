@@ -241,9 +241,9 @@ class TestInferPipelines:
         files = sorted(glob.glob(f"{sf_dir}/orders.parquet"))
         ctx = SchemaContext(enum_cardinality=8, quantity=1500)
         out = tmp_path / "ckpt"
-        r1 = infer_schema_checkpointed(files, str(out), ctx, num_partitions=3)
+        r1 = infer_schema_checkpointed(files, str(out), ctx, files_per_partition=1)
         assert r1["manifest"]["ran"] >= 1 and r1["manifest"]["skipped"] == 0
-        r2 = infer_schema_checkpointed(files, str(out), ctx, num_partitions=3)
+        r2 = infer_schema_checkpointed(files, str(out), ctx, files_per_partition=1)
         assert r2["manifest"]["ran"] == 0  # full checkpoint hit
         assert r2["manifest"]["skipped"] == r1["manifest"]["ran"]
         assert _json.dumps(r1["schema"], sort_keys=True) == _json.dumps(
@@ -253,7 +253,7 @@ class TestInferPipelines:
         # config change → checkpoints invalid → everything reruns
         r3 = infer_schema_checkpointed(
             files, str(out), SchemaContext(enum_cardinality=2, quantity=1500),
-            num_partitions=3,
+            files_per_partition=1,
         )
         assert r3["manifest"]["ran"] == r1["manifest"]["ran"]
 
@@ -285,17 +285,55 @@ class TestInferPipelines:
         pq.write_table(tab.slice(400, 400), f2)
         out = tmp_path / "ck3"
         ctx = SchemaContext(enum_cardinality=4)
-        both = infer_schema_checkpointed([f1, f2], str(out), ctx, num_partitions=2)
+        both = infer_schema_checkpointed([f1, f2], str(out), ctx, files_per_partition=1)
         assert both["n_rows"] == 800
-        # rerun over HALF the inputs into the same dir: partition=0001 from
-        # the previous run is stale and must be ignored
-        one = infer_schema_checkpointed([f1], str(out), ctx, num_partitions=2)
+        # rerun over HALF the inputs into the same dir: the second chunk
+        # from the previous run is stale and must be ignored
+        one = infer_schema_checkpointed([f1], str(out), ctx, files_per_partition=1)
         assert one["n_rows"] == 400
+
+    def _order_files(self, sf_dir, tmp_path, n):
+        import pyarrow.parquet as pq
+
+        tab = pq.read_table(f"{sf_dir}/orders.parquet")
+        files = []
+        for i in range(n):
+            f = str(tmp_path / f"orders{i}.parquet")
+            pq.write_table(tab.slice(i * 200, 200), f)
+            files.append(f)
+        return files
+
+    def test_checkpointed_subset_rerun_matches_fresh(self, sf_dir, tmp_path):
+        """A rerun over a strict subset of the inputs into the same dir
+        answers exactly like a fresh run over that subset."""
+        from schema_guru_ray.pipelines.infer import infer_schema_checkpointed
+
+        files = self._order_files(sf_dir, tmp_path, 4)
+        ctx = SchemaContext(enum_cardinality=4)
+        out = str(tmp_path / "ck")
+        infer_schema_checkpointed(files, out, ctx, files_per_partition=1)
+        sub = infer_schema_checkpointed(files[:2], out, ctx, files_per_partition=1)
+        fresh = infer_schema_checkpointed(files[:2], str(tmp_path / "fresh"), ctx,
+                                          files_per_partition=1)
+        for k in ("schema", "warnings", "n_errors", "n_rows"):
+            assert json.dumps(sub[k], sort_keys=True) == json.dumps(fresh[k], sort_keys=True)
+
+    def test_checkpointed_append_reruns_at_most_two_chunks(self, sf_dir, tmp_path):
+        from schema_guru_ray.pipelines.infer import infer_schema_checkpointed
+
+        files = self._order_files(sf_dir, tmp_path, 4)
+        ctx = SchemaContext(enum_cardinality=4)
+        out = str(tmp_path / "ck")
+        first = infer_schema_checkpointed(files[:3], out, ctx, files_per_partition=2)
+        grown = infer_schema_checkpointed(files, out, ctx, files_per_partition=2)
+        assert first["manifest"]["ran"] == 2
+        assert grown["manifest"]["ran"] <= 2 and grown["manifest"]["skipped"] == 1
+        assert grown["n_rows"] == 800
 
     def test_checkpointed_quantity_is_corpus_global(self, sf_dir, tmp_path):
         """Corpus-size-dependent rules must see the TOTAL row count: the
-        checkpointed schema equals the direct one regardless of
-        num_partitions (per-partition quantity would diverge)."""
+        checkpointed schema equals the direct one regardless of the
+        chunking (per-partition quantity would diverge)."""
         import json as _json
 
         import pyarrow.parquet as pq
@@ -313,6 +351,6 @@ class TestInferPipelines:
         ctx = SchemaContext(enum_cardinality=4)
         direct = infer_schema(rd.read_parquet(files), ctx)["schema"]
         ck = infer_schema_checkpointed(
-            files, str(tmp_path / "ck4"), ctx, num_partitions=4
+            files, str(tmp_path / "ck4"), ctx, files_per_partition=1
         )["schema"]
         assert _json.dumps(direct, sort_keys=True) == _json.dumps(ck, sort_keys=True)

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from schema_guru_ray.state.checkpoint import _write_manifest
 from schema_guru_ray.state.sketch_store import (
     load_baseline,
     save_baseline,
@@ -74,7 +75,7 @@ def test_cross_run_drift_with_persisted_baseline(clips_dir, tmp_path):
 
     cfg = ValidationConfig()
     out = str(tmp_path / "run1")
-    run_validation_checkpointed(clips_dir, out, cfg, num_partitions=2)
+    run_validation_checkpointed(clips_dir, out, cfg, files_per_partition=1)
     verdict_files = sorted(
         glob.glob(os.path.join(out, "partition=*", "verdicts", "*.parquet"))
     )
@@ -148,7 +149,7 @@ def test_partition_sketches_merge_to_corpus_baseline(clips_dir, tmp_path):
 
     cfg = ValidationConfig()
     out = str(tmp_path / "run")
-    s = run_validation_checkpointed(clips_dir, out, cfg, num_partitions=2)
+    s = run_validation_checkpointed(clips_dir, out, cfg, files_per_partition=1)
     for p in _glob.glob(os.path.join(out, "partition=*")):
         assert os.path.exists(os.path.join(p, "sketches.json"))
 
@@ -177,6 +178,7 @@ def test_merge_partition_baselines_legacy_tree_raises(tmp_path):
 
     p = tmp_path / "out" / "partition=0000"
     p.mkdir(parents=True)
+    _write_manifest(str(tmp_path / "out"), {"active": ["0000"]})
     with pytest.raises(FileNotFoundError, match="sketches"):
         merge_partition_baselines(str(tmp_path / "out"))
 
@@ -244,7 +246,7 @@ def test_sketch_regimes_agree_driver_vs_distributed(clips_dir, tmp_path):
 
     cfg = ValidationConfig()
     out = str(tmp_path / "run")
-    run_validation_checkpointed(clips_dir, out, cfg, num_partitions=2)
+    run_validation_checkpointed(clips_dir, out, cfg, files_per_partition=1)
 
     drv_store, drv_n = merge_partition_baselines(out, cfg=cfg)
     dist_store, dist_n = merge_partition_baselines(out, cfg=cfg, driver_limit=0)
@@ -275,6 +277,7 @@ def test_legacy_tree_raises_catchably_in_distributed_regime(tmp_path):
 
     for i in range(3):
         (tmp_path / "out" / f"partition={i:04d}").mkdir(parents=True)
+    _write_manifest(str(tmp_path / "out"), {"active": [f"{i:04d}" for i in range(3)]})
     with pytest.raises(FileNotFoundError, match="predate"):
         merge_partition_baselines(str(tmp_path / "out"), driver_limit=0)
     with pytest.raises(FileNotFoundError, match="predate"):
@@ -310,7 +313,7 @@ def test_null_codec_survives_checkpointed_baseline(tmp_path):
 
     cfg = ValidationConfig()
     out = str(tmp_path / "out")
-    run_validation_checkpointed(str(src), out, cfg, num_partitions=1)
+    run_validation_checkpointed(str(src), out, cfg, files_per_partition=1)
     (sk,) = glob.glob(os.path.join(out, "partition=*", "sketches.json"))
     with open(sk) as f:
         keys = set(json.load(f)["sketches"])
@@ -351,6 +354,7 @@ def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path):
             "dur_ms": KLL(cfg.kll_k).add_many(rng.normal(1000, 50, 200)).to_bytes()}}
         save_baseline(store, str(out / f"partition={i:04d}" / "sketches.json"),
                       cfg_hash=sketch_cfg_hash(cfg), meta={"n_clips": 200 * len(store)})
+    _write_manifest(str(out), {"active": [f"{i:04d}" for i in range(128)]})
 
     drv_store, drv_n = merge_partition_baselines(str(out), cfg=cfg)
     dist_store, dist_n = merge_partition_baselines(str(out), cfg=cfg, driver_limit=0)
@@ -361,3 +365,68 @@ def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path):
     dist = drift_by_partition(str(out), drv_store, cfg, driver_limit=0)
     assert len(dist) == 64
     pd.testing.assert_frame_equal(drv, dist)
+
+
+def _merged_view(out, cfg, active=None):
+    """Baseline merge + drift report of a checkpoint tree, in comparable form."""
+    from schema_guru_ray.pipelines.validate import (
+        drift_by_partition,
+        merge_partition_baselines,
+    )
+
+    store, n_clips = merge_partition_baselines(out, active=active, cfg=cfg)
+    return store, n_clips, drift_by_partition(out, store, cfg, active=active)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_subset_rerun_merges_like_a_fresh_run(clips_dir, tmp_path):
+    """A rerun over a strict subset of the inputs into the same dir: the
+    baseline merge and drift report WITHOUT ``active`` answer exactly like
+    a fresh run over the subset — the dropped input's chunk stays on disk
+    but is not in the manifest's active set."""
+    import shutil
+
+    import pandas as pd
+
+    from schema_guru_ray.pipelines.validate import ValidationConfig, run_validation_checkpointed
+
+    cfg = ValidationConfig()
+    src = tmp_path / "src"
+    shutil.copytree(clips_dir, src)
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    run_validation_checkpointed(str(src), out, cfg, files_per_partition=1)
+    os.remove(sorted(glob.glob(str(src / "*.parquet")))[-1])
+    run_validation_checkpointed(str(src), out, cfg, files_per_partition=1)
+    run_validation_checkpointed(str(src), fresh, cfg, files_per_partition=1)
+
+    got, want = _merged_view(out, cfg), _merged_view(fresh, cfg)
+    assert got[:2] == want[:2]
+    pd.testing.assert_frame_equal(got[2], want[2])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_default_active_set_skips_orphans(clips_dir, tmp_path):
+    """An append re-shapes the trailing chunk and, without gc_orphans,
+    leaves the superseded one on disk: the baseline merge and the drift
+    report read the manifest's active set when ``active`` is omitted, so
+    the orphan is neither merged nor scored."""
+    import shutil
+
+    import pandas as pd
+
+    from schema_guru_ray.pipelines.validate import ValidationConfig, run_validation_checkpointed
+
+    cfg = ValidationConfig()
+    first, second = sorted(glob.glob(os.path.join(clips_dir, "*.parquet")))
+    src = tmp_path / "src"
+    src.mkdir()
+    shutil.copy(first, src)
+    out = str(tmp_path / "out")
+    run_validation_checkpointed(str(src), out, cfg, files_per_partition=2)
+    shutil.copy(second, src)
+    s = run_validation_checkpointed(str(src), out, cfg, files_per_partition=2)
+    assert s["orphaned"] == 1 and len(s["active"]) == 1
+
+    got, want = _merged_view(out, cfg), _merged_view(out, cfg, active=s["active"])
+    assert got[:2] == want[:2] and got[1] == 600
+    pd.testing.assert_frame_equal(got[2], want[2])

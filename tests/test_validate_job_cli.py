@@ -40,14 +40,15 @@ def test_job_runs_resumes_and_writes_baseline(clips_path, tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("vjob"))
     base = os.path.join(out_dir, "baseline.json")
 
-    summary, _ = _run([clips_path, "--out", out_dir, "--partitions", "3",
+    summary, _ = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                        "--num-cpus", "4", "--write-baseline", base])
     n_parts = len(summary["partitions"])  # bounded by the corpus file count
     assert n_parts >= 2
     assert summary["ran"] == n_parts and summary["skipped"] == 0
     # per-partition lineage + metrics on disk
     for idx in range(n_parts):
-        man = os.path.join(out_dir, f"partition={idx:04d}", "_SUCCESS.json")
+        man = os.path.join(out_dir, f"partition={summary['active'][idx]}",
+                           "_SUCCESS.json")
         meta = json.load(open(man))
         assert meta["config_hash"] == summary["config_hash"]
         assert meta["metrics"]["n_clips"] > 0
@@ -56,13 +57,13 @@ def test_job_runs_resumes_and_writes_baseline(clips_path, tmp_path_factory):
     assert store["n_codecs"] > 0 and store["sketches"]
 
     # identical resubmission: pure resume, nothing re-executes
-    summary2, _ = _run([clips_path, "--out", out_dir, "--partitions", "3",
+    summary2, _ = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                         "--num-cpus", "4"])
     assert summary2["ran"] == 0 and summary2["skipped"] == n_parts
 
     # a config change (baseline now present) invalidates the checkpoints:
     # the drift-scored rerun must NOT silently reuse un-scored partitions
-    summary3, _ = _run([clips_path, "--out", out_dir, "--partitions", "3",
+    summary3, _ = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                         "--num-cpus", "4", "--baseline", base])
     assert summary3["ran"] == n_parts and summary3["skipped"] == 0
 
@@ -125,7 +126,7 @@ def test_drift_report_legacy_tree_degrades_gracefully(clips_path, tmp_path_facto
     warn and still emit the run summary, not crash after the run."""
     out_dir = str(tmp_path_factory.mktemp("vjob_legacy"))
     base = os.path.join(out_dir, "baseline.json")
-    summary, _ = _run([clips_path, "--out", out_dir, "--partitions", "2",
+    summary, _ = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                        "--num-cpus", "4", "--write-baseline", base])
 
     # simulate a pre-upgrade tree: drop the committed sketches
@@ -134,7 +135,7 @@ def test_drift_report_legacy_tree_degrades_gracefully(clips_path, tmp_path_facto
     for p in _glob.glob(os.path.join(out_dir, "partition=*", "sketches.json")):
         os.remove(p)
 
-    summary2, err = _run([clips_path, "--out", out_dir, "--partitions", "2",
+    summary2, err = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                           "--num-cpus", "4", "--baseline", base,
                           "--drift-report", os.path.join(out_dir, "d.parquet")])
     # NB: --baseline changes the config hash, so partitions re-ran and
@@ -145,7 +146,7 @@ def test_drift_report_legacy_tree_degrades_gracefully(clips_path, tmp_path_facto
     # now a PURE resume (same config): checkpoint hits, sketches stripped
     for p in _glob.glob(os.path.join(out_dir, "partition=*", "sketches.json")):
         os.remove(p)
-    summary3, err3 = _run([clips_path, "--out", out_dir, "--partitions", "2",
+    summary3, err3 = _run([clips_path, "--out", out_dir, "--files-per-partition", "1",
                            "--num-cpus", "4", "--baseline", base,
                            "--drift-report", os.path.join(out_dir, "d2.parquet")])
     assert summary3["skipped"] == len(summary3["partitions"])  # pure resume

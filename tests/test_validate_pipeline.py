@@ -143,17 +143,17 @@ class TestCheckpointResume:
         for i in range(3):
             pq.write_table(tab.slice(i * 100, 100), f"{clips_dir}/part-{i}.parquet")
         out_dir = str(tmp_path / "out")
-        s1 = run_validation_checkpointed(clips_dir, out_dir, VCFG, num_partitions=3)
+        s1 = run_validation_checkpointed(clips_dir, out_dir, VCFG, files_per_partition=1)
         assert s1["ran"] == 3 and s1["skipped"] == 0
         assert len(glob.glob(f"{out_dir}/partition=*/verdicts/*.parquet")) >= 3
         assert len(glob.glob(f"{out_dir}/partition=*/_SUCCESS.json")) == 3
         # resume: everything checkpointed
-        s2 = run_validation_checkpointed(clips_dir, out_dir, VCFG, num_partitions=3)
+        s2 = run_validation_checkpointed(clips_dir, out_dir, VCFG, files_per_partition=1)
         assert s2["ran"] == 0 and s2["skipped"] == 3
         # config change invalidates checkpoints
         s3 = run_validation_checkpointed(
             clips_dir, out_dir, ValidationConfig(snr_threshold_db=20.0, validator_concurrency=2),
-            num_partitions=3,
+            files_per_partition=1,
         )
         assert s3["ran"] == 3
         # manifest carries lineage

@@ -54,7 +54,7 @@ class TestWindowExport:
 
         files, expected = _clips_files(tmp_path)
         out = str(tmp_path / "out")
-        summary = export_windows(files, out, num_partitions=3,
+        summary = export_windows(files, out, files_per_partition=1,
                                  log=lambda *_: None)
         assert summary["ran"] == 3 and summary["skipped"] == 0
         total = sum(p["metrics"]["n_windows"] for p in summary["partitions"])
@@ -75,12 +75,12 @@ class TestWindowExport:
 
         files, expected = _clips_files(tmp_path)
         out = str(tmp_path / "out")
-        export_windows(files, out, num_partitions=3, log=lambda *_: None)
+        first = export_windows(files, out, files_per_partition=1, log=lambda *_: None)
         # simulate a crash that lost one partition's commit
         import shutil
 
-        shutil.rmtree(os.path.join(out, "partition=0001"))
-        summary = export_windows(files, out, num_partitions=3,
+        shutil.rmtree(os.path.join(out, f"partition={first['active'][1]}"))
+        summary = export_windows(files, out, files_per_partition=1,
                                  log=lambda *_: None)
         assert summary["skipped"] == 2 and summary["ran"] == 1
         total = sum(
@@ -95,11 +95,11 @@ class TestWindowExport:
 
         files, _ = _clips_files(tmp_path, n_files=2, clips_per_file=2)
         out = str(tmp_path / "out")
-        export_windows(files, out, num_partitions=2, log=lambda *_: None)
-        rerun = export_windows(files, out, num_partitions=2,
+        export_windows(files, out, files_per_partition=1, log=lambda *_: None)
+        rerun = export_windows(files, out, files_per_partition=1,
                                log=lambda *_: None)
         assert rerun["skipped"] == 2
-        changed = export_windows(files, out, num_partitions=2, hop_ms=250,
+        changed = export_windows(files, out, files_per_partition=1, hop_ms=250,
                                  log=lambda *_: None)
         assert changed["ran"] == 2  # different config → full rerun
 
@@ -115,17 +115,18 @@ class TestWindowExport:
 
         files, _ = _clips_files(tmp_path, n_files=2, clips_per_file=2)
         out = str(tmp_path / "out")
-        export_windows(files, out, num_partitions=2, hop_ms=100,
+        export_windows(files, out, files_per_partition=1, hop_ms=100,
                        log=lambda *_: None)
         old = read_windows(out, hop_ms=100).to_pandas()
         # "crash mid-rerun": the new config committed partition 0 only —
         # simulate by exporting under hop_ms=250 into a scratch dir and
         # transplanting its partition 0 over the old-config one
         scratch = str(tmp_path / "scratch")
-        export_windows(files, scratch, num_partitions=2, hop_ms=250,
-                       log=lambda *_: None)
-        shutil.rmtree(f"{out}/partition=0000")
-        shutil.move(f"{scratch}/partition=0000", f"{out}/partition=0000")
+        new = export_windows(files, scratch, files_per_partition=1, hop_ms=250,
+                             log=lambda *_: None)
+        first = f"partition={new['active'][0]}"
+        shutil.rmtree(f"{out}/{first}")
+        shutil.move(f"{scratch}/{first}", f"{out}/{first}")
 
         cur = _current_partitions(out, window_ms=250, hop_ms=250)
         assert len(cur) == 1  # only the transplanted new-config partition
@@ -133,3 +134,34 @@ class TestWindowExport:
         assert 0 < len(new_rows) < len(old)
         stale_rows = read_windows(out, hop_ms=100).to_pandas()
         assert 0 < len(stale_rows) < len(old)  # partition 1 only
+
+    def test_append_then_subset_rerun_reads_only_active_chunks(self, tmp_path):
+        """+1 input file runs at most 2 chunks; a rerun over the original
+        subset into the same dir then reads and counts exactly the fresh
+        run's windows — the appended run's chunks carry the same config
+        hash, so only the manifest's active set keeps them out."""
+        from jobs.window_export_job import (
+            _current_partitions, export_windows, read_windows,
+        )
+
+        files, expected = _clips_files(tmp_path, n_files=4, clips_per_file=2)
+        out = str(tmp_path / "out")
+
+        def run(fs):
+            return export_windows(fs, out, files_per_partition=2,
+                                  log=lambda *_: None)
+
+        def rows():
+            return (read_windows(out).to_pandas()
+                    .sort_values(["clip_id", "win_idx"]).reset_index(drop=True))
+
+        run(files[:3])
+        fresh = rows()
+        grown = run(files)
+        assert grown["ran"] <= 2 and grown["skipped"] == 1
+        assert len(rows()) == expected
+
+        again = run(files[:3])
+        assert again["ran"] == 0
+        pd.testing.assert_frame_equal(rows(), fresh)
+        assert len(_current_partitions(out, 250, 100)) == len(again["active"])
