@@ -94,55 +94,22 @@ def _confirmed_drop_ids(kept, jaccard_threshold: float = 0.8):
         num_partitions=derive_num_buckets(kept.count()),
     )
     # distinct drop ids as a (tiny-state) materialized Dataset — never the
-    # driver; materializing lets count() choose the regime without
-    # re-running the verification pass
+    # driver; materialized so counting and the removal join never re-run
+    # the verification pass
     return pairs.map_batches(
         lambda b: pd.DataFrame({"id_b": b["id_b"].astype("int64")}),
         batch_format="pandas",
     ).materialize()
 
 
-def _remove_drops(kept, drops, n_drop: int, drop_broadcast_limit: int):
-    """Stage 2 application, two regimes (round-2 verdict: an unconditional
-    driver broadcast is O(corpus) on duplicate-heavy crawls):
+def _remove_drops(kept, drops):
+    """Stage 2 application: one :func:`stages.joins.join_keyed` anti join
+    of the corpus against the drop ids. A drop set too big to broadcast
+    never reaches the driver (round-2 verdict: an unconditional driver
+    broadcast is O(corpus) on duplicate-heavy crawls)."""
+    from schema_guru_ray.stages.joins import join_keyed
 
-    * ≤ ``drop_broadcast_limit`` ids → exact frozenset broadcast filter;
-    * bigger → a Bloom filter of the drop ids prunes the corpus (rows
-      probing ABSENT are definitely kept — no false negatives), and only
-      the maybe-dropped rows (true drops + ~fp_rate of the corpus)
-      shuffle through an exact :func:`stages.joins.bucketed_anti_join`.
-      The drop set is never collected to the driver."""
-    import ray
-
-    if n_drop == 0:
-        return kept
-    if n_drop <= drop_broadcast_limit:
-        drop_ref = ray.put(frozenset(int(b) for b in drops.to_pandas()["id_b"]))
-
-        def drop_filter(b: pd.DataFrame) -> pd.DataFrame:
-            return b[~b["doc_id"].isin(ray.get(drop_ref))]
-
-        return kept.map_batches(drop_filter, batch_format="pandas")
-
-    from schema_guru_ray.sketches.bloom import build_bloom
-    from schema_guru_ray.stages.joins import bucketed_anti_join
-
-    bloom_ref = ray.put(build_bloom(drops, "id_b", fp_rate=0.001).to_bytes())
-
-    def bloom_split(b: pd.DataFrame, want_maybe: bool) -> pd.DataFrame:
-        from schema_guru_ray.sketches.bloom import BloomFilter
-
-        hit = BloomFilter.from_bytes(ray.get(bloom_ref)).contains_many(b["doc_id"])
-        return b[hit] if want_maybe else b[~hit]
-
-    definite_keep = kept.map_batches(
-        bloom_split, fn_kwargs={"want_maybe": False}, batch_format="pandas"
-    )
-    maybe = kept.map_batches(
-        bloom_split, fn_kwargs={"want_maybe": True}, batch_format="pandas"
-    )
-    fp_survivors = bucketed_anti_join(maybe, drops, on="doc_id", key_column="id_b")
-    return definite_keep.union(fp_survivors)
+    return join_keyed(kept, drops, on=("doc_id", "id_b"), how="anti")
 
 
 def _quality_sample_fn(min_words: int, max_words: int, sample_rate: float):
@@ -168,13 +135,12 @@ def _quality_sample_fn(min_words: int, max_words: int, sample_rate: float):
 
 def curate_documents(ds, *, jaccard_threshold: float = 0.8,
                      min_words: int = 30, max_words: int = 100_000,
-                     sample_rate: float = 0.5, n_buckets: int = 64,
-                     drop_broadcast_limit: int = 1_000_000):
+                     sample_rate: float = 0.5, n_buckets: int = 64):
     """documents Dataset (doc_id, text) → curated Dataset of
     (doc_id, n_words) surviving all four stages. Deterministic."""
     kept = _exact_dedup(ds, n_buckets).materialize()  # reused by 3 stages
     drops = _confirmed_drop_ids(kept, jaccard_threshold)
-    survivors = _remove_drops(kept, drops, drops.count(), drop_broadcast_limit)
+    survivors = _remove_drops(kept, drops)
     return survivors.map_batches(
         _quality_sample_fn(min_words, max_words, sample_rate),
         batch_format="pandas",
@@ -184,8 +150,7 @@ def curate_documents(ds, *, jaccard_threshold: float = 0.8,
 def curate_documents_checkpointed(
     input_files, out_dir: str, *, jaccard_threshold: float = 0.8,
     min_words: int = 30, max_words: int = 100_000, sample_rate: float = 0.5,
-    n_buckets: int = 64, drop_broadcast_limit: int = 1_000_000,
-    files_per_partition: int = FILES_PER_PARTITION, log=None,
+    n_buckets: int = 64, files_per_partition: int = FILES_PER_PARTITION, log=None,
 ):
     """Resumable curate over a parquet file list. Three checkpointed
     stages under ``out_dir`` (each with atomic commit + lineage + config
@@ -268,7 +233,7 @@ def curate_documents_checkpointed(
             if drop_files
             else rd.from_pandas(pd.DataFrame({"id_b": pd.Series([], dtype="int64")}))
         )
-        survivors = _remove_drops(part, drops, drops.count(), drop_broadcast_limit)
+        survivors = _remove_drops(part, drops)
         out = survivors.map_batches(
             _quality_sample_fn(min_words, max_words, sample_rate),
             batch_format="pandas",

@@ -18,9 +18,8 @@ audio clip + transcript pairs):
        the natural checkpoint boundary (same call the text chain makes).
     3. content near-dup removal — scalar signature-cluster collapse over
        the precomputed (vec_id, sig) columns: keep each cluster's minimum
-       hashed id, drop the rest. Drop ids are corpus-tiny; broadcast
-       regime with the bucketed-anti-join escape hatch above
-       ``drop_broadcast_limit`` (the curate.py two-regime rule).
+       hashed id, drop the rest, through one
+       :func:`stages.joins.join_keyed` anti join (the curate.py rule).
     4. resample + loudness-normalize the survivors to a uniform training
        format (stages/audio_transform.resample_clips).
 
@@ -54,7 +53,6 @@ class ClipCurationConfig:
     dedup_bits: int = 10
     sr_out: int = 16000
     target_dbfs: float = -20.0
-    drop_broadcast_limit: int = 2_000_000
 
 
 def filter_valid_clips(clips_ds, vcfg: ValidationConfig):
@@ -243,80 +241,26 @@ def _near_dup_drop_hashes(deduped, cfg: ClipCurationConfig):
     return content_dedup_drop_hashes(deduped)
 
 
-def _remove_by_hash(ds, drops, n_drop: int, limit: int):
-    """Two-regime removal of clips whose hashed id is in ``drops``:
-    broadcast frozenset below ``limit``, exact bucketed anti-join above
-    (the drop set never lands on the driver in the scale regime). Rows
-    with a precomputed ``vec_id`` column skip the rehash."""
-    import ray
-
+def _remove_by_hash(ds, drops):
+    """Remove the clips whose hashed id is in ``drops`` (column ``drop_h``)
+    with one :func:`stages.joins.join_keyed` anti join; both of its
+    regimes filter Arrow blocks directly, so the audio payloads are never
+    copied into pandas. Rows with a precomputed ``vec_id`` column skip the
+    rehash."""
+    from schema_guru_ray.stages.joins import join_keyed
     from schema_guru_ray.stages.profile import stable_hash64
 
-    if n_drop == 0:
-        return ds
-
-    has_vec = "vec_id" in ds.schema().names
-
-    if n_drop <= limit:
-        # broadcast a SORTED int64 array (np.isin probe), and filter the
-        # Arrow block directly — pandas here would copy every audio payload
-        # into object arrays just to drop a few rows
-        drop_arr = np.sort(
-            drops.to_pandas()["drop_h"].to_numpy(dtype=np.int64)
-        )
-        ref = ray.put(drop_arr)
-
-        def drop_filter(t: pa.Table) -> pa.Table:
-            darr = ray.get(ref)
-            if has_vec:
-                h = t["vec_id"].to_numpy(zero_copy_only=False)
-            else:
-                h = stable_hash64(
-                    pd.Series(t["clip_id"].to_pandas())
-                ).astype(np.int64)
-            idx = np.searchsorted(darr, h)
-            idx[idx == len(darr)] = 0
-            hit = darr[idx] == h if len(darr) else np.zeros(len(h), bool)
-            return t.filter(pa.array(~hit))
-
-        return ds.map_batches(drop_filter, batch_format="pyarrow")
-
-    # Scale regime: ARROW-NATIVE bucketed anti join. The generic
-    # bucketed_anti_join round-trips groups through pandas, which degrades
-    # the binary ``bytes`` payload column; this variant keeps every block
-    # Arrow end-to-end (tag → union-with-null-fill → per-bucket pc.is_in +
-    # filter), so wide binary rows shuffle exactly once, zero-copy.
-    import pyarrow.compute as pc
-
-    from schema_guru_ray.stages.joins import _tag_fn, derive_num_buckets
-
-    nb = derive_num_buckets(ds.count() + n_drop)
+    if "vec_id" in ds.schema().names:
+        return join_keyed(ds, drops, on=("vec_id", "drop_h"), how="anti")
 
     def with_hash(t: pa.Table) -> pa.Table:
-        if has_vec:
-            return t.append_column("__h", t["vec_id"].cast(pa.int64()))
         h = stable_hash64(pd.Series(t["clip_id"].to_pylist())).astype(np.int64)
         return t.append_column("__h", pa.array(h, pa.int64()))
 
-    left = ds.map_batches(with_hash, batch_format="pyarrow").map_batches(
-        _tag_fn("l", "__h", nb), batch_format="pyarrow"
-    )
-    keys = drops.map_batches(_tag_fn("r", "drop_h", nb), batch_format="pyarrow")
-
-    def anti_bucket(t: pa.Table) -> pa.Table:
-        lmask = pc.equal(t["__side"], "l")
-        l = t.filter(lmask)
-        dropset = t.filter(pc.invert(lmask))["drop_h"].combine_chunks()
-        keep = pc.invert(pc.is_in(l["__h"].combine_chunks(), value_set=dropset))
-        return l.filter(keep).drop_columns(
-            [c for c in ("__side", "__bucket", "__h", "drop_h") if c in l.column_names]
-        )
-
-    return (
-        left.union(keys)
-        .groupby("__bucket")
-        .map_groups(anti_bucket, batch_format="pyarrow")
-    )
+    return join_keyed(
+        ds.map_batches(with_hash, batch_format="pyarrow"), drops,
+        on=("__h", "drop_h"), how="anti",
+    ).drop_columns(["__h"])
 
 
 def curate_clips(clips_ds, cfg: ClipCurationConfig = ClipCurationConfig()):
@@ -353,11 +297,8 @@ def curate_clips(clips_ds, cfg: ClipCurationConfig = ClipCurationConfig()):
     deduped = exact_dedup_clips(valid).materialize()  # checkpoint boundary
     n_dedup = deduped.count()
 
-    drops = _near_dup_drop_hashes(deduped, cfg).materialize()
-    n_drop = drops.count()
-    survivors = _remove_by_hash(
-        deduped, drops, n_drop, cfg.drop_broadcast_limit
-    ).map_batches(
+    drops = _near_dup_drop_hashes(deduped, cfg)
+    survivors = _remove_by_hash(deduped, drops).map_batches(
         lambda t: t.drop_columns(["sig", "vec_id"]), batch_format="pyarrow"
     ).materialize()
     n_surv = survivors.count()
@@ -494,10 +435,7 @@ def curate_clips_checkpointed(input_files, out_dir: str,
     def run_final(files, tmp_dir):
         part = rd.read_parquet(files)
         if drop_files:
-            drops = rd.read_parquet(drop_files)
-            part = _remove_by_hash(
-                part, drops, drops.count(), cfg.drop_broadcast_limit
-            )
+            part = _remove_by_hash(part, rd.read_parquet(drop_files))
         part = part.map_batches(
             lambda t: t.drop_columns(
                 [c for c in ("sig", "vec_id") if c in t.column_names]

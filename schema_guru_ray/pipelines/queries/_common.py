@@ -20,7 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
 
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd

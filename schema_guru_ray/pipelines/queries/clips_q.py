@@ -15,7 +15,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.stages.warm import warm_kernel
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,

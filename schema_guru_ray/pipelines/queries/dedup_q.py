@@ -16,11 +16,9 @@ import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
 from schema_guru_ray.fold import fold_keyed
-from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.stages.warm import warm_kernel
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,
-    _meta_rows,
     _pandas_cols,
     _read,
     _read_documents,
@@ -499,91 +497,42 @@ def kmeans_embeddings(sf_dir: str):
     return kmeans_summary(emb, k=8, iters=5)
 
 
-def cross_source_leakage_documents(sf_dir: str, broadcast_limit: int = 5_000_000):
+def cross_source_leakage_documents(sf_dir: str):
     """Cross-source contamination matrix — the training-data governance
     report behind "did corpus A leak into corpus B?": exact-verified
     near-dup pairs (the oracled MinHash→LSH→shingle-verify chain of
     ``near_dup_pairs_documents``) bucketed by the UNORDERED pair of their
     documents' ``source`` fields, with within-source duplication on the
-    diagonal. Two-regime source lookup: ≤ ``broadcast_limit`` docs →
-    plain-pyarrow footer read + sorted-array broadcast (docs-side never
-    re-shuffles; a Ray read of a small dimension costs ~2 s of task
-    overhead); larger → bucketed hash joins on each pair side. Output is
-    (source_a, source_b, n_pairs) — strings + exact ints, so the oracle
-    (same shingle CTE + two joins + least/greatest) hashes identically."""
-    import ray
+    diagonal. Each pair side looks up its source through one
+    :func:`stages.joins.join_keyed` inner join against the (doc_id, source)
+    table, read with plain pyarrow on the driver (a Ray read of a small
+    dimension costs ~2 s of task overhead). Output is (source_a, source_b,
+    n_pairs) — strings + exact ints, so the oracle (same shingle CTE + two
+    joins + least/greatest) hashes identically."""
+    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
     from schema_guru_ray.pipelines.queries._common import _pa
+    from schema_guru_ray.stages.joins import join_keyed
 
-    pairs = near_dup_pairs_documents(sf_dir)
-    n_docs = _meta_rows(sf_dir, "documents")
+    sources = pq.read_table(
+        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
+    )
+    j = join_keyed(near_dup_pairs_documents(sf_dir),
+                   sources.rename_columns(["doc_id", "src_a"]),
+                   on=("id_a", "doc_id"))
+    j = join_keyed(j, sources.rename_columns(["doc_id", "src_b"]),
+                   on=("id_b", "doc_id"))
 
-    if n_docs <= broadcast_limit:
-        import pyarrow.parquet as pq
+    def canon(t: pa.Table) -> pa.Table:
+        sa = t["src_a"].to_numpy(zero_copy_only=False)
+        sb = t["src_b"].to_numpy(zero_copy_only=False)
+        df = pd.DataFrame({"source_a": np.minimum(sa, sb),
+                           "source_b": np.maximum(sa, sb), "n": 1})
+        return _pa(df.groupby(["source_a", "source_b"], as_index=False)
+                   .agg(n=("n", "sum")))
 
-        tab = pq.read_table(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "source"],
-        )
-        ids = tab["doc_id"].to_numpy()
-        order = np.argsort(ids)
-        ref = ray.put((ids[order],
-                       tab["source"].to_numpy(zero_copy_only=False)[order]))
-
-        def tag_sources(t: pa.Table) -> pa.Table:
-            keys, srcs = ray.get(ref)
-            a = t["id_a"].to_numpy(zero_copy_only=False)
-            b = t["id_b"].to_numpy(zero_copy_only=False)
-            ia, ha = sorted_lookup(keys, a)
-            ib, hb = sorted_lookup(keys, b)
-            assert bool(ha.all()) and bool(hb.all())  # pairs came FROM docs
-            sa, sb = srcs[ia], srcs[ib]
-            lo = np.minimum(sa, sb)
-            hi = np.maximum(sa, sb)
-            df = pd.DataFrame({"source_a": lo, "source_b": hi, "n": 1})
-            return _pa(df.groupby(["source_a", "source_b"], as_index=False)
-                       .agg(n=("n", "sum")))
-
-        counted = pairs.map_batches(tag_sources, batch_format="pyarrow")
-    else:
-        from schema_guru_ray.stages.joins import bucketed_hash_join
-
-        docs = _read(sf_dir, "documents", ["doc_id", "source"])
-
-        def _as(side: str):
-            def fn(t: pa.Table) -> pa.Table:
-                return pa.table({side: t["doc_id"],
-                                 f"src_{side}": t["source"]})
-            return fn
-
-        # explicit schema hints: both left plans contain all-to-alls (the
-        # verify shuffle, then the first join) — ds.schema() on such a plan
-        # executes the whole shuffle once extra just for type inference
-        pairs_schema = pa.schema([
-            ("id_a", pa.int64()), ("id_b", pa.int64()),
-            ("n_inter", pa.int64()), ("n_union", pa.int64()),
-        ])
-        j = bucketed_hash_join(
-            pairs, docs.map_batches(_as("id_a"), batch_format="pyarrow"),
-            on="id_a", left_schema=pairs_schema,
-        )
-        j = bucketed_hash_join(
-            j, docs.map_batches(_as("id_b"), batch_format="pyarrow"),
-            on="id_b",
-            left_schema=pairs_schema.append(pa.field("src_id_a", pa.string())),
-        )
-
-        def canon(t: pa.Table) -> pa.Table:
-            sa = t["src_id_a"].to_numpy(zero_copy_only=False)
-            sb = t["src_id_b"].to_numpy(zero_copy_only=False)
-            df = pd.DataFrame({"source_a": np.minimum(sa, sb),
-                               "source_b": np.maximum(sa, sb), "n": 1})
-            return _pa(df.groupby(["source_a", "source_b"], as_index=False)
-                       .agg(n=("n", "sum")))
-
-        counted = j.map_batches(canon, batch_format="pyarrow")
-
+    counted = j.map_batches(canon, batch_format="pyarrow")
     return (
         counted.groupby(["source_a", "source_b"])
         .aggregate(Sum("n", alias_name="n_pairs"))

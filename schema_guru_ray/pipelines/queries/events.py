@@ -15,7 +15,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,
     _meta_rows,
@@ -795,24 +794,21 @@ def funnel_conversions_events(sf_dir: str, window_sec: int = 3600):
     )
 
 
-def cohort_retention_events(sf_dir: str, broadcast_limit: int = 20_000_000):
+def cohort_retention_events(sf_dir: str):
     """Cohort retention (the other standard product-analytics shape): users
     bucketed by signup DAY (their first 'signup' event), counted as
     retained in each subsequent day offset where they have ANY event.
-    Output: (cohort_day, day_offset, n_users). TWO REGIMES on the events
-    footer row count (the signup map is bounded by |users|):
+    Output: (cohort_day, day_offset, n_users).
 
-    * **Broadcast**: the user → signup-day map (per-batch min partials →
-      driver fold → sorted arrays via ``ray.put``) annotates every event in
-      one streaming map; distinct (user, offset) pre-dedupes per batch and
-      one groupby counts the matrix.
-    * **Bucketed**: signup days and events co-shuffle into user-hash
-      buckets; the in-bucket join + dedup is vectorized pandas.
-    """
-    import ray
-    import ray.data as rd
-
+    Per-batch signup minima fold per user (:func:`stages.joins.
+    bucketed_aggregate`) into the user → signup-time side of one
+    :func:`stages.joins.join_keyed` inner join that annotates every event;
+    distinct (cohort, offset, user) triplets pre-dedupe per batch, and one
+    coarse user-hash groupby finishes the exact dedup and counts the
+    matrix."""
     from ray.data.aggregate import Sum
+
+    from schema_guru_ray.stages.joins import bucketed_aggregate, join_keyed
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -826,97 +822,48 @@ def cohort_retention_events(sf_dir: str, broadcast_limit: int = 20_000_000):
         )
         return g.rename_columns(["user_id", "signup_ts"])
 
-    n_events = _meta_rows(sf_dir, "events")
+    # coarse user-hash buckets (~250k events each): a user's rows co-locate
+    nb = max(8, _meta_rows(sf_dir, "events") // 250_000 + 1)
+    signups = bucketed_aggregate(
+        ds.map_batches(signup_partial, batch_format="pyarrow"), "user_id",
+        {"signup_ts": ("signup_ts", "min")}, n_buckets=nb,
+    )
 
-    if n_events <= broadcast_limit:
-        su = _pandas_cols(
-            ds.map_batches(signup_partial, batch_format="pyarrow"),
-            ["user_id", "signup_ts"],
-            {"user_id": "int64", "signup_ts": "datetime64[us]"},
-        ).groupby("user_id", as_index=False)["signup_ts"].min()
-        keys = su["user_id"].to_numpy(np.int64)
-        days = (su["signup_ts"].to_numpy().astype("datetime64[D]")
-                .astype(np.int64))
-        order = np.argsort(keys, kind="stable")
-        lut_ref = ray.put((keys[order], days[order]))
-
-        def offsets(t: pa.Table) -> pd.DataFrame:
-            k_arr, d_arr = ray.get(lut_ref)
-            u = t["user_id"].to_numpy(zero_copy_only=False)
-            i, hit = sorted_lookup(k_arr, u)
-            ev_day = (t["ts"].to_numpy(zero_copy_only=False)
-                      .astype("datetime64[D]").astype(np.int64))[hit]
-            cohort = d_arr[i[hit]]
-            off = ev_day - cohort
-            keep = off >= 0
-            # distinct (cohort, offset, user) per batch, then count partial
-            trip = np.unique(
-                np.stack([cohort[keep], off[keep], u[hit][keep]], axis=1),
-                axis=0,
-            )
-            df = pd.DataFrame(
-                {"cohort_day": trip[:, 0], "day_offset": trip[:, 1],
-                 "user_id": trip[:, 2]}
-            ).astype("int64")
-            # coarse user-hash bucket: a user's triplets co-locate, so the
-            # in-bucket dedup is globally exact — a (cohort, offset, user)
-            # sort aggregate would be one reducer group per triplet
-            nb = max(8, n_events // 250_000 + 1)
-            df["__b"] = (df["user_id"] % nb).astype("int32")
-            return df
-
-        def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
-            d = g.drop_duplicates(["cohort_day", "day_offset", "user_id"])
-            out = d.groupby(["cohort_day", "day_offset"], as_index=False).agg(
-                n_users=("user_id", "size")
-            )
-            return out.astype("int64")
-
-        return (
-            ds.map_batches(offsets, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(bucket_count, batch_format="pandas")
-            .groupby(["cohort_day", "day_offset"])
-            .aggregate(Sum("n_users", alias_name="n_users"))
-        )
-
-    # bucketed regime: co-shuffle signup rows and events by user hash
-    nb = max(8, n_events // 250_000 + 1)
-
-    def tag_events(t: pa.Table) -> pa.Table:
-        b = (t["user_id"].to_numpy(zero_copy_only=False) % nb).astype(np.int32)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
-    tagged = ds.map_batches(tag_events, batch_format="pyarrow")
-
-    def bucket_retention(g: pd.DataFrame) -> pd.DataFrame:
-        su = (
-            g[g["event_type"] == "signup"]
-            .groupby("user_id", as_index=False)["ts"].min()
-            .rename(columns={"ts": "signup_ts"})
-        )
-        m = g.merge(su, on="user_id", how="inner")
-        cohort = m["signup_ts"].to_numpy().astype("datetime64[D]").astype(np.int64)
-        ev = m["ts"].to_numpy().astype("datetime64[D]").astype(np.int64)
-        off = ev - cohort
+    def offsets(t: pa.Table) -> pd.DataFrame:
+        u = t["user_id"].to_numpy()
+        ev_day = t["ts"].to_numpy().astype("datetime64[D]").astype(np.int64)
+        cohort = (t["signup_ts"].to_numpy().astype("datetime64[D]")
+                  .astype(np.int64))
+        off = ev_day - cohort
         keep = off >= 0
+        # distinct (cohort, offset, user) per batch, then count partial
+        trip = np.unique(
+            np.stack([cohort[keep], off[keep], u[keep]], axis=1), axis=0
+        )
         df = pd.DataFrame(
-            {"cohort_day": cohort[keep], "day_offset": off[keep],
-             "user_id": m["user_id"].to_numpy(np.int64)[keep]}
-        ).drop_duplicates()
-        out = df.groupby(["cohort_day", "day_offset"], as_index=False).agg(
-            n_users=("user_id", "nunique")
+            {"cohort_day": trip[:, 0], "day_offset": trip[:, 1],
+             "user_id": trip[:, 2]}
+        ).astype("int64")
+        # a user's triplets co-locate, so the in-bucket dedup is globally
+        # exact — a (cohort, offset, user) sort aggregate would be one
+        # reducer group per triplet
+        df["__b"] = (df["user_id"] % nb).astype("int32")
+        return df
+
+    def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
+        d = g.drop_duplicates(["cohort_day", "day_offset", "user_id"])
+        out = d.groupby(["cohort_day", "day_offset"], as_index=False).agg(
+            n_users=("user_id", "size")
         )
         return out.astype("int64")
 
-    # users are co-located per bucket, so per-bucket counts are final
-    from ray.data.aggregate import Sum as _Sum
-
     return (
-        tagged.groupby("__b")
-        .map_groups(bucket_retention, batch_format="pandas")
+        join_keyed(ds, signups, on="user_id")
+        .map_batches(offsets, batch_format="pyarrow")
+        .groupby("__b")
+        .map_groups(bucket_count, batch_format="pandas")
         .groupby(["cohort_day", "day_offset"])
-        .aggregate(_Sum("n_users", alias_name="n_users"))
+        .aggregate(Sum("n_users", alias_name="n_users"))
     )
 
 

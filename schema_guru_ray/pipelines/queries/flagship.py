@@ -15,7 +15,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,
     _meta_rows,
@@ -119,7 +118,7 @@ def prepare_training_corpus(sf_dir: str):
     )
     kept = _exact_dedup(ds, 64).materialize()
     drops = _confirmed_drop_ids(kept, 0.8)
-    survivors = _remove_drops(kept, drops, drops.count(), 1_000_000)
+    survivors = _remove_drops(kept, drops)
 
     bench_grams = build_benchmark_grams(bench, 3)
     probe_ref = ray.put((hash_gram_strings(bench_grams, 3), bench_grams))

@@ -15,11 +15,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
 from schema_guru_ray.pipelines.queries._common import (
     _int_units,
     _meta_rows,
-    _pandas_cols,
     _pq_schema,
     _read,
     _renamed_schema,
@@ -211,25 +209,16 @@ WHERE e.ts - o.o_orderdate <= INTERVAL 8500 DAY
 """
 
 
-def range_join_clicks_after_signup(sf_dir: str, broadcast_limit: int = 5_000_000):
+def range_join_clicks_after_signup(sf_dir: str):
     """General interval/range join (stages/joins.range_join): for every
     signup event, the number of click events inside the hour that follows
     it ([ts, ts + 1h], inclusive BETWEEN). Range-partitioned by the click
     timestamp domain — each click lands in one bucket, each 1-hour signup
     window replicates to the 1-2 buckets it overlaps — then a vectorized
     searchsorted sweep per bucket. Signups with zero clicks are kept
-    (count 0) via a TWO-REGIME zero-fill on the materialized per-signup
-    count side: ≤ ``broadcast_limit`` signups-with-clicks → sorted-array
-    lookup broadcast into a streaming map over the signup ids; larger →
-    bucketed LEFT join. Nothing signup-sized ever lands on the driver."""
-    import ray
-
-    from schema_guru_ray.stages.joins import (
-        bucketed_hash_join,
-        derive_num_buckets,
-        range_join,
-        sorted_lookup,
-    )
+    (count 0) by a :func:`stages.joins.join_keyed` LEFT join of the signup
+    ids against the per-signup count side, zero-filled on a miss."""
+    from schema_guru_ray.stages.joins import derive_num_buckets, join_keyed, range_join
 
     events = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
 
@@ -292,47 +281,12 @@ def range_join_clicks_after_signup(sf_dir: str, broadcast_limit: int = 5_000_000
         .map_groups(sum_bucket, batch_format="pandas")
         .materialize()  # ≤ one row per signup that saw a click
     )
-    ids = signups.select_columns(["event_id"])
-
-    if counts.count() <= broadcast_limit:
-        # broadcast regime: event_id → click-count sorted lookup shipped
-        # once; signup ids stream through one vectorized zero-fill map
-        cc = _pandas_cols(
-            counts, ["event_id", "n_clicks"],
-            {"event_id": "int64", "n_clicks": "int64"},
-        )
-        keys = cc["event_id"].to_numpy(np.int64)
-        vals = cc["n_clicks"].to_numpy(np.int64)
-        order = np.argsort(keys, kind="stable")
-        lut_ref = ray.put((keys[order], vals[order]))
-
-        def bfill(t: pa.Table) -> pa.Table:
-            k_arr, v_arr = ray.get(lut_ref)
-            v = t["event_id"].to_numpy(zero_copy_only=False)
-            if len(k_arr) == 0:  # zero clicks anywhere → all-zero fill
-                n = np.zeros(len(v), np.int64)
-            else:
-                i, hit = sorted_lookup(k_arr, v)
-                n = np.where(hit, v_arr[i], 0)
-            return pa.table(
-                {"event_id": t["event_id"], "n_clicks": pa.array(n, pa.int64())}
-            )
-
-        return ids.map_batches(bfill, batch_format="pyarrow")
-
-    # distributed regime: bucketed LEFT join (ids ⟕ counts) + streamed
-    # zero-fill; schema hints keep ds.schema() from executing the
-    # coarse-bucket shuffle twice
-    out = bucketed_hash_join(
-        ids,
-        counts,
-        on="event_id",
-        join_type="left",
-        left_schema=pa.schema([("event_id", pa.int64())]),
-        right_schema=pa.schema(
+    if counts.schema() is None:  # no clicks at all: an empty, typed count side
+        counts = pa.schema(
             [("event_id", pa.int64()), ("n_clicks", pa.int64())]
-        ),
-    )
+        ).empty_table()
+    out = join_keyed(signups.select_columns(["event_id"]), counts,
+                     on="event_id", how="left")
 
     def zfill(t: pa.Table) -> pa.Table:
         n = pc.fill_null(t["n_clicks"], 0).cast(pa.int64())

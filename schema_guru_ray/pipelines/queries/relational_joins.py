@@ -1,4 +1,5 @@
-"""TPC-H-shaped join/semi-join (two-regime broadcast/bucketed) queries — part of the catalog backing __ray_entry__.queries().
+"""TPC-H-shaped join/semi-join queries (each keyed join is one
+:func:`stages.joins.join_keyed`) — part of the catalog backing __ray_entry__.queries().
 
 Split from the former single-file ``pipelines/queries.py`` (round 4); see
 the package ``__init__`` for the full QUERIES/ORACLES catalog contract.
@@ -15,11 +16,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import sorted_lookup
+from schema_guru_ray.stages.joins import join_keyed
 from schema_guru_ray.pipelines.queries._common import (
-    _int_units,
     _meta_rows,
-    _pandas_cols,
     _pq_schema,
     _read,
     _scalar_or,
@@ -30,32 +29,21 @@ from schema_guru_ray.pipelines.queries._common import (
 def customers_without_orders(sf_dir: str):
     """Left anti join under oracle: customers with NO high-value order
     (o_totalprice > 450000, ~35% of customers in this corpus), counted per
-    market segment. Drives :func:`stages.joins.bucketed_anti_join` — one
-    hash-bucket shuffle of both sides, vectorized in-bucket ``isin`` —
-    with the key side pre-filtered AT THE READ (predicate pushed into the
-    batch filter so only qualifying o_custkeys enter the shuffle), then
-    the usual tiny groupby-count."""
+    market segment. One :func:`stages.joins.join_keyed` anti join against
+    the qualifying o_custkeys — the predicate is applied in the read's
+    batch map and the keys deduplicated per batch, so only distinct
+    qualifying keys form the small side — then the usual tiny
+    groupby-count."""
     from ray.data.aggregate import Sum
-    from schema_guru_ray.stages.joins import bucketed_anti_join, derive_num_buckets
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    # per-batch unique BEFORE the shuffle: only distinct qualifying keys
-    # move; and bucket sizing from parquet footer counts (an upper bound)
-    # instead of the default count() probe, which would execute the whole
-    # filter pipeline once extra just to size buckets (cold run 12.8 → 6.4 s
-    # at sf0.1/32cpus, warm 4.4 → 4.2 s, results identical).
     okeys = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         lambda t: pa.table({"o_custkey": pc.unique(
             t.filter(pc.greater(t["o_totalprice"], 450000.0))["o_custkey"]
             .combine_chunks())}),
         batch_format="pyarrow",
     )
-    inactive = bucketed_anti_join(
-        cust, okeys, on="c_custkey", key_column="o_custkey",
-        num_buckets=derive_num_buckets(
-            _meta_rows(sf_dir, "customer") + _meta_rows(sf_dir, "orders")
-        ),
-    )
+    inactive = join_keyed(cust, okeys, on=("c_custkey", "o_custkey"), how="anti")
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["c_mktsegment"]).aggregate(
@@ -78,107 +66,19 @@ GROUP BY c_mktsegment
 """
 
 
-def referential_orphans(sf_dir: str, exact_broadcast_limit: int = 50_000_000):
-    """Anti-join (SURVEY.md §2.4 J3 referential checks), two regimes:
+def referential_orphans(sf_dir: str):
+    """Anti-join (SURVEY.md §2.4 J3 referential checks): orders whose
+    o_custkey has no customer row, as one :func:`stages.joins.join_keyed`
+    anti join. The customer key column is the small side, read with plain
+    pyarrow on the driver (a Ray read of a dimension costs ~2 s of task
+    overhead); its measured size picks the broadcast lookup or the
+    Bloom-split exact shuffle."""
+    import pyarrow.parquet as pq
 
-    * key side fits a broadcast → exact: ship the key array once via
-      ``ray.put``, vectorized ``pc.is_in`` per batch (no shuffle, no
-      per-row Python loop);
-    * key side too big → EXACT and fully distributed: per-batch
-      ``value_counts`` pre-reduce orders rows to (key, cnt) partials; keys
-      the Bloom reports ABSENT from customer are DEFINITE orphans (the
-      filter has no false negatives: present keys always probe true), so
-      their row counts sum immediately; keys the Bloom reports present —
-      the only side a false positive can hide in — are resolved exactly by
-      a bucketed hash ANTI-join of the distinct maybe-keys against the
-      customer key column. Nothing is ever broadcast or collected whole:
-      the shuffle moves distinct keys, not rows. (Round-2 ADVICE: the old
-      branch inverted this — it treated the definitely-absent side as the
-      maybe side, so Bloom false-positive orphans were silently dropped
-      and the survivor probe was vacuous.)"""
-    import ray
-
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    n_keys = cust.count()
-
-    if n_keys > exact_broadcast_limit:
-        from schema_guru_ray.sketches.bloom import build_bloom
-        from schema_guru_ray.stages.joins import derive_num_buckets
-        from schema_guru_ray.stages.profile import stable_hash64
-
-        bloom_ref = ray.put(build_bloom(cust, "c_custkey").to_bytes())
-
-        def key_counts(t: pa.Table) -> pd.DataFrame:
-            from schema_guru_ray.sketches.bloom import BloomFilter
-
-            vc = pc.value_counts(t["o_custkey"])
-            keys = vc.field("values").to_pandas()
-            cnts = vc.field("counts").to_numpy()
-            bf = BloomFilter.from_bytes(ray.get(bloom_ref))
-            maybe = bf.contains_many(keys)
-            return pd.DataFrame(
-                {"key": keys, "cnt": cnts.astype(np.int64), "maybe": maybe}
-            )
-
-        partials = orders.map_batches(
-            key_counts, batch_format="pyarrow", batch_size=131072
-        ).materialize()  # tiny: distinct keys per batch, reused twice below
-
-        # contains == False ⇒ definitely not a customer ⇒ orphan rows
-        n_definite = int(
-            partials.map_batches(
-                lambda b: pd.DataFrame({"s": [int(b.loc[~b["maybe"], "cnt"].sum())]}),
-                batch_format="pandas",
-            ).to_pandas()["s"].sum()
-        )
-
-        # contains == True side: exact distributed anti-join on distinct keys
-        maybe_keys = partials.map_batches(
-            lambda b: b.loc[b["maybe"], ["key", "cnt"]], batch_format="pandas"
-        )
-        nb = derive_num_buckets(orders.count() + n_keys)
-
-        def tag(side: str):
-            def fn(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.assign(
-                    __side=side,
-                    __bucket=(stable_hash64(b["key"]) % np.uint64(nb)).astype(np.int32),
-                )
-                return b
-            return fn
-
-        m_tagged = maybe_keys.map_batches(tag("m"), batch_format="pandas")
-        c_tagged = cust.map_batches(
-            lambda b: pd.DataFrame({"key": b["c_custkey"], "cnt": np.int64(0)}),
-            batch_format="pandas",
-        ).map_batches(tag("c"), batch_format="pandas")
-
-        def anti_count(g: pd.DataFrame) -> pd.DataFrame:
-            m = g[g["__side"] == "m"]
-            present = g.loc[g["__side"] == "c", "key"]
-            n = int(m.loc[~m["key"].isin(present), "cnt"].sum())
-            return pd.DataFrame({"n": [n]})
-
-        fp_orphans = (
-            m_tagged.union(c_tagged)
-            .groupby("__bucket")
-            .map_groups(anti_count, batch_format="pandas")
-        )
-        n_fp = int(fp_orphans.to_pandas()["n"].sum())  # ≤ nb scalar rows
-        return pd.DataFrame({"n_orphans": [n_definite + n_fp]})
-
-    keys_ref = ray.put(
-        pa.Table.from_pandas(
-            _pandas_cols(cust, ["c_custkey"], {"c_custkey": "int64"})
-        )["c_custkey"].combine_chunks()
-    )
-
-    def anti(t: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        return t.filter(pc.invert(pc.is_in(t["o_custkey"], value_set=ks)))
-
-    n = orders.map_batches(anti, batch_format="pyarrow").count()
+    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
+                         columns=["c_custkey"])
+    orders = _read(sf_dir, "orders", ["o_custkey"])
+    n = join_keyed(orders, cust, on=("o_custkey", "c_custkey"), how="anti").count()
     return pd.DataFrame({"n_orphans": [n]})
 
 
@@ -188,122 +88,25 @@ FROM orders o WHERE NOT EXISTS (SELECT 1 FROM customer c WHERE c.c_custkey = o.o
 """
 
 
-def _revenue_by_region_broadcast(sf_dir: str, nk_to_region: dict):
-    """Broadcast regime of :func:`revenue_by_region`: build the
-    orderkey → region-code lookup once on the driver from SLIM projections
-    (two int64/int8 arrays, sorted for ``searchsorted``), ship it via
-    ``ray.put``, and stream lineitem through one map + partial aggregate.
-    Orphan order keys (custkey not in customer — the referential_orphans
-    case) miss the lookup and are dropped, matching the oracle's inner
-    join.
-
-    The broadcast-side tables are read with PLAIN pyarrow on the driver —
-    by the regime's own precondition they fit in driver memory, and a Ray
-    read of a 15k-row dimension costs ~2 s of task/consolidation overhead
-    vs ~20 ms for ``pq.read_table`` (measured sf0.1)."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-    import ray
-
-    from ray.data.aggregate import Sum
-
-    region_names = sorted(set(nk_to_region.values()))
-    code_of = {r: i for i, r in enumerate(region_names)}
-
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"],
-    )
-    ckeys = cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nk = cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq, inv = np.unique(nk, return_inverse=True)
-    # .get → -1: a custkey whose nationkey has no nation row (dangling FK)
-    # simply never matches, same as the oracle's inner join dropping it
-    ccodes = np.array(
-        [code_of.get(nk_to_region.get(int(k)), -1) for k in uniq], dtype=np.int8
-    )[inv]
-    known = ccodes >= 0
-    ckeys, ccodes = ckeys[known], ccodes[known]
-    order_c = np.argsort(ckeys, kind="stable")
-    ckeys, ccodes = ckeys[order_c], ccodes[order_c]
-
-    orders = pq.read_table(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey"],
-        filters=(
-            (pads.field("o_orderdate") >= pa.scalar(pd.Timestamp("1996-01-01")))
-            & (pads.field("o_orderdate") < pa.scalar(pd.Timestamp("1997-01-01")))
-        ),
-    )
-    okeys = orders["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ocust = orders["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    idx, hit = sorted_lookup(ckeys, ocust)
-    okeys, ocodes = okeys[hit], ccodes[idx[hit]]
-    order_o = np.argsort(okeys, kind="stable")
-    lut_ref = ray.put((okeys[order_o], ocodes[order_o]))
-    n_regions = len(region_names)
-
-    def partial(t: pa.Table) -> pa.Table:
-        keys, codes = ray.get(lut_ref)
-        k = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        i, hit = sorted_lookup(keys, k)
-        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit]
-        disc = t["l_discount"].to_numpy(zero_copy_only=False)[hit]
-        rev = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-        code = codes[i[hit]]
-        sums = np.zeros(n_regions, np.int64)
-        np.add.at(sums, code, rev)
-        counts = np.bincount(code, minlength=n_regions)
-        nz = counts > 0
-        return pa.table(
-            {
-                "r_name": pa.array(
-                    [region_names[j] for j in np.flatnonzero(nz)], pa.string()
-                ),
-                "revenue_cents": pa.array(sums[nz], pa.int64()),
-                "n": pa.array(counts[nz].astype(np.int64), pa.int64()),
-            }
-        )
-
-    li = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-    )
-    return li.map_batches(partial, batch_format="pyarrow").groupby(
-        "r_name"
-    ).aggregate(
-        Sum("revenue_cents", alias_name="revenue_cents"),
-        Sum("n", alias_name="n"),
-    )
-
-
-def revenue_by_region(sf_dir: str, broadcast_limit: int = 5_000_000):
+def revenue_by_region(sf_dir: str):
     """TPC-H Q5-style multi-way join chain: region ⨝ nation ⨝ customer ⨝
     orders ⨝ lineitem → revenue per region for one order year.
 
-    TWO REGIMES (the referential_orphans pattern), chosen from parquet
-    footer row counts:
-
-    * **Broadcast** (orders AND customer ≤ ``broadcast_limit`` rows): the
-      orderkey → region-code map is built once from slim driver-side
-      projections (int64 keys + int8 codes, sorted-array ``searchsorted``
-      lookup) and shipped via ``ray.put``; lineitem streams through ONE
-      pure map + partial aggregate — zero shuffles of fact data. Measured
-      8.8 s → ~1 s at sf0.1 over the bucketed path.
-    * **Bucketed** (either side too big to broadcast): the two TINY
-      dimensions (region×nation) broadcast and annotate customer in a pure
-      map; the two genuinely big-big joins (orders ⨝ customer on custkey,
-      lineitem ⨝ orders on orderkey) run as bucketed hash joins over SLIM
-      projections — the fact columns never ride through a shuffle they
-      don't need.
-
-    In both regimes the date filter is pushed into the parquet read
+    The two tiny dimensions (region×nation) fold into a customer → region
+    name table on the driver (plain pyarrow reads: a Ray read of a small
+    dimension is ~2 s of task overhead). Two :func:`stages.joins.join_keyed`
+    inner joins follow — orders against that table, then lineitem against
+    the (o_orderkey, r_name) result — so at this corpus size lineitem
+    streams through one lookup map and a partial aggregate with no
+    shuffle of fact data. The date filter is pushed into the orders read
     (row-group pruning) and the final aggregate is partial-per-batch
     (integer cents) before a ≤|regions|-row groupby."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
+    import ray.data as rd
 
-    # ≤ a-few-hundred-row dimensions: plain pyarrow driver reads (a Ray
-    # read of a tiny table is ~2 s of pure overhead)
+    from ray.data.aggregate import Sum
+
     nation = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"),
         columns=["n_nationkey", "n_regionkey"],
@@ -320,31 +123,17 @@ def revenue_by_region(sf_dir: str, broadcast_limit: int = 5_000_000):
             ).to_numpy(),
         )
     )
-    if (
-        _meta_rows(sf_dir, "orders") <= broadcast_limit
-        and _meta_rows(sf_dir, "customer") <= broadcast_limit
-    ):
-        return _revenue_by_region_broadcast(sf_dir, nk_to_region)
-    nk_ref = ray.put(nk_to_region)
-
-    def tag_customer(t: pa.Table) -> pa.Table:
-        m = ray.get(nk_ref)
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(nk, return_inverse=True)
-        names = np.array([m[int(k)] for k in uniq], dtype=object)[inv]
-        return pa.table(
-            {
-                "o_custkey": t["c_custkey"],  # join-key name shared with orders
-                "r_name": pa.array(names, type=pa.string()),
-            }
-        )
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        tag_customer, batch_format="pyarrow"
+    cust = pq.read_table(
+        os.path.join(sf_dir, "customer.parquet"),
+        columns=["c_custkey", "c_nationkey"],
     )
-
-    import pyarrow.dataset as pads
-    import ray.data as rd
+    # a nationkey with no nation (or region) row maps to NULL and drops,
+    # as in the oracle's inner join chain
+    r_name = pa.array(cust["c_nationkey"].to_pandas().map(nk_to_region),
+                      pa.string(), from_pandas=True)
+    cust_region = pa.table(
+        {"c_custkey": cust["c_custkey"], "r_name": r_name}
+    ).filter(pc.is_valid(r_name))
 
     orders = rd.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -354,37 +143,13 @@ def revenue_by_region(sf_dir: str, broadcast_limit: int = 5_000_000):
             & (pads.field("o_orderdate") < pa.scalar(pd.Timestamp("1997-01-01")))
         ),
     ).select_columns(["o_orderkey", "o_custkey"])
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
-
-    # bucket counts from parquet FOOTER row counts — a .count() on these
-    # derived sides would execute the filter/tag plans once extra
-    nb1 = derive_num_buckets(_meta_rows(sf_dir, "orders") + _meta_rows(sf_dir, "customer"))
-    nb2 = derive_num_buckets(_meta_rows(sf_dir, "lineitem") + _meta_rows(sf_dir, "orders"))
-
-    # orders ⨝ customer on o_custkey → (o_orderkey, r_name); rename the
-    # order key to the lineitem join-key name before the second join
-    orders_region = bucketed_hash_join(
-        orders, cust, on="o_custkey", num_buckets=nb1
+    orders_region = join_keyed(
+        orders, cust_region, on=("o_custkey", "c_custkey")
     ).select_columns(["o_orderkey", "r_name"])
-
-    def _rekey(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["l_orderkey", "r_name"])
-
-    orders_region = orders_region.map_batches(_rekey, batch_format="pyarrow")
-
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
-    # schema HINT for the derived right side: its plan contains the first
-    # join's all-to-all, so ds.schema() would execute that whole shuffle
-    # once just for type inference
-    joined = bucketed_hash_join(
-        li, orders_region, on="l_orderkey", num_buckets=nb2,
-        right_schema=pa.schema(
-            [("l_orderkey", pa.int64()), ("r_name", pa.string())]
-        ),
-    )
+    joined = join_keyed(li, orders_region, on=("l_orderkey", "o_orderkey"))
 
     def partial(t: pa.Table) -> pa.Table:
         rev = pc.cast(
@@ -413,8 +178,6 @@ def revenue_by_region(sf_dir: str, broadcast_limit: int = 5_000_000):
         return g.rename_columns(["r_name", "revenue_cents", "n"])
 
     partials = joined.map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-
     return partials.groupby("r_name").aggregate(
         Sum("revenue_cents", alias_name="revenue_cents"),
         Sum("n", alias_name="n"),
@@ -524,41 +287,27 @@ FROM c FULL OUTER JOIN s USING (nationkey)
 """
 
 
-def order_priority_exists(sf_dir: str, broadcast_limit: int = 5_000_000):
+def order_priority_exists(sf_dir: str):
     """TPC-H Q4 shape: count orders per priority where EXISTS a returned
-    lineitem (l_returnflag = 'R'). TWO REGIMES from the orders footer row
-    count (the distinct qualifying key set is bounded by |orders|):
-
-    * **Broadcast semi-filter** (orders ≤ ``broadcast_limit``): per-batch
-      ``pc.unique`` partials collect to a sorted driver key array shipped
-      via ``ray.put``; orders stream through one vectorized
-      ``searchsorted`` membership filter + partial count — no shuffle of
-      either table.
-    * **Distributed semi-join** (orders too big): distinct keys via a Count
-      groupby (each key crosses the exchange once no matter how many
-      lineitems match) → bucketed hash join with a schema hint (the key
-      side's plan ends in an all-to-all; ``ds.schema()`` would run it
-      once extra).
-
-    Both push the returnflag filter into the parquet read and count
+    lineitem (l_returnflag = 'R'). The returnflag filter is pushed into
+    the parquet read; per-batch ``pc.unique`` keys form the small side of
+    one :func:`stages.joins.join_keyed` semi join (repeated keys across
+    batches are fine for a semi join), and the surviving orders count
     partial-per-batch."""
     import pyarrow.dataset as pads
-    import ray
     import ray.data as rd
 
-    from ray.data.aggregate import Count, Sum
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
+    from ray.data.aggregate import Sum
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey"],
         filter=(pads.field("l_returnflag") == "R"),
     )
-
-    def uniq(t: pa.Table) -> pa.Table:
-        return pa.table({"o_orderkey": pc.unique(t["l_orderkey"])})
-
+    keys = li.map_batches(
+        lambda t: pa.table({"l_orderkey": pc.unique(t["l_orderkey"])}),
+        batch_format="pyarrow",
+    )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -569,42 +318,9 @@ def order_priority_exists(sf_dir: str, broadcast_limit: int = 5_000_000):
         )
         return g.rename_columns(["o_orderpriority", "n_orders"])
 
-    if _meta_rows(sf_dir, "orders") <= broadcast_limit:
-        parts = _pandas_cols(
-            li.map_batches(uniq, batch_format="pyarrow"),
-            ["o_orderkey"], {"o_orderkey": "int64"},
-        )
-        keys = np.unique(parts["o_orderkey"].to_numpy(np.int64))
-        ref = ray.put(keys)
-
-        def semi(t: pa.Table) -> pa.Table:
-            k = ray.get(ref)
-            v = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            i, hit = sorted_lookup(k, v)
-            return partial(t.filter(pa.array(hit)))
-
-        return (
-            orders.map_batches(semi, batch_format="pyarrow")
-            .groupby("o_orderpriority")
-            .aggregate(Sum("n_orders", alias_name="n_orders"))
-        )
-
-    # one row per distinct qualifying order key (semi-join key set)
-    keys = (
-        li.map_batches(uniq, batch_format="pyarrow")
-        .groupby("o_orderkey")
-        .aggregate(Count(alias_name="__c"))
-        .select_columns(["o_orderkey"])
-    )
-
-    nb = derive_num_buckets(2 * _meta_rows(sf_dir, "orders"))
-    joined = bucketed_hash_join(
-        orders, keys, on="o_orderkey", num_buckets=nb,
-        right_schema=pa.schema([("o_orderkey", pa.int64())]),
-    )
-
     return (
-        joined.map_batches(partial, batch_format="pyarrow")
+        join_keyed(orders, keys, on=("o_orderkey", "l_orderkey"), how="semi")
+        .map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .aggregate(Sum("n_orders", alias_name="n_orders"))
     )
@@ -619,18 +335,15 @@ GROUP BY o_orderpriority
 """
 
 
-def customer_order_distribution(sf_dir: str, broadcast_limit: int = 5_000_000):
+def customer_order_distribution(sf_dir: str):
     """TPC-H Q13 shape: the distribution-of-a-distribution — how many
     customers placed exactly k orders, INCLUDING k = 0. Orders pre-aggregate
     to one (custkey, count) row per customer (the exchange moves one row per
-    customer, never per order); the zero-fill join then has TWO REGIMES on
-    the materialized count-side size: ≤ ``broadcast_limit`` ordering
-    customers → sorted-array lookup broadcast into a customer map; larger →
-    bucketed LEFT join. The outer distribution is another partial-per-batch
-    count whose final groupby has ≤ max-orders-per-customer rows."""
+    customer, never per order); a :func:`stages.joins.join_keyed` LEFT join
+    of the customers against that count side zero-fills the customers with
+    no orders. The outer distribution is another partial-per-batch count
+    whose final groupby has ≤ max-orders-per-customer rows."""
     from ray.data.aggregate import Sum
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
@@ -660,57 +373,22 @@ def customer_order_distribution(sf_dir: str, broadcast_limit: int = 5_000_000):
         .map_batches(tagk, batch_format="pyarrow")
         .groupby("__b")
         .map_groups(sum_bucket, batch_format="pandas")
-        .materialize()  # one row per ordering customer; counting is free
+        .materialize()
     )
+    if counts.schema() is None:  # no orders at all: an empty, typed count side
+        counts = pa.schema(
+            [("c_custkey", pa.int64()), ("c_count", pa.int64())]
+        ).empty_table()
 
-    if counts.count() <= broadcast_limit:
-        # broadcast regime: custkey → order-count sorted lookup; customers
-        # stream through one vectorized map (zero-fill on miss) — the only
-        # shuffle left is the ≤ max-orders-per-customer-row distribution
-        import ray
-
-        cc = _pandas_cols(
-            counts, ["c_custkey", "c_count"],
-            {"c_custkey": "int64", "c_count": "int64"},
-        )
-        keys = cc["c_custkey"].to_numpy(np.int64)
-        vals = cc["c_count"].to_numpy(np.int64)
-        order = np.argsort(keys, kind="stable")
-        lut_ref = ray.put((keys[order], vals[order]))
-
-        def bdist(t: pa.Table) -> pd.DataFrame:
-            k_arr, v_arr = ray.get(lut_ref)
-            v = t["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(k_arr) == 0:  # zero orders anywhere → all customers 0
-                k = np.zeros(len(v), np.int64)
-            else:
-                i, hit = sorted_lookup(k_arr, v)
-                # np.where evaluates BOTH branches: v_arr[i] must stay
-                # in-bounds even on all-miss batches
-                k = np.where(hit, v_arr[i], 0)
-            u, n = np.unique(k, return_counts=True)
-            return pd.DataFrame(
-                {"c_count": u.astype("int64"), "n_cust": n.astype("int64")}
-            )
-
-        return (
-            cust.map_batches(bdist, batch_format="pyarrow")
-            .groupby("c_count")
-            .aggregate(Sum("n_cust", alias_name="n_cust"))
-        )
-
-    nb = derive_num_buckets(_meta_rows(sf_dir, "customer") + counts.count())
-    joined = bucketed_hash_join(cust, counts, on="c_custkey",
-                                join_type="left", num_buckets=nb)
-
-    def dist_partial(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["c_count"].fillna(0).astype("int64")
-        out = k.value_counts().reset_index()
-        out.columns = ["c_count", "n_cust"]
-        return out.astype({"c_count": "int64", "n_cust": "int64"})
+    def dist_partial(t: pa.Table) -> pa.Table:
+        k = pc.fill_null(t["c_count"], 0).cast(pa.int64())
+        vc = pc.value_counts(k)
+        return pa.table({"c_count": vc.field("values"),
+                         "n_cust": vc.field("counts").cast(pa.int64())})
 
     return (
-        joined.map_batches(dist_partial, batch_format="pandas")
+        join_keyed(cust, counts, on="c_custkey", how="left")
+        .map_batches(dist_partial, batch_format="pyarrow")
         .groupby("c_count")
         .aggregate(Sum("n_cust", alias_name="n_cust"))
     )
@@ -727,119 +405,59 @@ FROM per_cust GROUP BY c_count
 """
 
 
-def promo_revenue(sf_dir: str, broadcast_limit: int = 20_000_000):
+def promo_revenue(sf_dir: str):
     """TPC-H Q14 shape: conditional aggregation across a join — the share of
-    revenue from PROMO parts, as one global row. TWO REGIMES on the part
-    footer row count:
-
-    * **Broadcast** (part ≤ ``broadcast_limit``): the part side reduces to
-      a sorted int64 key array + bool flag array (9 bytes/part — 20M parts
-      ≈ 180 MB, one ``ray.put``); lineitem streams through one vectorized
-      ``searchsorted`` lookup + 2-int partial — zero shuffles.
-    * **Bucketed** (part too big): a SLIM (partkey, is_promo:bool)
-      projection through the bucketed join.
+    revenue from PROMO parts, as one global row. The part side reduces to a
+    slim (p_partkey, is_promo) table read on the driver (9 bytes per part)
+    and lineitem joins it through one :func:`stages.joins.join_keyed` inner
+    join.
 
     Revenue is integer cents with the CASE folded into the per-batch
     partial, so the final exchange is one 2-int row per batch; the ratio is
     integer basis points (floor division) for bit-exact oracle
     comparison."""
-    import ray
+    import pyarrow.parquet as pq
 
     from ray.data.aggregate import Sum
 
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
-
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-
-    if _meta_rows(sf_dir, "part") <= broadcast_limit:
-        import pyarrow.parquet as pq
-
-        part_t = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_type"]
-        )
-        pkeys = part_t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # NULL p_type: LIKE 'PROMO%' is NULL in SQL, falsy in the CASE —
-        # fill false so the flag array stays real bool, not object
-        promo = pc.fill_null(
-            pc.starts_with(part_t["p_type"], "PROMO"), False
-        ).to_numpy(zero_copy_only=False)
-        order = np.argsort(pkeys, kind="stable")
-        lut_ref = ray.put((pkeys[order], promo[order]))
-
-        def bpartial(t: pa.Table) -> pa.Table:
-            keys, flags = ray.get(lut_ref)
-            # SQL: a NULL price/discount product is NULL and sum skips it
-            t = t.filter(pc.and_(pc.is_valid(t["l_extendedprice"]),
-                                 pc.is_valid(t["l_discount"])))
-            k = t["l_partkey"].to_numpy(zero_copy_only=False)
-            i, hit = sorted_lookup(keys, k)
-            price = t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit]
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)[hit]
-            cents = np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-            is_p = flags[i[hit]]
-            return pa.table(
-                {
-                    "promo_cents": pa.array([int(cents[is_p].sum())], pa.int64()),
-                    "total_cents": pa.array([int(cents.sum())], pa.int64()),
-                }
-            )
-
-        sums = li.map_batches(bpartial, batch_format="pyarrow").aggregate(
-            Sum("promo_cents", alias_name="promo_cents"),
-            Sum("total_cents", alias_name="total_cents"),
-        )
-        promo_c = int(_scalar_or(sums and sums["promo_cents"], 0))
-        total_c = int(_scalar_or(sums and sums["total_cents"], 0))
-        return pd.DataFrame(
-            {
-                "promo_cents": [promo_c],
-                "total_cents": [total_c],
-                # 0 lineitems → 0 bp (the oracle CTE emits NULL; neither
-                # side is ever compared on an empty shard, 0 keeps typing)
-                "promo_bp": [promo_c * 10000 // total_c if total_c else 0],
-            }
-        )
-
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"])
-
-    def slim_part(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_partkey": t["p_partkey"],
-                "is_promo": pc.starts_with(t["p_type"], "PROMO"),
-            }
-        )
-
-    nb = derive_num_buckets(
-        _meta_rows(sf_dir, "lineitem") + _meta_rows(sf_dir, "part")
+    part_t = pq.read_table(
+        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_type"]
     )
-    joined = bucketed_hash_join(
-        li, part.map_batches(slim_part, batch_format="pyarrow"),
-        on="l_partkey", num_buckets=nb,
-    )
+    # NULL p_type: LIKE 'PROMO%' is NULL in SQL, falsy in the CASE
+    part = pa.table({
+        "p_partkey": part_t["p_partkey"],
+        "is_promo": pc.fill_null(pc.starts_with(part_t["p_type"], "PROMO"), False),
+    })
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = _int_units(
-            (b["l_extendedprice"] * (1.0 - b["l_discount"])).to_numpy(), 100
-        ).astype("int64")
-        promo = cents.where(b["is_promo"].astype(bool).to_numpy(), 0)
-        return pd.DataFrame(
-            {"promo_cents": [int(promo.sum())], "total_cents": [int(cents.sum())]}
-        )
+    def partial(t: pa.Table) -> pa.Table:
+        # SQL: a NULL price/discount product is NULL and sum skips it
+        cents = pc.cast(pc.floor(pc.add(pc.multiply(pc.multiply(
+            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])),
+            100.0), 0.5)), pa.int64())
+        promo = pc.if_else(t["is_promo"], cents, pa.scalar(0, pa.int64()))
+        return pa.table({
+            "promo_cents": pa.array([pc.sum(promo).as_py() or 0], pa.int64()),
+            "total_cents": pa.array([pc.sum(cents).as_py() or 0], pa.int64()),
+        })
 
     sums = (
-        joined.map_batches(partial, batch_format="pandas")
+        join_keyed(li, part, on=("l_partkey", "p_partkey"))
+        .map_batches(partial, batch_format="pyarrow")
         .aggregate(
             Sum("promo_cents", alias_name="promo_cents"),
             Sum("total_cents", alias_name="total_cents"),
         )
     )
-    promo_c, total_c = int(sums["promo_cents"]), int(sums["total_cents"])
+    promo_c = int(_scalar_or(sums and sums["promo_cents"], 0))
+    total_c = int(_scalar_or(sums and sums["total_cents"], 0))
     return pd.DataFrame(
         {
             "promo_cents": [promo_c],
             "total_cents": [total_c],
-            "promo_bp": [promo_c * 10000 // total_c],
+            # 0 lineitems → 0 bp (the oracle CTE emits NULL; neither
+            # side is ever compared on an empty shard, 0 keeps typing)
+            "promo_bp": [promo_c * 10000 // total_c if total_c else 0],
         }
     )
 
@@ -860,23 +478,13 @@ FROM s
 """
 
 
-def large_orders_having(sf_dir: str, min_qty: int = 200,
-                        broadcast_limit: int = 5_000_000):
+def large_orders_having(sf_dir: str, min_qty: int = 200):
     """TPC-H Q18 shape: GROUP BY + HAVING over the fact table, joined back
     to the dimension for context. The quantity sum is partial-per-batch
     (integer units) so the groupby exchanges one row per (batch × order),
-    and the HAVING filter runs BEFORE the join back. The join back itself
-    has TWO REGIMES on the (materialized, so counting is free) survivor
-    set: ≤ ``broadcast_limit`` survivors → sorted-array lookup broadcast
-    into an orders map (HAVING survivors are a tiny fraction by
-    construction — this is the expected path at any scale); larger →
-    bucketed hash join."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
-
+    and the HAVING filter runs BEFORE the join back, which is one
+    :func:`stages.joins.join_keyed` inner join of orders against the
+    survivor set (a tiny fraction of orders by construction)."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -903,44 +511,14 @@ def large_orders_having(sf_dir: str, min_qty: int = 200,
         s = s[s["sum_qty"] > int(min_qty)]
         return s.astype({"o_orderkey": "int64", "sum_qty": "int64"})
 
-    big = (
+    survivors = (
         li.map_batches(partial, batch_format="pyarrow")
         .map_batches(tag, batch_format="pyarrow")
         .groupby("__b")
         .map_groups(reduce_bucket, batch_format="pandas")
-        .materialize()  # tiny survivor set; avoids re-running the aggregate
     )
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-
-    if big.count() <= broadcast_limit:
-        surv = _pandas_cols(
-            big, ["o_orderkey", "sum_qty"],
-            {"o_orderkey": "int64", "sum_qty": "int64"},
-        )
-        keys = surv["o_orderkey"].to_numpy(np.int64)
-        qtys = surv["sum_qty"].to_numpy(np.int64)
-        order = np.argsort(keys, kind="stable")
-        lut_ref = ray.put((keys[order], qtys[order]))
-
-        def attach(t: pa.Table) -> pa.Table:
-            k_arr, q_arr = ray.get(lut_ref)
-            v = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            i, hit = sorted_lookup(k_arr, v)
-            t = t.filter(pa.array(hit))
-            return t.append_column(
-                "sum_qty", pa.array(q_arr[i[hit]], pa.int64())
-            )
-
-        return orders.map_batches(attach, batch_format="pyarrow")
-
-    nb = derive_num_buckets(2 * _meta_rows(sf_dir, "orders"))
-    return bucketed_hash_join(
-        orders, big, on="o_orderkey", num_buckets=nb,
-        right_schema=pa.schema(
-            [("o_orderkey", pa.int64()), ("sum_qty", pa.int64())]
-        ),
-    )
+    return join_keyed(orders, survivors, on="o_orderkey")
 
 
 LARGE_ORDERS_HAVING_SQL = """
@@ -954,140 +532,82 @@ JOIN (SELECT l_orderkey,
 """
 
 
-def brand_supplier_distinct(sf_dir: str, broadcast_limit: int = 20_000_000):
+def brand_supplier_distinct(sf_dir: str):
     """TPC-H Q16 shape: COUNT(DISTINCT supplier) per part brand across a
-    join. TWO REGIMES on the part footer row count:
+    join. The part side reduces to a (p_partkey, brand code) table read on
+    the driver (sorted int64 keys + int16 codes); lineitem joins it through
+    one :func:`stages.joins.join_keyed` inner join, then distinct (brand,
+    suppkey) pairs are taken per batch — the only shuffle is the distinct
+    groupby over per-batch-deduped pairs (≤ |brands| × |suppliers| rows).
+    The per-brand count is partial-per-batch over the distinct pair set —
+    the sets themselves never assemble on one node."""
+    import pyarrow.parquet as pq
 
-    * **Broadcast** (part ≤ ``broadcast_limit``): partkey → brand-code
-      lookup (sorted int64 keys + int16 codes) ships once via ``ray.put``;
-      lineitem streams through annotate + per-batch distinct — the only
-      shuffle is the (brand, suppkey) distinct groupby over per-batch-
-      deduped pairs (≤ |brands| × |suppliers| rows).
-    * **Bucketed** (part too big): lineitem reduces to distinct (partkey,
-      suppkey) pairs PER BATCH before the join (the join moves pairs, not
-      lineitems), then the same distinct-pair groupby.
-
-    In both regimes the per-brand count is partial-per-batch over the
-    distinct pair set — the sets themselves never assemble on one node."""
-    import ray
-
-    from ray.data.aggregate import Count, Sum
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
+    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    part_t = pq.read_table(
+        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_brand"]
+    )
+    cats = pd.Categorical(part_t["p_brand"].to_pandas())
+    brand_names = list(cats.categories)
+    codes = pa.array(cats.codes.astype(np.int16))
+    # null-brand parts carry Categorical code -1 and never count
+    part = pa.table({"p_partkey": part_t["p_partkey"], "bc": codes}).filter(
+        pc.greater_equal(codes, 0))
 
-    def per_brand(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["p_brand"])
-            .group_by("p_brand")
-            .aggregate([("p_brand", "count", pc.CountOptions(mode="all"))])
-        )
-        return g.rename_columns(["p_brand", "n_supp"])
+    def pack(t: pa.Table) -> pa.Table:
+        # null supp keys never count (COUNT DISTINCT skips NULL)
+        t = t.filter(pc.is_valid(t["l_suppkey"]))
+        sup = t["l_suppkey"].to_numpy()
+        bc = t["bc"].to_numpy().astype(np.int64)
+        # per-batch distinct via ONE composite int64 (suppkey is bounded
+        # far below 2e9 in any TPC-H-shaped corpus; guarded) — and the
+        # composite itself is what shuffles: a single-int64 groupby
+        # sorts ~3x faster than a (string, int64) pair
+        if len(sup) and sup.max() >= 2_000_000_000:
+            raise ValueError("brand_supplier_distinct: l_suppkey ≥ 2e9")
+        comp = np.unique(bc * 2_000_000_000 + sup)
+        return pa.table({"comp": pa.array(comp, pa.int64())})
 
-    if _meta_rows(sf_dir, "part") <= broadcast_limit:
-        import pyarrow.parquet as pq
+    # coarse-bucket distinct: ~250k composite keys per reducer group,
+    # deduped + counted by one vectorized np.unique per group — not a
+    # 1-group-per-pair sort aggregate
+    nbk = max(8, (_meta_rows(sf_dir, "supplier") * 32) // 250_000 + 1)
 
-        part_t = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_brand"]
-        )
-        pkeys = part_t["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        brands = part_t["p_brand"].to_pandas()
-        cats = pd.Categorical(brands)
-        brand_names = list(cats.categories)
-        codes = cats.codes.astype(np.int16)
-        order = np.argsort(pkeys, kind="stable")
-        lut_ref = ray.put((pkeys[order], codes[order]))
+    def tagc(t: pa.Table) -> pa.Table:
+        b = (t["comp"].to_numpy(zero_copy_only=False) % nbk).astype(np.int32)
+        return t.append_column("__b", pa.array(b, pa.int32()))
 
-        def annotate(t: pa.Table) -> pa.Table:
-            keys, cds = ray.get(lut_ref)
-            # null part/supp keys never join; null-brand parts carry
-            # Categorical code -1 and are excluded with them
-            t = t.filter(pc.and_(pc.is_valid(t["l_partkey"]),
-                                 pc.is_valid(t["l_suppkey"])))
-            k = t["l_partkey"].to_numpy(zero_copy_only=False)
-            i, hit = sorted_lookup(keys, k)
-            sup = t["l_suppkey"].to_numpy(zero_copy_only=False)[hit]
-            bc = cds[i[hit]].astype(np.int64)
-            known = bc >= 0
-            sup, bc = sup[known], bc[known]
-            # per-batch distinct via ONE composite int64 (suppkey is bounded
-            # far below 2e9 in any TPC-H-shaped corpus; guarded) — and the
-            # composite itself is what shuffles: a single-int64 groupby
-            # sorts ~3x faster than a (string, int64) pair
-            assert len(sup) == 0 or sup.max() < 2_000_000_000
-            comp = np.unique(bc * 2_000_000_000 + sup)
-            return pa.table({"comp": pa.array(comp, pa.int64())})
-
-        # coarse-bucket distinct: ~250k composite keys per reducer group,
-        # deduped + counted by one vectorized np.unique per group — not a
-        # 1-group-per-pair sort aggregate
-        nbk = max(8, (_meta_rows(sf_dir, "supplier") * 32) // 250_000 + 1)
-
-        def tagc(t: pa.Table) -> pa.Table:
-            b = (t["comp"].to_numpy(zero_copy_only=False) % nbk).astype(np.int32)
-            return t.append_column("__b", pa.array(b, pa.int32()))
-
-        def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            u = np.unique(g["comp"].to_numpy())
-            bc, n = np.unique(u // 2_000_000_000, return_counts=True)
-            return pd.DataFrame(
-                {"bc": bc.astype("int64"), "n_supp": n.astype("int64")}
-            )
-
-        agg = (
-            li.map_batches(annotate, batch_format="pyarrow")
-            .map_batches(tagc, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(reduce_bucket, batch_format="pandas")
-            .groupby("bc")
-            .aggregate(Sum("n_supp", alias_name="n_supp"))
+    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        u = np.unique(g["comp"].to_numpy())
+        bc, n = np.unique(u // 2_000_000_000, return_counts=True)
+        return pd.DataFrame(
+            {"bc": bc.astype("int64"), "n_supp": n.astype("int64")}
         )
 
-        def to_names(t: pa.Table) -> pa.Table:
-            bc = t["bc"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "p_brand": pa.array(
-                        [brand_names[int(c)] for c in bc], pa.string()
-                    ),
-                    "n_supp": t["n_supp"],
-                }
-            )
-
-        return agg.map_batches(to_names, batch_format="pyarrow")
-
-    def uniq_pairs(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        return g
-
-    pairs = li.map_batches(uniq_pairs, batch_format="pyarrow")
-
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-
-    def rekey(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["l_partkey", "p_brand"])
-
-    nb = derive_num_buckets(
-        _meta_rows(sf_dir, "lineitem") + _meta_rows(sf_dir, "part")
-    )
-    joined = bucketed_hash_join(
-        pairs, part.map_batches(rekey, batch_format="pyarrow"),
-        on="l_partkey", num_buckets=nb,
-    )
-
-    # global distinct (brand, suppkey) — one row per pair after this groupby
-    distinct_pairs = (
-        joined.select_columns(["p_brand", "l_suppkey"])
-        .groupby(["p_brand", "l_suppkey"])
-        .aggregate(Count(alias_name="__c"))
-    )
-
-    return (
-        distinct_pairs.map_batches(per_brand, batch_format="pyarrow")
-        .groupby("p_brand")
+    agg = (
+        join_keyed(li, part, on=("l_partkey", "p_partkey"))
+        .map_batches(pack, batch_format="pyarrow")
+        .map_batches(tagc, batch_format="pyarrow")
+        .groupby("__b")
+        .map_groups(reduce_bucket, batch_format="pandas")
+        .groupby("bc")
         .aggregate(Sum("n_supp", alias_name="n_supp"))
     )
+
+    def to_names(t: pa.Table) -> pa.Table:
+        bc = t["bc"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "p_brand": pa.array(
+                    [brand_names[int(c)] for c in bc], pa.string()
+                ),
+                "n_supp": t["n_supp"],
+            }
+        )
+
+    return agg.map_batches(to_names, batch_format="pyarrow")
 
 
 BRAND_SUPPLIER_DISTINCT_SQL = """

@@ -665,18 +665,15 @@ def verify_pairs_jaccard_distributed(
     threshold: float = 0.8,
     n_buckets: int = 256,
     num_partitions: Optional[int] = None,
-    semi_broadcast_limit: int = 20_000_000,
 ):
     """EXACT n-gram Jaccard verification of candidate pairs, end-to-end
     distributed (the scale path promised by :func:`verify_pairs_jaccard`):
 
     1. explode each candidate pair to two (doc_id, id_a, id_b) rows;
-    2. PRUNE the documents side to candidate ids BEFORE any exchange —
-       broadcast sorted-id ``searchsorted`` filter when the candidate id
-       set fits (``semi_broadcast_limit``), Bloom-filter prune otherwise
-       (false positives just ship a little extra text; the inner join
-       drops them exactly). Without this prune the join would shuffle the
-       ENTIRE corpus text to co-locate it with a handful of pairs;
+    2. PRUNE the documents side to candidate ids BEFORE the join — one
+       :func:`stages.joins.join_keyed` semi join against the candidate id
+       set. Without this prune the join would shuffle the ENTIRE corpus
+       text to co-locate it with a handful of pairs;
     3. shingle-hash each surviving doc ONCE (:func:`shingle_hash_batch` —
        sorted-distinct uint64 sets) and hash-join the int lists against
        the exploded pairs — text never enters the exchange;
@@ -684,8 +681,8 @@ def verify_pairs_jaccard_distributed(
        groupby walks real pairs and intersects the two sorted hash
        arrays (integer intersection/union — no per-pair re-tokenizing).
 
-    ``pairs_ds`` is materialized here (2-int rows) so the id collection,
-    regime choice and bucket sizing never re-run the candidate plan.
+    ``pairs_ds`` is materialized here (2-int rows) so the id collection
+    and bucket sizing never re-run the candidate plan.
 
     Returns rows (id_a, id_b, n_inter, n_union) for pairs with
     jaccard >= threshold, decided by integer cross-multiplication
@@ -693,9 +690,7 @@ def verify_pairs_jaccard_distributed(
     comparisons, so the result hash-matches a SQL oracle exactly."""
     from fractions import Fraction
 
-    import ray
-
-    from schema_guru_ray.stages.joins import derive_num_buckets, hash_join
+    from schema_guru_ray.stages.joins import derive_num_buckets, hash_join, join_keyed
 
     frac = Fraction(threshold).limit_denominator(1000)
     p_num, p_den = frac.numerator, frac.denominator
@@ -732,47 +727,15 @@ def verify_pairs_jaccard_distributed(
                  for c in ("id_a", "id_b", "n_inter", "n_union")}
             )
         )
-    if n_pairs <= semi_broadcast_limit // 2:
-        ids_df = pairs_ds.map_batches(
-            lambda b: pd.DataFrame(
-                {"i": pd.concat([b["id_a"], b["id_b"]]).unique()}
-            ),
-            batch_format="pandas",
-        ).to_pandas()
-        cand_ids = np.unique(ids_df["i"].to_numpy(np.int64))
-        ref = ray.put(cand_ids)
-
-        def prune(t: pa.Table) -> pa.Table:
-            from schema_guru_ray.stages.joins import sorted_lookup
-
-            k = ray.get(ref)
-            v = t[id_column].to_numpy(zero_copy_only=False)
-            _, hit = sorted_lookup(k, v)
-            return t.filter(pa.array(hit))
-
-        docs_clean = docs_clean.map_batches(prune, batch_format="pyarrow")
-        if num_partitions is None:
-            num_partitions = derive_num_buckets(2 * n_pairs + len(cand_ids))
-    else:
-        from schema_guru_ray.sketches.bloom import BloomFilter, build_bloom
-
-        ids_ds = pairs_ds.map_batches(
-            lambda b: pd.DataFrame(
-                {"i": pd.concat([b["id_a"], b["id_b"]]).unique()}
-            ),
-            batch_format="pandas",
-        )
-        bloom_ref = ray.put(
-            build_bloom(ids_ds, "i", n_items_hint=2 * n_pairs).to_bytes()
-        )
-
-        def bloom_prune(b: pd.DataFrame) -> pd.DataFrame:
-            bf = BloomFilter.from_bytes(ray.get(bloom_ref))
-            return b[np.asarray(bf.contains_many(b[id_column]))]
-
-        docs_clean = docs_clean.map_batches(bloom_prune, batch_format="pandas")
-        if num_partitions is None:
-            num_partitions = derive_num_buckets(docs_ds.count())
+    cand_ids = pairs_ds.map_batches(
+        lambda b: pd.DataFrame(
+            {id_column: pd.concat([b["id_a"], b["id_b"]]).unique()}
+        ),
+        batch_format="pandas",
+    ).materialize()
+    docs_clean = join_keyed(docs_clean, cand_ids, on=id_column, how="semi")
+    if num_partitions is None:
+        num_partitions = derive_num_buckets(2 * n_pairs + cand_ids.count())
     # shingle each surviving doc ONCE (sorted-distinct uint64 hash set);
     # the join then ships int lists, never text, and verification is an
     # integer-array intersection per pair

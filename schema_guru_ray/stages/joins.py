@@ -1,7 +1,13 @@
 """Join + window operators.
 
-* :func:`broadcast_join` — small side shipped once via ``ray.put``, pandas
-  merge per batch. No shuffle. (The guide's default for dimension tables.)
+* :func:`join_keyed` — the one keyed lookup of a big Dataset against a
+  small side (inner / left / semi / anti). Its single policy,
+  :data:`BROADCAST_BYTES`, reads the small side's measured bytes: a side
+  that fits is sorted once and shipped via ``ray.put`` (a
+  :func:`sorted_lookup` per big batch, no shuffle); a bigger one shuffles
+  (:func:`bucketed_hash_join` for inner/left; a Bloom split plus one
+  Arrow-native bucketed membership check for semi/anti). Every
+  broadcast-or-shuffle decision in the package is this one.
 * :func:`hash_join` — both sides large: Ray Data's native hash-partitioned
   ``Dataset.join`` when present (Ray >= 2.46), else the portable explicit
   pattern: add ``bucket = hash(key) % B`` to both sides, group each bucket,
@@ -36,14 +42,23 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from schema_guru_ray.stages.profile import stable_hash64
 
 logger = logging.getLogger(__name__)
 
 # last regime decision per operator, for tests/telemetry: {"op": ...,
-# "hot_keys": [...], "salt": S} — written whenever a skew probe runs.
+# "hot_keys": [...], "salt": S} — written whenever a skew probe runs — or
+# {"op": "join_keyed", "regime": "broadcast"|"shuffle", "small_bytes": n}.
 last_regime: Dict[str, object] = {}
+
+# join_keyed's one policy: a small side whose measured bytes are at most
+# this is sorted and broadcast; a bigger one shuffles. 80 MB is the 5M-row
+# limit most call sites carried before, at 16 B per int64 key plus int64
+# value. Every catalog and test corpus up to sf0.1 stays in the broadcast
+# regime under it: the largest small side there is sf0.1 orders, 150k rows.
+BROADCAST_BYTES = 80_000_000
 
 # rows per pandas bucket group that a worker comfortably materializes; the
 # bucketed fallbacks derive their bucket count from this so per-group memory
@@ -120,14 +135,22 @@ def _nullable_types_mapper(t: pa.DataType):
     return None
 
 
+def _key_hash(col) -> np.ndarray:
+    """``stable_hash64`` of a key column that does not depend on whether
+    its batch holds a NULL: pandas turns a nullable integer column into
+    float64, which hashes every key of that batch differently from the
+    same key in a NULL-free batch. NULLs hash as 0 (they never match)."""
+    if col.null_count and pa.types.is_integer(col.type):
+        col = pc.fill_null(col, 0)
+    return stable_hash64(col.to_pandas())
+
+
 def _tag_fn(side: str, key: str, num_buckets: int):
     """Arrow-native tag stage: append ``__bucket``/``__side`` without
     touching (or copying) the data columns."""
 
     def fn(t: pa.Table) -> pa.Table:
-        bucket = (stable_hash64(t[key].to_pandas()) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
+        bucket = (_key_hash(t[key]) % np.uint64(num_buckets)).astype(np.int32)
         t = t.append_column("__bucket", pa.array(bucket, pa.int32()))
         t = t.append_column("__side", pa.array([side] * len(t), pa.string()))
         return t.replace_schema_metadata(None)
@@ -183,7 +206,7 @@ def _tag_fn_salted(side: str, key: str, num_buckets: int,
 
     def fn(t: pa.Table) -> pa.Table:
         kv = t[key].to_pandas()
-        bucket = (stable_hash64(kv) % np.uint64(num_buckets)).astype(np.int64)
+        bucket = (_key_hash(t[key]) % np.uint64(num_buckets)).astype(np.int64)
         idx, hit = sorted_lookup(hot_sorted, np.asarray(kv))
         spread = hit & spread_here[idx]
         repl = hit & ~spread_here[idx]
@@ -215,8 +238,11 @@ def _skew_plan(left, right, on: str, threshold: int, join_type: str,
                op_name: str):
     """Probe both sides for heavy hitters and decide the salting plan.
     Returns ``None`` (no hot keys — take the plain path) or
-    ``(hot_sorted, spread_left)``: for each hot key, ``spread_left[i]``
-    says the LEFT side spreads (right replicates). Left/outer-flavored
+    ``(hot_sorted, spread_left, left_seen)``: for each hot key,
+    ``spread_left[i]`` says the LEFT side spreads (right replicates), and
+    ``left_seen[i]`` says the left probe counted it — a Misra-Gries
+    counter exists only for a key that occurred, so such a key is present
+    on the left. Left/outer-flavored
     joins must always spread the left side — replicating left rows would
     duplicate the null-extended output of unmatched replicas — so only
     ``inner`` picks per key by estimated count (spread the bigger side,
@@ -236,13 +262,14 @@ def _skew_plan(left, right, on: str, threshold: int, join_type: str,
     else:
         spread_left = np.ones(len(keys), dtype=bool)
     hot_sorted = np.asarray(keys)
+    left_seen = np.array([k in lmap for k in keys], dtype=bool)
     logger.info(
         "%s: skew regime engaged — %d hot key(s) over threshold %d: %s",
         op_name, len(keys), threshold, keys[:8],
     )
     last_regime.update({"op": op_name, "hot_keys": list(keys),
                         "spread_left": spread_left.tolist()})
-    return hot_sorted, spread_left
+    return hot_sorted, spread_left, left_seen
 
 
 def _keys_present(ds, key: str, hot_sorted: np.ndarray) -> np.ndarray:
@@ -325,8 +352,8 @@ def _dtype_spec_from_schema(sch) -> Dict[str, str]:
 
 
 def sorted_lookup(keys: np.ndarray, probe: np.ndarray):
-    """The broadcast-regime lookup kernel shared by the two-regime
-    operators: membership + value-index against a SORTED key array.
+    """The broadcast-regime lookup kernel of :func:`join_keyed` (and of the
+    skew probes): membership + value-index against a SORTED key array.
     Returns ``(idx, hit)`` with ``keys[idx[hit]] == probe[hit]``; safe on
     empty ``keys`` (all-miss). Pair with an aligned value array sorted by
     the same argsort to complete a broadcast hash-map without Python
@@ -334,19 +361,6 @@ def sorted_lookup(keys: np.ndarray, probe: np.ndarray):
     idx = np.clip(np.searchsorted(keys, probe), 0, max(len(keys) - 1, 0))
     hit = (keys[idx] == probe) if len(keys) else np.zeros(len(probe), bool)
     return idx, hit
-
-
-def broadcast_join(ds, small_df: pd.DataFrame, on: str, how: str = "inner"):
-    """Join a Dataset against a SMALL pandas side (broadcast via ray.put)."""
-    import ray
-
-    ref = ray.put(small_df)
-
-    def join_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        right = ray.get(ref)
-        return batch.merge(right, on=on, how=how)
-
-    return ds.map_batches(join_batch, batch_format="pandas")
 
 
 def hash_join(left, right, on: str, num_partitions: int = 16,
@@ -385,11 +399,14 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
                        left_schema: Optional[pa.Schema] = None,
                        right_schema: Optional[pa.Schema] = None,
                        hot_key_threshold: Optional[int] = None,
-                       hot_salt: int = 16, schema_floor: bool = False):
+                       hot_salt: int = 16, schema_floor: bool = False,
+                       unique_right: bool = False):
     """Portable explicit hash join: tag both sides with ``bucket =
     hash(key) % B``, union, group by bucket, pandas-merge the two sides
     inside each bucket. ``num_buckets=None`` scales B to the input row
-    count.
+    count. ``unique_right=True`` raises ``ValueError`` from the bucket
+    that holds a repeated right key (the lookup contract of
+    :func:`join_keyed`).
 
     ``hot_key_threshold``: opt-in skew escape hatch. A single hot key
     lands in ONE bucket by construction, no matter how large B is — at a
@@ -402,7 +419,11 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
     spread the left side, since replicating left rows would duplicate
     null-extended output). Per-bucket memory for a hot key drops from
     O(hot_rows) to O(hot_rows/salt + other_side_rows). The decision is
-    logged and recorded in :data:`last_regime`.
+    logged and recorded in :data:`last_regime`. Salted ``outer``/``right``
+    joins also need global left presence of each hot key: keys the left
+    probe counted are present by construction, and only keys hot on the
+    right alone cost one more pass over the left side
+    (:func:`_keys_present`) at plan-construction time.
 
     ``left_schema``/``right_schema``: pass the known output schema of a
     DERIVED side whose plan contains an all-to-all (groupby/sort/another
@@ -439,7 +460,7 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
         ltag = _tag_fn("l", on, num_buckets)
         rtag = _tag_fn("r", on, num_buckets)
     else:
-        hot_sorted, spread_left = plan
+        hot_sorted, spread_left, left_seen = plan
         last_regime["salt"] = hot_salt
         ltag = _tag_fn_salted("l", on, num_buckets, hot_sorted, spread_left,
                               hot_salt)
@@ -450,10 +471,14 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
             # once per sub-bucket whose spread (left) slice happens to be
             # empty — a per-bucket artifact (measured: full outer returned
             # 1778 rows where the oracle says 515). The correct predicate
-            # is GLOBAL left presence of the key; compute it exactly (hot
-            # set is probe-bounded) and let join_bucket pick the merge
-            # flavor per sub-bucket.
-            hot_left_present = _keys_present(left, on, hot_sorted)
+            # is GLOBAL left presence of the key; the left probe already
+            # proves it for every key it counted, so only the keys hot on
+            # the right alone need the exact left pass.
+            hot_left_present = left_seen.copy()
+            unseen = np.flatnonzero(~left_seen)
+            if len(unseen):
+                hot_left_present[unseen] = _keys_present(
+                    left, on, hot_sorted[unseen])
     out_cols = left_cols + [rmap.get(c, c) for c in right_cols
                             if c != on and (c not in left_cols or c in rmap)]
     out_schema = _output_schema(out_cols, lschema, rschema, rename_right=rmap)
@@ -468,6 +493,8 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
         g = t.to_pandas(types_mapper=_nullable_types_mapper)
         l = g[g["__side"] == "l"].reindex(columns=left_cols)
         r = g[g["__side"] == "r"].reindex(columns=right_cols).rename(columns=rmap)
+        if unique_right and r[on].duplicated().any():
+            raise ValueError(f"bucketed_hash_join: repeated right key in {on!r}")
         if l.empty or r.empty:
             if join_type == "inner":
                 return _to_arrow_clean(_empty_typed_frame(out_cols, spec), out_schema)
@@ -498,54 +525,198 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
     return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
 
 
-def bucketed_anti_join(left, keys_ds, on: str, key_column: Optional[str] = None,
-                       num_buckets: Optional[int] = None,
-                       left_schema: Optional[pa.Schema] = None,
-                       schema_floor: bool = False):
-    """EXACT distributed anti join: left rows whose ``on`` value appears
-    nowhere in ``keys_ds[key_column]``. Both sides are tagged with
-    ``bucket = hash(key) % B`` and shuffled once — a key's left rows and
-    its (possibly duplicated) key rows meet in one bucket, where a
-    vectorized ``isin`` drops the matches. Unlike
-    :func:`sketches.bloom.semi_join_bloom(anti=True)` this never misses a
-    row (no false positives), at the cost of shuffling the left side;
-    pre-prune with the Bloom when the left side is much bigger than the
-    match set (the curate pipeline does exactly that)."""
-    key_column = key_column or on
-    lschema = left_schema if left_schema is not None else left.schema()
-    if lschema is None:
-        raise ValueError(
-            "bucketed_anti_join: left schema unavailable (empty derived "
-            "dataset?) — pass the left_schema hint"
-        )
-    left_cols = list(lschema.names)
-    spec = _dtype_spec_from_schema(lschema)
-    if num_buckets is None:
-        num_buckets = derive_num_buckets(left.count() + keys_ds.count())
+JOIN_HOWS = ("inner", "left", "semi", "anti")
 
-    def key_only(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"__akey": b[key_column]})
 
-    lt = left.map_batches(_tag_fn("l", on, num_buckets), batch_format="pyarrow")
-    kt = keys_ds.map_batches(key_only, batch_format="pandas").map_batches(
-        _tag_fn("r", "__akey", num_buckets), batch_format="pyarrow"
+def join_keyed(big, small, on, how: str = "inner"):
+    """Keyed lookup of every ``big`` row in ``small`` — the package's one
+    broadcast-or-shuffle join.
+
+    ``how``: ``inner`` / ``left`` append ``small``'s non-key columns (nulls
+    on a ``left`` miss); ``semi`` keeps the ``big`` rows that hit, ``anti``
+    the rows that miss. ``on`` is a column name or a ``(big_col,
+    small_col)`` pair; the output keeps ``big``'s key column only.
+    ``small`` is a ``pa.Table`` (a dimension read on the driver) or a
+    Dataset, which is materialized once here and reused by both regimes.
+
+    NULL keys never match (SQL): NULL small keys are dropped, and a NULL
+    big key is a miss. ``inner``/``left`` need unique small keys and raise
+    ``ValueError`` on a repeat, in both regimes; ``semi``/``anti`` accept
+    repeats. A small non-key column may not share a name with a ``big``
+    column.
+
+    The regime follows from the small side's measured bytes (``nbytes``,
+    or the block metadata's ``size_bytes()``) against
+    :data:`BROADCAST_BYTES`, recorded in :data:`last_regime`:
+
+    * **broadcast** — the small side is sorted by key once and shipped via
+      ``ray.put``; each big batch is one :func:`sorted_lookup` plus an
+      Arrow ``take``/``filter``. No shuffle.
+    * **shuffle** — ``inner``/``left`` run :func:`bucketed_hash_join`.
+      ``semi``/``anti`` split ``big`` with a Bloom filter of the small keys:
+      rows the filter rejects are definite misses and never shuffle; the
+      rest meet the small keys in one Arrow-native bucketed membership
+      check, so binary payload columns round-trip byte-exact."""
+    import ray.data as rd
+
+    if how not in JOIN_HOWS:
+        raise ValueError(f"join_keyed: how={how!r} is not one of {JOIN_HOWS}")
+    big_key, small_key = (on, on) if isinstance(on, str) else on
+    if not isinstance(small, pa.Table):
+        small = small.materialize()
+    small_bytes = int(small.nbytes if isinstance(small, pa.Table)
+                      else small.size_bytes())
+    regime = "broadcast" if small_bytes <= BROADCAST_BYTES else "shuffle"
+    last_regime.clear()
+    last_regime.update(
+        {"op": "join_keyed", "regime": regime, "small_bytes": small_bytes})
+    if regime == "broadcast":
+        return _broadcast_lookup(big, _small_table(small), big_key, small_key, how)
+
+    if how in ("inner", "left"):
+        # every big row shuffles: one execution feeds the schema, the row
+        # count that sizes the buckets and the shuffle itself
+        big = big.materialize()
+    bschema = big.schema()
+    if bschema is None:  # an empty derived big side: nothing to look up
+        return big
+    bschema = _output_schema(list(bschema.names), bschema, bschema)
+    if isinstance(small, pa.Table):
+        small = rd.from_arrow(small)
+    key_type = bschema.field(big_key).type
+    sschema = small.schema()
+    if sschema is None:  # no rows: an empty key set, as in the broadcast regime
+        sschema = pa.schema([(small_key, key_type)])
+    keep = [] if how in ("semi", "anti") else [
+        n for n in sschema.names if n != small_key]
+    _check_names(bschema.names, keep)
+
+    def keyed(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[small_key]))
+        cols = {big_key: t[small_key].cast(key_type)}
+        cols.update({n: t[n] for n in keep})
+        return pa.table(cols)
+
+    keys = small.map_batches(keyed, batch_format="pyarrow")
+    if how in ("semi", "anti"):
+        return _bloom_membership(big, keys, small.count(), big_key, bschema,
+                                 semi=how == "semi")
+    right_schema = pa.schema(
+        [(big_key, key_type)]
+        + [(n, _as_arrow_type(t)) for n, t in zip(sschema.names, sschema.types)
+           if n in keep]
     )
-    out_schema = _output_schema(left_cols, lschema, lschema)
-    floor = _floor_sentinel(out_schema) if schema_floor else None
-    # arrow null-fill union: missing columns stay typed
-    both = lt.union(kt, floor) if floor is not None else lt.union(kt)
+    return bucketed_hash_join(big, keys, on=big_key, join_type=how,
+                              left_schema=bschema, right_schema=right_schema,
+                              unique_right=True)
 
-    def anti_bucket(t: pa.Table) -> pa.Table:
-        g = t.to_pandas(types_mapper=_nullable_types_mapper)
-        l = g[g["__side"] == "l"].reindex(columns=left_cols)
-        if l.empty:
-            return _to_arrow_clean(_empty_typed_frame(left_cols, spec), out_schema)
-        if "__akey" not in g.columns:  # key side empty: nothing to drop
-            return _to_arrow_clean(l, out_schema)
-        drop_keys = g.loc[g["__side"] == "r", "__akey"]
-        return _to_arrow_clean(l[~l[on].isin(drop_keys)], out_schema)
 
-    return both.groupby("__bucket").map_groups(anti_bucket, batch_format="pyarrow")
+def _small_table(small) -> Optional[pa.Table]:
+    """A materialized small side as one driver-side table; None when it
+    has no rows and no schema (an empty derived Dataset)."""
+    if isinstance(small, pa.Table):
+        return small
+    import ray
+
+    tables = [ray.get(r) for r in small.to_arrow_refs()]
+    tables = [t for t in tables if t.num_columns]
+    return pa.concat_tables(tables, promote_options="default") if tables else None
+
+
+def _check_names(big_names, small_names) -> None:
+    clash = sorted(set(big_names) & set(small_names))
+    if clash:
+        raise ValueError(f"join_keyed: small columns {clash} also exist on big")
+
+
+def _broadcast_lookup(big, table: Optional[pa.Table], big_key: str,
+                      small_key: str, how: str):
+    """Broadcast regime of :func:`join_keyed`."""
+    import ray
+
+    if table is None or small_key not in table.column_names:
+        keys, values = np.array([], dtype=np.int64), pa.table({})
+    else:
+        table = table.filter(pc.is_valid(table[small_key])).sort_by(small_key)
+        keys = table[small_key].to_numpy()
+        values = table.drop_columns([small_key])
+    if how in ("semi", "anti"):
+        keys, values = np.unique(keys), None
+    elif len(keys) > 1 and bool((keys[1:] == keys[:-1]).any()):
+        raise ValueError(
+            f"join_keyed: repeated small key in {small_key!r} ({how} needs "
+            "unique lookup keys)")
+    ref = ray.put((keys, values))
+
+    def lookup(t: pa.Table) -> pa.Table:
+        keys, values = ray.get(ref)
+        col = t[big_key]
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        idx = np.zeros(len(t), dtype=np.int64)
+        hit = np.zeros(len(t), dtype=bool)
+        idx[valid], hit[valid] = sorted_lookup(keys, col.drop_null().to_numpy())
+        if how == "semi":
+            return t.filter(pa.array(hit))
+        if how == "anti":
+            return t.filter(pa.array(~hit))
+        _check_names(t.column_names, values.column_names)
+        if how == "inner":
+            t, rows = t.filter(pa.array(hit)), pa.array(idx[hit], pa.int64())
+        else:
+            rows = pa.array(idx, pa.int64(), mask=~hit)
+        matched = values.take(rows)
+        for name in matched.column_names:
+            t = t.append_column(name, matched[name])
+        return t
+
+    return big.map_batches(lookup, batch_format="pyarrow")
+
+
+def _bloom_membership(big, keys, n_keys: int, key: str, bschema: pa.Schema,
+                      semi: bool):
+    """Shuffle regime of :func:`join_keyed` for ``semi``/``anti``: ``keys``
+    holds the non-null small keys in column ``key`` with ``big``'s key type.
+    A Bloom filter of them splits ``big``; only the rows it cannot rule out
+    shuffle, together with the keys, into hash buckets where ``pc.is_in``
+    decides exactly. Blocks stay Arrow throughout."""
+    import ray
+
+    from schema_guru_ray.sketches.bloom import BloomFilter, build_bloom
+
+    bloom_ref = ray.put(build_bloom(keys, key, n_items_hint=n_keys).to_bytes())
+
+    def may_match(t: pa.Table) -> np.ndarray:
+        col = t[key]
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        hit = np.zeros(len(t), dtype=bool)
+        bloom = BloomFilter.from_bytes(ray.get(bloom_ref))
+        hit[valid] = bloom.contains_many(col.drop_null().to_pandas())
+        return hit
+
+    maybe = big.map_batches(
+        lambda t: t.filter(pa.array(may_match(t))), batch_format="pyarrow"
+    ).materialize()  # counted for the bucket count, then shuffled once
+    nb = derive_num_buckets(maybe.count() + n_keys)
+    lt = maybe.map_batches(_tag_fn("l", key, nb), batch_format="pyarrow")
+    kt = keys.map_batches(_tag_fn("r", key, nb), batch_format="pyarrow")
+
+    def member_bucket(t: pa.Table) -> pa.Table:
+        is_l = pc.equal(t["__side"], "l")
+        rows = t.filter(is_l)
+        if not len(rows):
+            return bschema.empty_table()
+        found = pc.is_in(rows[key], value_set=t.filter(pc.invert(is_l))[key]
+                         .combine_chunks())
+        return rows.filter(found if semi else pc.invert(found)).select(
+            bschema.names)
+
+    checked = lt.union(kt).groupby("__bucket").map_groups(
+        member_bucket, batch_format="pyarrow")
+    if semi:
+        return checked
+    definite = big.map_batches(
+        lambda t: t.filter(pa.array(~may_match(t))), batch_format="pyarrow")
+    return definite.union(checked)
 
 
 def asof_join(left, right, key: str, left_ts: str, right_ts: str,
@@ -614,7 +785,7 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
         ltag = _tag_fn("l", key, num_buckets)
         rtag = _tag_fn("r", key, num_buckets)
     else:
-        hot_sorted, spread_left = plan  # all-True: asof spreads left only
+        hot_sorted, spread_left, _ = plan  # all-True: asof spreads left only
         last_regime["salt"] = hot_salt
         ltag = _tag_fn_salted("l", key, num_buckets, hot_sorted, spread_left,
                               hot_salt)

@@ -79,16 +79,34 @@ def orphan_dir(tmp_path_factory):
     return str(d), len(orphans)
 
 
+def _force_shuffle(monkeypatch):
+    """Force join_keyed's shuffle (Bloom-split) regime for the next call."""
+    from schema_guru_ray.stages import joins
+
+    monkeypatch.setattr(joins, "BROADCAST_BYTES", 0)
+
+
+def _assert_regime(regime: str):
+    from schema_guru_ray.stages import joins
+
+    assert joins.last_regime["op"] == "join_keyed"
+    assert joins.last_regime["regime"] == regime
+    assert joins.last_regime["small_bytes"] > 0
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestReferentialOrphansRegimes:
-    def test_bloom_regime_matches_exact(self, orphan_dir):
+    def test_bloom_regime_matches_exact(self, orphan_dir, monkeypatch):
         """Forcing the huge-key-side regime must give the same orphan count
         as the exact broadcast regime — on a fixture that HAS orphans."""
         from schema_guru_ray.pipelines.queries import referential_orphans
 
         d, n_true = orphan_dir
         exact = referential_orphans(d)
-        bloom = referential_orphans(d, exact_broadcast_limit=0)
+        _assert_regime("broadcast")
+        _force_shuffle(monkeypatch)
+        bloom = referential_orphans(d)
+        _assert_regime("shuffle")
         assert int(exact["n_orphans"].iloc[0]) == n_true
         assert int(bloom["n_orphans"].iloc[0]) == n_true
 
@@ -109,12 +127,16 @@ class TestReferentialOrphansRegimes:
 
         monkeypatch.setattr(bloom_mod, "build_bloom", saturated)
         d, n_true = orphan_dir
-        forced = referential_orphans(d, exact_broadcast_limit=0)
+        _force_shuffle(monkeypatch)
+        forced = referential_orphans(d)
+        _assert_regime("shuffle")
         assert int(forced["n_orphans"].iloc[0]) == n_true
 
-    def test_sf_fixture_regimes_agree(self, sf_dir):
+    def test_sf_fixture_regimes_agree(self, sf_dir, monkeypatch):
         from schema_guru_ray.pipelines.queries import referential_orphans
 
         exact = referential_orphans(sf_dir)
-        bloom = referential_orphans(sf_dir, exact_broadcast_limit=0)
+        _force_shuffle(monkeypatch)
+        bloom = referential_orphans(sf_dir)
+        _assert_regime("shuffle")
         assert int(exact["n_orphans"].iloc[0]) == int(bloom["n_orphans"].iloc[0])

@@ -77,17 +77,21 @@ class TestCurateClips:
         assert deduped["clip_id"].is_unique
         assert len(deduped) == len(set(tab["clip_id"].to_pylist()))
 
-    def test_removal_regimes_agree(self, corpus):
-        """Broadcast and bucketed-anti-join drop regimes produce the same
-        curated id set (force the scale regime with limit=0... limit=1)."""
+    def test_removal_regimes_agree(self, corpus, monkeypatch):
+        """join_keyed's broadcast and shuffle anti-join regimes produce the
+        same curated id set (force the shuffle with BROADCAST_BYTES=0)."""
         import ray.data as rd
+
+        from schema_guru_ray.stages import joins
 
         tab, _ = corpus
         ds = rd.from_arrow(tab).repartition(4)
         _, s_broadcast = curate_clips(ds, ClipCurationConfig())
-        _, s_anti = curate_clips(
-            ds, ClipCurationConfig(drop_broadcast_limit=0)
-        )
+        monkeypatch.setattr(joins, "BROADCAST_BYTES", 0)
+        _, s_anti = curate_clips(ds, ClipCurationConfig())
+        assert joins.last_regime["op"] == "join_keyed"
+        assert joins.last_regime["regime"] == "shuffle"
+        assert joins.last_regime["small_bytes"] > 0
         assert list(s_broadcast["n"]) == list(s_anti["n"])
 
 

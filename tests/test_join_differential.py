@@ -324,14 +324,68 @@ class TestFullOuterJoinDifferential:
         assert last_regime.get("hot_keys"), "salted regime must engage"
         _assert_same(got, want, ["k", "lv", "rv"], f"salted_{how}/seed{seed}")
 
+    def test_salted_outer_probes_only_right_only_hot_keys(self, monkeypatch):
+        """A hot key the left Misra-Gries probe counted occurred on the
+        left, so the salted outer join's exact left-presence pass runs only
+        for keys hot on the right alone — and not at all when there are
+        none."""
+        import ray.data as rd
+
+        from schema_guru_ray.stages import joins
+
+        probed = []
+        real = joins._keys_present
+
+        def spy(ds, key, hot_sorted):
+            probed.append(list(hot_sorted))
+            return real(ds, key, hot_sorted)
+
+        monkeypatch.setattr(joins, "_keys_present", spy)
+        rng = np.random.default_rng(5)
+        lk = rng.integers(0, 6, 300).astype(np.int64)
+        lk[rng.random(300) < 0.6] = 2
+        left = pd.DataFrame({"k": lk, "lv": np.arange(300, dtype=np.int64)})
+        for right_hot, want_probed in ((2, []), (100, [[100]])):
+            rk = rng.integers(0, 6, 400).astype(np.int64)
+            rk[rng.random(400) < 0.5] = right_hot
+            right = pd.DataFrame({"k": rk, "rv": np.arange(400, dtype=np.int64)})
+            probed.clear()
+            got = joins.bucketed_hash_join(
+                rd.from_pandas(left).repartition(3),
+                rd.from_pandas(right).repartition(2),
+                on="k", num_buckets=4, join_type="outer",
+                hot_key_threshold=50, hot_salt=4,
+            ).to_pandas()
+            assert probed == want_probed
+            con = duckdb.connect()
+            con.register("l", left)
+            con.register("r", right)
+            want = con.execute(
+                "SELECT k, l.lv, r.rv FROM l FULL JOIN r USING (k)").df()
+            _assert_same(got, want, ["k", "lv", "rv"], f"probe/{right_hot}")
+
+
+# BROADCAST_BYTES per join_keyed regime; -1 sends even an empty (0-byte)
+# small side through the shuffle
+REGIMES = {"broadcast": None, "shuffle": -1}
+
+
+def _join_keyed(monkeypatch, regime, big, small, on, how):
+    """join_keyed under a forced regime, executed to pandas."""
+    from schema_guru_ray.stages import joins
+
+    if REGIMES[regime] is not None:
+        monkeypatch.setattr(joins, "BROADCAST_BYTES", REGIMES[regime])
+    out = joins.join_keyed(big, small, on=on, how=how).to_pandas()
+    assert joins.last_regime["regime"] == regime
+    return out
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestAntiJoinDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_anti_join_matches_duckdb(self, seed):
+    def test_anti_join_matches_duckdb(self, seed, monkeypatch):
         import ray.data as rd
-
-        from schema_guru_ray.stages.joins import bucketed_anti_join
 
         rng = np.random.default_rng(seed)
         nl = int(rng.integers(5, 500))
@@ -349,8 +403,99 @@ class TestAntiJoinDifferential:
             "(SELECT k FROM ks WHERE k IS NOT NULL)").df()
         keys_ds = (rd.from_pandas(keys) if nk
                    else rd.from_pandas(keys).filter(lambda r: False))
-        got = bucketed_anti_join(
-            rd.from_pandas(left).repartition(3), keys_ds, on="k",
-            num_buckets=4,
-        ).to_pandas()
-        _assert_same(got, want, ["k", "lv"], f"anti_join/seed{seed}")
+        for regime in REGIMES:
+            got = _join_keyed(monkeypatch, regime,
+                              rd.from_pandas(left).repartition(3), keys_ds,
+                              on="k", how="anti")
+            _assert_same(got, want, ["k", "lv"], f"anti_join/{regime}/seed{seed}")
+
+
+JOIN_KEYED_SQL = {
+    "inner": "SELECT b.k, b.bv, b.payload, s.sv FROM b JOIN s ON b.k = s.sk",
+    "left": "SELECT b.k, b.bv, b.payload, s.sv FROM b LEFT JOIN s ON b.k = s.sk",
+    "semi": "SELECT b.k, b.bv, b.payload FROM b "
+            "WHERE EXISTS (SELECT 1 FROM s WHERE s.sk = b.k)",
+    "anti": "SELECT b.k, b.bv, b.payload FROM b "
+            "WHERE NOT EXISTS (SELECT 1 FROM s WHERE s.sk = b.k)",
+}
+
+
+def _keyed_sides(seed):
+    """A big side with repeated and NULL keys and a binary payload, and a
+    small side with unique keys, one NULL key and a value column. Seeds
+    ending in 1 or 3 empty one side."""
+    rng = np.random.default_rng(seed)
+    card = int(rng.integers(2, 40))
+    nb = 0 if seed % 10 == 1 else int(rng.integers(5, 300))
+    ns = 0 if seed % 10 == 3 else int(rng.integers(1, card))
+    bk = pd.array(_keys(rng, nb, card), dtype="Int64")
+    bk[rng.random(nb) < 0.1] = pd.NA
+    sk = pd.array(rng.choice(card + 5, size=ns, replace=False), dtype="Int64")
+    if ns:
+        sk = pd.array(np.r_[sk.to_numpy(), [None]], dtype="Int64")
+    big = pd.DataFrame({
+        "k": bk,
+        "bv": np.arange(nb, dtype=np.int64),
+        "payload": [rng.bytes(int(rng.integers(0, 9))) + b"\x00\xff" for _ in range(nb)],
+    })
+    small = pd.DataFrame({
+        "sk": sk, "sv": pd.array(rng.integers(-10**6, 10**6, len(sk)), dtype="Int64"),
+    })
+    return big, small
+
+
+def _arrow(df: pd.DataFrame, binary=()):
+    import pyarrow as pa
+
+    return pa.table({
+        c: pa.array(list(df[c]), pa.binary()) if c in binary
+        else pa.array(df[c], pa.int64(), from_pandas=True)
+        for c in df.columns
+    })
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestJoinKeyedDifferential:
+    """``join_keyed`` against DuckDB over how × regime: NULL keys on both
+    sides never match, big keys repeat, one side may be empty, and the
+    binary payload round-trips byte-exact through every flavor."""
+
+    @pytest.mark.parametrize("how", list(JOIN_KEYED_SQL))
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("seed", SEEDS + [21, 43])
+    def test_join_keyed_matches_duckdb(self, how, regime, seed, monkeypatch):
+        import ray.data as rd
+
+        big, small = _keyed_sides(seed)
+        con = duckdb.connect()
+        con.register("b", big)
+        con.register("s", small)
+        want = con.execute(JOIN_KEYED_SQL[how]).df()
+        small_side = _arrow(small)
+        if seed % 2:  # the Dataset form of the small side
+            small_side = rd.from_arrow(small_side).repartition(2)
+        got = _join_keyed(
+            monkeypatch, regime,
+            rd.from_arrow(_arrow(big, binary=("payload",))).repartition(3),
+            small_side, on=("k", "sk"), how=how,
+        )
+        cols = ["k", "bv", "payload"] + (["sv"] if how in ("inner", "left") else [])
+        for df in (got, want):
+            if len(df):  # DuckDB returns BLOBs as bytearray
+                df["payload"] = df["payload"].map(bytes)
+        _assert_same(got.reindex(columns=cols), want, cols,
+                     f"join_keyed/{how}/{regime}/seed{seed}")
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_repeated_small_key_raises(self, how, regime, monkeypatch):
+        """A lookup with a repeated small key has no single answer, so
+        inner/left refuse it in both regimes instead of letting the
+        broadcast regime pick one row and the shuffle return both."""
+        import ray.data as rd
+
+        big = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "bv": [1, 2, 3]}))
+        small = pd.DataFrame({"k": [1, 2, 2], "sv": [10, 20, 21]})
+        with pytest.raises(ValueError):
+            _join_keyed(monkeypatch, regime, big, rd.from_pandas(small),
+                        on="k", how=how)

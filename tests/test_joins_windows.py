@@ -1,5 +1,5 @@
-"""Join operators (broadcast, hash, bucketed, as-of), tumbling windows, and
-distributed connected components."""
+"""Join operators (keyed lookup, hash, bucketed, as-of), tumbling windows,
+and distributed connected components."""
 
 import numpy as np
 import pandas as pd
@@ -15,14 +15,6 @@ class TestJoins:
         left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "x": [10, 20, 21, 30, 50]})
         right = pd.DataFrame({"k": [1, 2, 4], "y": ["a", "b", "d"]})
         return rd.from_pandas(left).repartition(2), rd.from_pandas(right), left, right
-
-    def test_broadcast_join(self, sides):
-        from schema_guru_ray.stages.joins import broadcast_join
-
-        lds, _rds, left, right = sides
-        out = broadcast_join(lds, right, on="k").to_pandas().sort_values(["k", "x"])
-        want = left.merge(right, on="k").sort_values(["k", "x"])
-        assert out.reset_index(drop=True).equals(want.reset_index(drop=True))
 
     def test_hash_join_native(self, sides):
         from schema_guru_ray.stages.joins import hash_join
@@ -219,12 +211,22 @@ def test_derive_num_buckets_bounds_per_bucket_rows():
     assert derive_num_buckets(10**8) > derive_num_buckets(10**6)
 
 
+def _anti_both_regimes(monkeypatch, left_ds, keys_ds, on):
+    """join_keyed(how="anti") in its broadcast regime, then forced through
+    its shuffle regime (-1: even a 0-byte key side shuffles)."""
+    from schema_guru_ray.stages import joins
+
+    out = []
+    for limit in (joins.BROADCAST_BYTES, -1):
+        monkeypatch.setattr(joins, "BROADCAST_BYTES", limit)
+        out.append(joins.join_keyed(left_ds, keys_ds, on=on, how="anti").to_pandas())
+    return out
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestBucketedAntiJoin:
-    def test_matches_pandas(self, ray_session):
+    def test_matches_pandas(self, ray_session, monkeypatch):
         import ray.data as rd
-
-        from schema_guru_ray.stages.joins import bucketed_anti_join
 
         rng = np.random.default_rng(9)
         left = pd.DataFrame(
@@ -232,36 +234,27 @@ class TestBucketedAntiJoin:
         )
         # duplicated keys on the key side must not duplicate output rows
         keys = pd.DataFrame({"kk": np.repeat(rng.integers(0, 200, size=60), 2)})
-        got = (
-            bucketed_anti_join(
-                rd.from_pandas(left).repartition(4),
-                rd.from_pandas(keys).repartition(2),
-                on="k",
-                key_column="kk",
-                num_buckets=8,
-            )
-            .to_pandas()
-            .sort_values("v")
-            .reset_index(drop=True)
-        )
         want = (
             left[~left["k"].isin(keys["kk"])].sort_values("v").reset_index(drop=True)
         )
-        pd.testing.assert_frame_equal(
-            got.astype({"k": "int64", "v": "int64"}), want.astype("int64")
-        )
+        for got in _anti_both_regimes(
+            monkeypatch, rd.from_pandas(left).repartition(4),
+            rd.from_pandas(keys).repartition(2), on=("k", "kk"),
+        ):
+            got = got.sort_values("v").reset_index(drop=True)
+            pd.testing.assert_frame_equal(
+                got.astype({"k": "int64", "v": "int64"}), want.astype("int64")
+            )
 
-    def test_empty_key_side(self, ray_session):
+    def test_empty_key_side(self, ray_session, monkeypatch):
         import ray.data as rd
-
-        from schema_guru_ray.stages.joins import bucketed_anti_join
 
         left = pd.DataFrame({"k": [1, 2], "v": [1, 2]})
         keys = pd.DataFrame({"k": pd.Series([], dtype="int64")})
-        got = bucketed_anti_join(
-            rd.from_pandas(left), rd.from_pandas(keys), on="k", num_buckets=4
-        ).to_pandas()
-        assert sorted(got["v"]) == [1, 2]
+        for got in _anti_both_regimes(
+            monkeypatch, rd.from_pandas(left), rd.from_pandas(keys), on="k"
+        ):
+            assert sorted(got["v"]) == [1, 2]
 
 
 @pytest.mark.usefixtures("ray_session")
