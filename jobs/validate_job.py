@@ -67,8 +67,6 @@ def main(argv=None) -> int:
     if not ray.is_initialized():
         # under `ray job submit` RAY_ADDRESS points at the cluster; standalone
         # falls back to a local session
-        import os
-
         kwargs = dict(include_dashboard=False, ignore_reinit_error=True,
                       logging_level="ERROR")
         if "RAY_ADDRESS" not in os.environ:
@@ -160,7 +158,11 @@ def main(argv=None) -> int:
                   "partitions (config change or --gc-orphans + fresh out "
                   "dir) to commit per-partition sketches", file=sys.stderr)
         else:
-            report.to_parquet(args.drift_report)
+            # tmp + os.replace, like save_baseline: a crash mid-write
+            # keeps the previous report instead of a truncated parquet
+            tmp = args.drift_report + ".tmp"
+            report.to_parquet(tmp)
+            os.replace(tmp, args.drift_report)
             n_drift = int(report["drifted"].sum())
             print(f"drift report written: {args.drift_report} "
                   f"({n_drift} drifted partition-codec-col rows)",

@@ -1,19 +1,25 @@
-"""The one fold of mergeable partial states: :func:`fold_keyed`.
+"""The one fold of mergeable partial states, :func:`fold_keyed`, and its
+item-level sibling, :func:`map_items`.
 
 Every global or per-key reduce in the package — schema states, sketches,
 column profiles, CMVN statistics, Lloyd partials, per-label sums and
 per-codec validation aggregates — has the reference's shape,
 ``RDD.map(jsonToSchema).reduce(_.merge(_))`` (SchemaGuruRDD.scala:62,89):
 small state rows merged by an associative, commutative ``combine``,
-optionally per key. This module alone decides where that merge runs.
+optionally per key. The nightly baseline refresh is the same reduce one
+level up: per-partition sketch blobs, KLL-merged. This module alone
+decides where either runs.
 
 The policy is two constants and nothing per call:
 
-* up to ``DRIVER_FOLD_ROWS`` state rows, the driver pulls them and
-  combines once; a shuffle's fixed plan cost would dominate such an input;
-* above it, a map-side combiner collapses each batch, the survivors are
-  hash-sharded by key into ``FANIN`` groups combined on workers, and the
-  driver combines one row per key (at most ``FANIN`` rows when unkeyed).
+* up to ``DRIVER_FOLD_ROWS`` state rows (or driver-known items such as
+  partition dirs), the driver handles them in one call; a Ray Data plan's
+  fixed cost would dominate such an input;
+* above it, :func:`fold_keyed` collapses each batch in a map-side
+  combiner, hash-shards the survivors by key into ``FANIN`` groups
+  combined on workers, and combines one row per key on the driver (at
+  most ``FANIN`` rows when unkeyed); :func:`map_items` runs Ray tasks of
+  ``FANIN`` items each.
 """
 
 from __future__ import annotations
@@ -67,3 +73,29 @@ def fold_keyed(parts, key: Sequence[str],
         .map_groups(combine_shard, batch_format="pandas")
     )
     return combine(shards.to_pandas())
+
+
+def map_items(items: list, fn: Callable[[list], pd.DataFrame]) -> pd.DataFrame:
+    """Apply ``fn(list_of_items) -> frame`` to driver-known ``items`` (e.g.
+    partition dirs) and return the concatenated frames. ``fn`` must return
+    the same columns and dtypes for any sublist, so a caller's reduce of
+    the frames (e.g. ``merge_stores``) is the same in both regimes.
+
+    Up to ``DRIVER_FOLD_ROWS`` items, ``fn`` runs once on the driver with
+    no Ray Data execution. Above it, Ray tasks of ``FANIN`` items each run
+    it; Ray Data ships ``fn`` (and what it captures) to the object store
+    once per operator, not per task. A task failure is re-raised as
+    ValueError: it surfaces as a RayTaskError, which a caller's typed
+    fallback would not catch."""
+    if len(items) <= DRIVER_FOLD_ROWS:
+        return fn(items)
+    import ray.data as rd
+    from ray.exceptions import RayError
+
+    ds = rd.from_items([{"item": x} for x in items],
+                       override_num_blocks=-(-len(items) // FANIN))
+    try:
+        return ds.map_batches(lambda b: fn(list(b["item"])), batch_format="pandas",
+                              batch_size=FANIN).to_pandas()
+    except RayError as exc:
+        raise ValueError(f"map_items task failed: {exc}") from exc

@@ -2,7 +2,9 @@
 
 Topology (SURVEY.md §3.5):
 
-    read clips → map_batches(ClipValidator, actor pool)   [bytes dropped here]
+    read clips → map_batches(validate_batch_task)   [bytes dropped here]
+      (warm-worker tasks; a ClipValidator actor pool when
+       validator_mode="actors")
       → verdicts Dataset (streams; audio never crosses a shuffle)
       → materialized verdicts coalesce to TAIL_ROWS-row blocks  [no shuffle]
       ├─ write/consume verdict rows + exploded violation rows
@@ -13,7 +15,9 @@ Topology (SURVEY.md §3.5):
          collapses a hot codec to one state per block before any shuffle)
 
 Only tiny pickled aggregate states shuffle; the wide ``bytes`` column is
-projected away by the validator stage itself.
+projected away by the validator stage itself. A checkpointed run commits
+each partition's codec sketches; the baseline merge and the per-partition
+drift report read those blobs through ``fold.map_items``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from schema_guru_ray.fold import DRIVER_FOLD_ROWS, fold_keyed
+from schema_guru_ray.fold import DRIVER_FOLD_ROWS, fold_keyed, map_items
 from schema_guru_ray.sketches.drift import ks_statistic, psi
 from schema_guru_ray.sketches.hll import HLL
 from schema_guru_ray.sketches.kll import KLL
@@ -442,17 +446,10 @@ def _require_sketches(part_dirs) -> None:
             "from verdict rows instead")
 
 
-# above this many partitions the sketch loads/merges fan out as Ray tasks
-# (each KB-sized, so thousands are fine on the driver; a 10^12-clip tree
-# has ~10^5 partitions and 10s of GB of blobs — that must parallelize)
-DRIVER_SKETCH_DIRS = 256
-
-
 def merge_partition_baselines(
     out_dir: str,
     active: Optional[list] = None,
     cfg: ValidationConfig = ValidationConfig(),
-    driver_limit: int = DRIVER_SKETCH_DIRS,
 ):
     """Rebuild a corpus baseline store by merging the per-partition
     ``sketches.json`` blobs a checkpointed run commits alongside each
@@ -461,14 +458,13 @@ def merge_partition_baselines(
     set; when None the committed ``_MANIFEST.json``'s is read, so orphaned
     chunks left on disk are never merged. Returns
     ``(store, total_clips)``; raises FileNotFoundError when any selected
-    partition predates per-partition sketches (caller falls back to the
+    partition predates per-partition sketches, and ValueError when a
+    sketch file fails to load in a Ray task (caller falls back to the
     row-level rebuild).
 
-    Two regimes: up to ``driver_limit`` partitions load sequentially on
-    the driver; above it the loads+merges fan out as a ``map_batches``
-    over the dir list, each task emitting ONE pre-merged store, and the
-    driver folds ≤ #tasks results (KLL merge is associative and
-    order-insensitive for quantile queries)."""
+    Each batch of dirs (:func:`schema_guru_ray.fold.map_items`) merges to
+    one store, and the driver ``merge_stores`` the batch results (KLL
+    merge is associative and order-insensitive for quantile queries)."""
     import os
 
     from schema_guru_ray.state.sketch_store import (
@@ -481,44 +477,18 @@ def merge_partition_baselines(
     _require_sketches(part_dirs)
     expect = sketch_cfg_hash(cfg)
 
-    def load_one(p: str):
-        return load_baseline(
-            os.path.join(p, "sketches.json"), expect_cfg_hash=expect)
-
-    if len(part_dirs) <= driver_limit:
-        stores, n_clips = [], 0
-        for p in part_dirs:
-            store, meta = load_one(p)
-            stores.append(store)
-            n_clips += int(meta.get("meta", {}).get("n_clips", 0))
-        return merge_stores(stores), n_clips
-
-    import ray.data as rd
-
-    def merge_task(b: pd.DataFrame) -> pd.DataFrame:
-        loaded = [load_one(p) for p in b["dir"]]
+    def merge_dirs(dirs: list) -> pd.DataFrame:
+        loaded = [load_baseline(os.path.join(p, "sketches.json"),
+                                expect_cfg_hash=expect) for p in dirs]
         merged = merge_stores([s for s, _ in loaded])
         n = sum(int(m.get("meta", {}).get("n_clips", 0)) for _, m in loaded)
         # one typed row even when every store is empty
         return pd.DataFrame({"store": pd.Series([pickle.dumps(merged)], dtype=object),
                              "n": pd.Series([n], dtype="int64")})
 
-    parts = rd.from_items(
-        [{"dir": p} for p in part_dirs]
-    ).map_batches(merge_task, batch_format="pandas", batch_size=64)
-    try:
-        rows = parts.take_all()  # ≤ #tasks rows, one pre-merged store each
-    except Exception as exc:
-        # a failure inside a Ray task surfaces as RayTaskError, which the
-        # caller's typed fallback (ValueError/OSError/...) would NOT catch
-        # — normalize so the slow-but-always-correct row-level rebuild
-        # engages in the distributed regime too
-        raise ValueError(
-            f"distributed sketch merge failed: {exc}") from exc
-    return (
-        merge_stores([pickle.loads(r["store"]) for r in rows]),
-        int(sum(r["n"] for r in rows)),
-    )
+    rows = map_items(part_dirs, merge_dirs)
+    return (merge_stores([pickle.loads(b) for b in rows["store"]]),
+            int(rows["n"].sum()))
 
 
 _DRIFT_DTYPES = {
@@ -527,9 +497,10 @@ _DRIFT_DTYPES = {
 }
 
 
-def _drift_frame(rows: list) -> pd.DataFrame:
-    """Drift rows with the same columns and dtypes whether or not there
-    are any, so Ray can unify the blocks of the distributed regime."""
+def _drift_frame(rows) -> pd.DataFrame:
+    """Drift rows (records or a frame) with the same columns and dtypes
+    whether or not there are any, so Ray can unify the blocks of the
+    tasks regime."""
     return pd.DataFrame(rows, columns=list(_DRIFT_DTYPES)).astype(_DRIFT_DTYPES)
 
 
@@ -539,7 +510,6 @@ def drift_by_partition(
     cfg: ValidationConfig = ValidationConfig(),
     active: Optional[list] = None,
     min_n: int = 100,
-    driver_limit: int = DRIVER_SKETCH_DIRS,
 ) -> pd.DataFrame:
     """Localize distribution drift to PARTITIONS: score every active
     partition's sketch blobs (``active``, or the manifest's when None)
@@ -549,11 +519,10 @@ def drift_by_partition(
     says THAT a codec drifted; this says WHERE — which chunk of last
     night's append moved — without touching a single verdict row.
 
-    Two regimes like :func:`merge_partition_baselines`: ≤ ``driver_limit``
-    partitions score on the driver; above it the scoring fans out as a
-    ``map_batches`` over the dir list with the baseline store BROADCAST
-    once via ``ray.put`` (the report is embarrassingly parallel per
-    partition — no shuffle).
+    Each batch of dirs is scored by :func:`schema_guru_ray.fold.map_items`
+    (the report is embarrassingly parallel per partition — no shuffle);
+    the baseline rides in the scoring function's closure. It raises like
+    :func:`merge_partition_baselines`.
 
     ``min_n``: a (partition, codec) slice with fewer than this many
     values is never FLAGGED (PSI over quantile bins is noise at small
@@ -569,14 +538,14 @@ def drift_by_partition(
     expect = sketch_cfg_hash(cfg)
     baseline = decode_codecs(baseline)
 
-    def score_dir(p: str, base: Dict) -> list:
+    def score_dir(p: str) -> list:
         name = os.path.basename(p).split("=", 1)[1]
         store, meta = load_baseline(
             os.path.join(p, "sketches.json"), expect_cfg_hash=expect)
         n = int(meta.get("meta", {}).get("n_clips", 0))
         out = []
         for codec, cols in store.items():
-            base_cols = base.get(codec, {})
+            base_cols = baseline.get(codec, {})
             for col, raw in cols.items():
                 cur = KLL.from_bytes(raw)
                 rec = {"partition": name, "codec": codec, "col": col,
@@ -591,28 +560,8 @@ def drift_by_partition(
                 out.append(rec)
         return out
 
-    if len(part_dirs) <= driver_limit:
-        rows = [r for p in part_dirs for r in score_dir(p, baseline)]
-    else:
-        import ray
-        import ray.data as rd
-
-        base_ref = ray.put(baseline)  # broadcast once, not per task
-
-        def score_task(b: pd.DataFrame) -> pd.DataFrame:
-            base = ray.get(base_ref)
-            return _drift_frame(
-                [r for p in b["dir"] for r in score_dir(p, base)])
-
-        try:
-            rows = rd.from_items(
-                [{"dir": p} for p in part_dirs]
-            ).map_batches(score_task, batch_format="pandas",
-                          batch_size=64).take_all()
-        except Exception as exc:
-            # normalize RayTaskError for typed callers (see _require_sketches)
-            raise ValueError(
-                f"distributed drift scoring failed: {exc}") from exc
+    rows = map_items(part_dirs, lambda dirs: _drift_frame(
+        [r for p in dirs for r in score_dir(p)]))
     return (_drift_frame(rows)
             .sort_values(["partition", "codec", "col"])
             .reset_index(drop=True))

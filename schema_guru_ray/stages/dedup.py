@@ -475,19 +475,19 @@ def connected_components_distributed(pairs_ds, max_rounds: Optional[int] = None)
 DRIVER_PAIR_LIMIT = 5_000_000
 
 
-def connected_components_auto(pairs_ds, driver_pair_limit: int = DRIVER_PAIR_LIMIT):
+def connected_components_auto(pairs_ds):
     """Connected components over a PAIRS Dataset with the measured regime
-    choice: when the pair set fits the driver bound, pull it once and run
-    union-find (path-halving, min-root — same labels as the distributed
-    fixpoint); otherwise run the O(log diameter) distributed propagation.
-    Returns a Dataset of (node:int64, label:int64) in both regimes. The
-    input is materialized (both regimes consume it fully anyway), so the
-    sizing ``count()`` is free."""
+    choice: when the pair set fits ``DRIVER_PAIR_LIMIT`` (read per call),
+    pull it once and run union-find (path-halving, min-root — same labels
+    as the distributed fixpoint); otherwise run the O(log diameter)
+    distributed propagation. Returns a Dataset of (node:int64,
+    label:int64) in both regimes. The input is materialized (both regimes
+    consume it fully anyway), so the sizing ``count()`` is free."""
     import ray.data as rd
 
     pairs_ds = pairs_ds.materialize()
     n_pairs = pairs_ds.count()
-    if n_pairs > driver_pair_limit:
+    if n_pairs > DRIVER_PAIR_LIMIT:
         return connected_components_distributed(pairs_ds)
     df = pairs_ds.to_pandas()
     if df.empty:

@@ -117,20 +117,23 @@ class TestComponentsDifferential:
             assert list(lbl) == [min(comp)]
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_auto_regimes_agree(self, seed):
+    def test_auto_regimes_agree(self, seed, monkeypatch):
         """Both regimes of connected_components_auto must produce the
         same labels on the same graph (the driver union-find is forced by
         a huge limit, the distributed path by limit=0)."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import dedup
         from schema_guru_ray.stages.dedup import connected_components_auto
 
         rng = np.random.default_rng(seed)
         pairs = pd.DataFrame(
             _random_edges(rng), columns=["id_a", "id_b"]).astype("int64")
         ds = rd.from_pandas(pairs).repartition(3)
-        small = connected_components_auto(ds, driver_pair_limit=10**9).to_pandas()
-        big = connected_components_auto(ds, driver_pair_limit=0).to_pandas()
+        monkeypatch.setattr(dedup, "DRIVER_PAIR_LIMIT", 10**9)
+        small = connected_components_auto(ds).to_pandas()
+        monkeypatch.setattr(dedup, "DRIVER_PAIR_LIMIT", 0)
+        big = connected_components_auto(ds).to_pandas()
         s = small.sort_values("node").reset_index(drop=True)
         b = big.sort_values("node").reset_index(drop=True)
         pd.testing.assert_frame_equal(s, b, check_dtype=False)

@@ -1,6 +1,8 @@
 """fold_keyed: the driver and tree regimes give the same fold for keyed,
 unkeyed, empty, null-key and hot-key inputs; in the tree regime the driver
-combines at most one row per key, and the shuffled blocks are Arrow."""
+combines at most one row per key, and the shuffled blocks are Arrow.
+map_items: the driver regime is one call with no Ray Data execution, the
+tasks regime runs FANIN-item batches, and a task failure is a ValueError."""
 
 import numpy as np
 import pandas as pd
@@ -150,18 +152,71 @@ class TestFoldKeyed:
         assert blocks and all(isinstance(ray.get(b), pa.Table) for b in blocks)
 
 
+def _batch_frame():
+    """An fn for map_items: one row per item with its batch's size (a
+    closure, so Ray workers get it by value)."""
+
+    def frame(items: list) -> pd.DataFrame:
+        return pd.DataFrame({"item": pd.Series(items, dtype=object),
+                             "batch": pd.Series([len(items)] * len(items), dtype="int64")})
+
+    return frame
+
+
+def test_map_items_driver_regime_runs_no_ray_data(monkeypatch):
+    """Up to DRIVER_FOLD_ROWS items, fn runs once on the driver over all
+    of them and no Ray Data plan is built."""
+    import ray.data as rd
+
+    def no_ray_data(*a, **kw):
+        raise AssertionError("the driver regime built a Ray Data plan")
+
+    monkeypatch.setattr(rd, "from_items", no_ray_data)
+    items = [f"dir{i}" for i in range(fold.DRIVER_FOLD_ROWS)]
+    calls = []
+    out = fold.map_items(items, lambda xs: calls.append(xs) or _batch_frame()(xs))
+    assert calls == [items]
+    assert out["item"].tolist() == items
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_map_items_tasks_regime_runs_fanin_batches(monkeypatch):
+    items = [f"dir{i}" for i in range(10)]
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(fold, "FANIN", 4)
+    out = fold.map_items(items, _batch_frame())
+    assert sorted(out["item"]) == items
+    assert out["batch"].max() <= 4 and out["batch"].nunique() > 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_map_items_task_failure_is_value_error(monkeypatch):
+    """A typed error raised by fn stays typed on the driver; raised inside
+    a Ray task, it reaches the caller as ValueError."""
+    def fail(items):
+        raise KeyError("no sketches key")
+
+    with pytest.raises(KeyError):
+        fold.map_items(["a", "b"], fail)
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)
+    with pytest.raises(ValueError, match="no sketches key"):
+        fold.map_items(["a", "b"], fail)
+
+
 def test_fold_policy_lives_only_in_fold_module():
-    """No module but fold.py carries a fold knob or threshold, so the
-    driver-or-tree topology is not copied again, and the codec salt the
-    per-block combiner made redundant stays gone. The one exception is
-    validate's DRIVER_FOLD_PARTIALS re-export."""
+    """No module but fold.py carries a fold knob or threshold or builds a
+    driver-known item fan-out (``from_items``), so the driver-or-tree
+    topology is not copied again, and the codec salt the per-block
+    combiner made redundant stays gone. The one exception is validate's
+    DRIVER_FOLD_PARTIALS re-export."""
     import pathlib
     import re
 
     pkg = pathlib.Path(fold.__file__).parent
     banned = re.compile(
         r"driver_fold_limit|tree_fanin|\bfanin\b|\bDRIVER_FOLD_\w*\s*=(?!=)"
-        r"|\bn_salts\b")
+        r"|\bn_salts\b|driver_limit|DRIVER_SKETCH_DIRS|driver_pair_limit"
+        r"|from_items\(")
     allowed = {("pipelines/validate.py", "DRIVER_FOLD_PARTIALS = DRIVER_FOLD_ROWS")}
     hits = []
     for path in sorted(pkg.rglob("*.py")):

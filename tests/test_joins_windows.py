@@ -179,18 +179,21 @@ class TestDistributedComponents:
         want = connected_components(pairs)
         assert got == want
 
-    def test_auto_regimes_agree(self, ray_session):
+    def test_auto_regimes_agree(self, ray_session, monkeypatch):
         """connected_components_auto: both regimes emit identical labels —
         forced driver (high limit) vs forced distributed (limit 0)."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import dedup
         from schema_guru_ray.stages.dedup import connected_components_auto
 
         pairs = [(i, i + 1) for i in range(0, 5)]
         pairs += [(100, 101), (102, 103), (200, 201), (201, 202)]
         ds = rd.from_pandas(pd.DataFrame(pairs, columns=["id_a", "id_b"]))
-        drv = connected_components_auto(ds, driver_pair_limit=10**6).to_pandas()
-        dist = connected_components_auto(ds, driver_pair_limit=0).to_pandas()
+        monkeypatch.setattr(dedup, "DRIVER_PAIR_LIMIT", 10**6)
+        drv = connected_components_auto(ds).to_pandas()
+        monkeypatch.setattr(dedup, "DRIVER_PAIR_LIMIT", 0)
+        dist = connected_components_auto(ds).to_pandas()
         d1 = dict(zip(drv["node"].astype(int), drv["label"].astype(int)))
         d2 = dict(zip(dist["node"].astype(int), dist["label"].astype(int)))
         assert d1 == d2

@@ -230,11 +230,13 @@ def test_drift_localized_to_shifted_partition(clips_dir, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_sketch_regimes_agree_driver_vs_distributed(clips_dir, tmp_path):
+def test_sketch_regimes_agree_driver_vs_distributed(clips_dir, tmp_path, monkeypatch):
     """The distributed (fan-out) regime of merge_partition_baselines and
     drift_by_partition must answer exactly like the driver regime —
-    forced via driver_limit=0 on the same small tree."""
+    forced via fold.DRIVER_FOLD_ROWS = 0 on the same small tree."""
     import pandas as pd
+
+    from schema_guru_ray import fold
 
     from schema_guru_ray.pipelines.validate import (
         ValidationConfig,
@@ -249,7 +251,9 @@ def test_sketch_regimes_agree_driver_vs_distributed(clips_dir, tmp_path):
     run_validation_checkpointed(clips_dir, out, cfg, files_per_partition=1)
 
     drv_store, drv_n = merge_partition_baselines(out, cfg=cfg)
-    dist_store, dist_n = merge_partition_baselines(out, cfg=cfg, driver_limit=0)
+    drv = drift_by_partition(out, drv_store, cfg)
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)
+    dist_store, dist_n = merge_partition_baselines(out, cfg=cfg)
     assert drv_n == dist_n and set(drv_store) == set(dist_store)
     for codec in drv_store:
         for col in drv_store[codec]:
@@ -261,15 +265,15 @@ def test_sketch_regimes_agree_driver_vs_distributed(clips_dir, tmp_path):
                 if qb:
                     assert abs(qa - qb) <= 0.03 * abs(qb) + 1e-9
 
-    drv = drift_by_partition(out, drv_store, cfg)
-    dist = drift_by_partition(out, drv_store, cfg, driver_limit=0)
+    dist = drift_by_partition(out, drv_store, cfg)
     pd.testing.assert_frame_equal(drv, dist, check_dtype=False)
 
 
-def test_legacy_tree_raises_catchably_in_distributed_regime(tmp_path):
+def test_legacy_tree_raises_catchably_in_distributed_regime(tmp_path, monkeypatch):
     """The legacy-tree FileNotFoundError must be raised on the DRIVER even
     in the fan-out regime — inside a Ray task it would surface as
     RayTaskError and slip past the job's typed fallback."""
+    from schema_guru_ray import fold
     from schema_guru_ray.pipelines.validate import (
         drift_by_partition,
         merge_partition_baselines,
@@ -278,10 +282,11 @@ def test_legacy_tree_raises_catchably_in_distributed_regime(tmp_path):
     for i in range(3):
         (tmp_path / "out" / f"partition={i:04d}").mkdir(parents=True)
     _write_manifest(str(tmp_path / "out"), {"active": [f"{i:04d}" for i in range(3)]})
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)
     with pytest.raises(FileNotFoundError, match="predate"):
-        merge_partition_baselines(str(tmp_path / "out"), driver_limit=0)
+        merge_partition_baselines(str(tmp_path / "out"))
     with pytest.raises(FileNotFoundError, match="predate"):
-        drift_by_partition(str(tmp_path / "out"), {}, driver_limit=0)
+        drift_by_partition(str(tmp_path / "out"), {})
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -332,12 +337,14 @@ def test_null_codec_survives_checkpointed_baseline(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path):
-    """driver_limit=0 over 128 partitions whose first 64 — one 64-dir
-    task — hold only empty sketch stores: that task's frames are typed,
-    so the distributed regime answers like the driver regime."""
+def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path, monkeypatch):
+    """fold.DRIVER_FOLD_ROWS = 0 over 128 partitions whose first 64 — one
+    64-dir task — hold only empty sketch stores: that task's frames are
+    typed, so the distributed regime answers like the driver regime."""
     import numpy as np
     import pandas as pd
+
+    from schema_guru_ray import fold
 
     from schema_guru_ray.pipelines.validate import (
         ValidationConfig,
@@ -357,12 +364,13 @@ def test_distributed_sketch_tasks_with_only_empty_stores(tmp_path):
     _write_manifest(str(out), {"active": [f"{i:04d}" for i in range(128)]})
 
     drv_store, drv_n = merge_partition_baselines(str(out), cfg=cfg)
-    dist_store, dist_n = merge_partition_baselines(str(out), cfg=cfg, driver_limit=0)
+    drv = drift_by_partition(str(out), drv_store, cfg)
+    monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)
+    dist_store, dist_n = merge_partition_baselines(str(out), cfg=cfg)
     assert drv_n == dist_n == 64 * 200
     assert set(drv_store) == set(dist_store) == {"pcm16"}
 
-    drv = drift_by_partition(str(out), drv_store, cfg)
-    dist = drift_by_partition(str(out), drv_store, cfg, driver_limit=0)
+    dist = drift_by_partition(str(out), drv_store, cfg)
     assert len(dist) == 64
     pd.testing.assert_frame_equal(drv, dist)
 
