@@ -98,7 +98,8 @@ def export_shuffled(input_files, out_dir: str, id_column: str = "doc_id",
                 "shards": {str(k): v for k, v in sorted(shard_counts.items())}}
 
     return run_incremental(
-        list(input_files), out_dir, process, cfg,
+        list(input_files), out_dir,
+        lambda chunks, _: [process(f, d) for f, d in chunks], cfg,
         files_per_partition=files_per_partition, log=log,
     )
 

@@ -77,7 +77,8 @@ def export_windows(input_files, out_dir: str, window_ms: int = 250,
         return {"n_windows": n, "parquet_bytes": nbytes}
 
     return run_incremental(
-        list(input_files), out_dir, process, cfg,
+        list(input_files), out_dir,
+        lambda chunks, _: [process(f, d) for f, d in chunks], cfg,
         files_per_partition=files_per_partition, log=log,
     )
 

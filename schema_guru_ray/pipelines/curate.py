@@ -200,7 +200,8 @@ def curate_documents_checkpointed(
 
     input_files = list(input_files)
     manifest["dedup"] = run_incremental(
-        input_files, dedup_dir, run_dedup, cfg_hash=cfg_dedup,
+        input_files, dedup_dir,
+        lambda chunks, _: [run_dedup(f, d) for f, d in chunks], cfg_hash=cfg_dedup,
         files_per_partition=len(input_files), log=log,
     )
     dedup_files = active_files(dedup_dir, manifest["dedup"]["active"])
@@ -218,7 +219,8 @@ def curate_documents_checkpointed(
         return {"n_drops": drops.count()}
 
     manifest["drops"] = run_incremental(
-        dedup_files, drops_dir, run_drops, cfg_hash=cfg_drops,
+        dedup_files, drops_dir,
+        lambda chunks, _: [run_drops(f, d) for f, d in chunks], cfg_hash=cfg_drops,
         files_per_partition=len(dedup_files), log=log,
     )
     drop_files = active_files(drops_dir, manifest["drops"]["active"])
@@ -242,7 +244,8 @@ def curate_documents_checkpointed(
         return {"n_out": out.count()}
 
     manifest["final"] = run_incremental(
-        dedup_files, final_dir, run_final, cfg_hash=cfg_final,
+        dedup_files, final_dir,
+        lambda chunks, _: [run_final(f, d) for f, d in chunks], cfg_hash=cfg_final,
         files_per_partition=files_per_partition, log=log,
     )
     final_files = active_files(final_dir, manifest["final"]["active"])

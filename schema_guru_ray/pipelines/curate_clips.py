@@ -369,7 +369,8 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         return {"n_valid": out.count()}
 
     manifest["valid"] = run_incremental(
-        list(input_files), valid_dir, run_valid, cfg_hash=cfg_valid,
+        list(input_files), valid_dir,
+        lambda chunks, _: [run_valid(f, d) for f, d in chunks], cfg_hash=cfg_valid,
         files_per_partition=files_per_partition, log=log,
     )
 
@@ -402,7 +403,8 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         return {"n_dedup": out.count()}
 
     manifest["dedup"] = run_incremental(
-        valid_files, dedup_dir, run_dedup, cfg_hash=cfg_dedup,
+        valid_files, dedup_dir,
+        lambda chunks, _: [run_dedup(f, d) for f, d in chunks], cfg_hash=cfg_dedup,
         files_per_partition=len(valid_files), log=log,
     )
     dedup_files = active_files(dedup_dir, manifest["dedup"]["active"])
@@ -421,7 +423,8 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         return {"n_drops": drops.count()}
 
     manifest["drops"] = run_incremental(
-        dedup_files, drops_dir, run_drops, cfg_hash=cfg_drops,
+        dedup_files, drops_dir,
+        lambda chunks, _: [run_drops(f, d) for f, d in chunks], cfg_hash=cfg_drops,
         files_per_partition=len(dedup_files), log=log,
     )
     drop_files = active_files(drops_dir, manifest["drops"]["active"])
@@ -449,7 +452,8 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         return {"n_out": out.count()}
 
     manifest["final"] = run_incremental(
-        dedup_files, final_dir, run_final, cfg_hash=cfg_final,
+        dedup_files, final_dir,
+        lambda chunks, _: [run_final(f, d) for f, d in chunks], cfg_hash=cfg_final,
         files_per_partition=files_per_partition, log=log,
     )
     return {"result": rd.read_parquet(active_files(final_dir, manifest["final"]["active"])),

@@ -166,7 +166,8 @@ def infer_schema_checkpointed(
         return {"n_errors": folded["n_errors"], "n_rows": folded["n_rows"]}
 
     manifest = run_incremental(
-        input_files, out_dir, process, cfg_hash=cfg_hash,
+        input_files, out_dir,
+        lambda chunks, _: [process(f, d) for f, d in chunks], cfg_hash=cfg_hash,
         files_per_partition=files_per_partition, log=log,
     )
 

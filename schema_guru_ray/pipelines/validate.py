@@ -15,9 +15,22 @@ Topology (SURVEY.md §3.5):
          collapses a hot codec to one state per block before any shuffle)
 
 Only tiny pickled aggregate states shuffle; the wide ``bytes`` column is
-projected away by the validator stage itself. A checkpointed run commits
-each partition's codec sketches; the baseline merge and the per-partition
-drift report read those blobs through ``fold.map_items``.
+projected away by the validator stage itself.
+
+A checkpointed run (:func:`run_validation_checkpointed`) runs this topology
+once per plan of dirty chunks, not once per chunk:
+
+    read every dirty file (include_paths) → path → ``__chunk`` digest
+      → validate (the tag rides through) → materialize + coalesce once
+      ├─ verdicts, violations: write_parquet(partition_cols=["__chunk"])
+      │    into the plan's staging dir → each ``__chunk=<digest>`` subdir
+      │    moves into its chunk's tmp dir
+      └─ per-(chunk, codec) partials → fold_keyed by (__chunk, codec)
+           → driver finalize per chunk: codec_verdicts.parquet + sketches.json
+
+and the runner then commits each chunk on its own. The baseline merge and
+the per-partition drift report read the committed sketch blobs through
+``fold.map_items``.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import pandas as pd
@@ -43,6 +56,7 @@ from schema_guru_ray.state.checkpoint import (
     FILES_PER_PARTITION,
     active_dirs,
     config_hash,
+    partition_digest,
     run_incremental,
 )
 from schema_guru_ray.state.sketch_store import NULL_CODEC, decode_codecs
@@ -198,7 +212,8 @@ DRIVER_FOLD_PARTIALS = DRIVER_FOLD_ROWS
 
 class CodecPartialAggregator:
     """map_batches kernel over verdict batches → one pickled CodecAgg per
-    codec per batch."""
+    codec per batch (per ``(__chunk, codec)`` when a checkpoint plan
+    tagged the rows with their chunk)."""
 
     def __init__(self, cfg: ValidationConfig):
         self.cfg = cfg
@@ -225,10 +240,13 @@ class CodecPartialAggregator:
             return x[~np.isnan(x)]
 
         viols = batch["violations"].to_pylist()
+        tagged = "__chunk" in batch.column_names
+        chunks = (np.asarray(batch["__chunk"].to_pylist()) if tagged
+                  else np.zeros(len(codecs), dtype=object))
 
         rows = []
-        for codec in np.unique(codecs):
-            mask = codecs == codec
+        for chunk, codec in sorted(set(zip(chunks, codecs))):
+            mask = (chunks == chunk) & (codecs == codec)
             agg = CodecAgg(
                 n=int(mask.sum()),
                 n_ok=int(oks[mask].sum()),
@@ -240,22 +258,33 @@ class CodecPartialAggregator:
                 sr_kll=KLL(cfg.kll_k).add_many(_finite(srs[mask])),
                 snr_kll=KLL(cfg.kll_k).add_many(_finite(snrs[mask])),
             )
-            rows.append({"codec": str(codec), "agg": pickle.dumps(agg)})
-        return pa.Table.from_pylist(
-            rows, schema=pa.schema([("codec", pa.string()), ("agg", pa.binary())])
-        )
+            row = {"codec": str(codec), "agg": pickle.dumps(agg)}
+            rows.append({"__chunk": str(chunk), **row} if tagged else row)
+        fields = [("codec", pa.string()), ("agg", pa.binary())]
+        if tagged:
+            fields.insert(0, ("__chunk", pa.string()))
+        return pa.Table.from_pylist(rows, schema=pa.schema(fields))
 
 
-def _combine_codec_aggs(frame: pd.DataFrame) -> pd.DataFrame:
-    """Merge CodecAgg states per codec."""
+def _combine_codec_aggs(frame: pd.DataFrame, key: List[str]) -> pd.DataFrame:
+    """Merge CodecAgg states per distinct ``key`` value."""
     rows = []
-    for codec, g in frame.groupby("codec", sort=False, dropna=False):
+    for vals, g in frame.groupby(key, sort=False, dropna=False):
         acc: Optional[CodecAgg] = None
         for buf in g["agg"]:
             a = pickle.loads(buf)
             acc = a if acc is None else acc.merge(a)
-        rows.append({"codec": codec, "agg": pickle.dumps(acc)})
-    return pd.DataFrame(rows, columns=["codec", "agg"])
+        rows.append({**dict(zip(key, vals)), "agg": pickle.dumps(acc)})
+    return pd.DataFrame(rows, columns=[*key, "agg"])
+
+
+def _fold_codec_aggs(verdicts, cfg: ValidationConfig, key: List[str]) -> pd.DataFrame:
+    """One merged CodecAgg per ``key`` value over ``verdicts``: per-block
+    partials (over the coalesced blocks) folded by :func:`fold_keyed`."""
+    partials = _coalesced(verdicts).map_batches(
+        CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
+    )
+    return fold_keyed(partials, key, lambda frame: _combine_codec_aggs(frame, key))
 
 
 _VERDICT_DTYPES = {
@@ -299,10 +328,15 @@ def codec_verdicts(
     The store keys the null codec as ``NULL_CODEC``, so it persists as
     JSON; a baseline may key it either way.
     """
-    partials = _coalesced(verdicts).map_batches(
-        CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
-    )
-    folded = fold_keyed(partials, ["codec"], _combine_codec_aggs)
+    folded = _fold_codec_aggs(verdicts, cfg, ["codec"])
+    return _finalize_codecs(folded, cfg, baseline, return_store)
+
+
+def _finalize_codecs(folded: pd.DataFrame, cfg: ValidationConfig,
+                     baseline: Optional[Dict[str, Dict[str, bytes]]],
+                     return_store: bool):
+    """The driver half of :func:`codec_verdicts`: one folded CodecAgg row
+    per codec → the verdict table (and the sketch store)."""
     baseline = decode_codecs(baseline) if baseline else baseline
     rows = []
     store: Dict[str, Dict[str, bytes]] = {}
@@ -353,6 +387,14 @@ def codec_verdicts(
     return (cv, store) if return_store else cv
 
 
+def _tag_chunks(batch: pa.Table, chunk_of: Dict[str, str]) -> pa.Table:
+    """Replace the ``path`` column of a read with ``__chunk``, the digest of
+    the checkpoint chunk the row's file belongs to."""
+    paths = batch["path"].combine_chunks().dictionary_encode()
+    digests = pa.array([chunk_of[p] for p in paths.dictionary.to_pylist()], pa.string())
+    return batch.drop_columns(["path"]).append_column("__chunk", pc.take(digests, paths.indices))
+
+
 def run_validation_checkpointed(
     clips_dir: str,
     out_dir: str,
@@ -364,13 +406,17 @@ def run_validation_checkpointed(
 ):
     """Checkpointed flagship run: the sorted clips parquet files are
     grouped into content-addressed chunks of ``files_per_partition``
-    files; each chunk streams read → validate → write (verdicts/violations
-    parquet, codec verdicts, sketches) and commits an atomic ``_SUCCESS.json`` with lineage +
-    metrics. A rerun skips finished chunks, and a nightly resubmission
-    over a grown corpus re-validates only the chunks whose file
-    membership changed (see state/checkpoint.py). ``gc_orphans`` deletes
-    the chunks the new partitioning superseded."""
+    files. The chunks to run are validated together, one Ray Data plan per
+    ``checkpoint.CHUNKS_PER_PLAN`` chunks (see the module docstring); each
+    chunk gets its own verdicts/violations parquet, codec verdicts and
+    sketches, the same as a run over its files alone, and commits an
+    atomic ``_SUCCESS.json`` with lineage + metrics. A rerun skips
+    finished chunks, and a nightly resubmission over a grown corpus
+    re-validates only the chunks whose file membership changed (see
+    state/checkpoint.py). ``gc_orphans`` deletes the chunks the new
+    partitioning superseded."""
     import glob
+    import json
     import os
 
     import ray.data as rd
@@ -379,40 +425,54 @@ def run_validation_checkpointed(
     if not files:
         raise FileNotFoundError(f"no parquet files under {clips_dir}")
 
-    def process(part_files, tmp_dir):
-        ds = rd.read_parquet(part_files)
-        # per-partition working set, coalesced once for all three consumers
+    def process(chunks, staging):
+        # one Ray Data plan over every dirty chunk: rows carry their
+        # chunk's digest, each write lands one hive subdir per chunk, and
+        # the codec fold keys on (chunk, codec)
+        digests = [partition_digest(part_files) for part_files, _ in chunks]
+        chunk_of = {f: d for (part_files, _), d in zip(chunks, digests) for f in part_files}
+        ds = rd.read_parquet(sorted(chunk_of), include_paths=True).map_batches(
+            _tag_chunks, fn_kwargs={"chunk_of": chunk_of}, batch_format="pyarrow")
         verdicts = _coalesced(validate_clips(ds, cfg).materialize()).materialize()
-        verdicts.write_parquet(os.path.join(tmp_dir, "verdicts"))
-        violations_dataset(verdicts).write_parquet(os.path.join(tmp_dir, "violations"))
-        cv, store = codec_verdicts(
-            verdicts, cfg, baseline=baseline, return_store=True)
-        cv.assign(
-            violations_by_kind=cv["violations_by_kind"].map(
-                lambda d: __import__("json").dumps(d)
-            )
-        ).to_parquet(os.path.join(tmp_dir, "codec_verdicts.parquet"))
-        n = verdicts.count()
-        # per-partition sketch blobs (from the SAME aggregation pass that
-        # produced cv): a corpus baseline refresh merges these
-        # O(#partitions) KB-sized stores instead of re-aggregating
-        # corpus-scale verdict ROWS (see sketch_store.merge_stores)
+        for name, rows in (("verdicts", verdicts), ("violations", violations_dataset(verdicts))):
+            rows.write_parquet(os.path.join(staging, name), partition_cols=["__chunk"])
+        folded = _fold_codec_aggs(verdicts, cfg, ["__chunk", "codec"])
+        by_chunk = dict(list(folded.groupby("__chunk"))) if len(folded) else {}
         from schema_guru_ray.state.sketch_store import save_baseline, sketch_cfg_hash
 
-        save_baseline(
-            store,
-            os.path.join(tmp_dir, "sketches.json"),
-            source=";".join(part_files[:2]) + ("..." if len(part_files) > 2 else ""),
-            cfg_hash=sketch_cfg_hash(cfg),
-            meta={"n_clips": n},
-        )
-        return {
-            "n_clips": n,
-            "n_ok": int(cv["n_ok"].sum()),
-            "n_violations": int(cv["n_violations"].sum()),
-            "codecs_passed": int(cv["passed"].sum()),
-            "codecs_total": int(len(cv)),
-        }
+        metrics = []
+        for (part_files, tmp_dir), digest in zip(chunks, digests):
+            # a chunk with no rows of a kind has no subdir, and commits no
+            # dir for it: what a write of zero rows leaves
+            for name in ("verdicts", "violations"):
+                src = os.path.join(staging, name, f"__chunk={digest}")
+                if os.path.isdir(src):
+                    os.replace(src, os.path.join(tmp_dir, name))
+            cv, store = _finalize_codecs(
+                by_chunk.get(digest, folded.iloc[:0]), cfg, baseline, return_store=True)
+            cv.assign(
+                violations_by_kind=cv["violations_by_kind"].map(json.dumps)
+            ).to_parquet(os.path.join(tmp_dir, "codec_verdicts.parquet"))
+            n = int(cv["n_clips"].sum())
+            # per-partition sketch blobs (from the SAME aggregation pass that
+            # produced cv): a corpus baseline refresh merges these
+            # O(#partitions) KB-sized stores instead of re-aggregating
+            # corpus-scale verdict ROWS (see sketch_store.merge_stores)
+            save_baseline(
+                store,
+                os.path.join(tmp_dir, "sketches.json"),
+                source=";".join(part_files[:2]) + ("..." if len(part_files) > 2 else ""),
+                cfg_hash=sketch_cfg_hash(cfg),
+                meta={"n_clips": n},
+            )
+            metrics.append({
+                "n_clips": n,
+                "n_ok": int(cv["n_ok"].sum()),
+                "n_violations": int(cv["n_violations"].sum()),
+                "codecs_passed": int(cv["passed"].sum()),
+                "codecs_total": int(len(cv)),
+            })
+        return metrics
 
     cfg_h = config_hash(vars(cfg) | {"baseline": baseline is not None})
     return run_incremental(

@@ -216,7 +216,7 @@ class ClipValidator:
             snrs[i] = s
             oks[i] = not v
             viols.append(v)
-        return pa.Table.from_arrays(
+        out = pa.Table.from_arrays(
             [
                 pa.array(clip_ids, pa.string()),
                 pa.array(codecs, pa.string()),
@@ -229,6 +229,11 @@ class ClipValidator:
             ],
             schema=VERDICT_SCHEMA,
         )
+        # a checkpoint plan tags each row with its chunk's digest; the tag
+        # rides through so the plan's writes and folds can key on it
+        if "__chunk" in batch.column_names:
+            out = out.append_column("__chunk", batch["__chunk"])
+        return out
 
 
 _VALIDATOR_CACHE: Dict[tuple, "ClipValidator"] = {}
@@ -267,7 +272,7 @@ def explode_violations(batch: pa.Table) -> pa.Table:
     viols = bad["violations"].combine_chunks()
     kinds = pc.list_flatten(viols)
     parents = pc.list_parent_indices(viols)
-    return pa.Table.from_arrays(
+    out = pa.Table.from_arrays(
         [
             pc.take(bad["clip_id"].combine_chunks(), parents),
             pc.take(bad["codec"].combine_chunks(), parents),
@@ -275,3 +280,6 @@ def explode_violations(batch: pa.Table) -> pa.Table:
         ],
         names=["clip_id", "codec", "kind"],
     )
+    if "__chunk" in batch.column_names:  # a checkpoint plan's chunk tag
+        out = out.append_column("__chunk", pc.take(bad["__chunk"].combine_chunks(), parents))
+    return out

@@ -18,13 +18,21 @@ where each shard is independently re-creatable from its fragment list, and
 one that survives appends — files that sort after the existing ones leave
 every full chunk's digest, and so its checkpoint, untouched.
 
-A partition directory is written to a ``.tmp-`` sibling and atomically
-renamed, so a crash mid-partition leaves no half-trusted output. On resume,
-partitions whose ``_SUCCESS.json`` exists AND matches the current config
-hash + input lineage are skipped; a config change invalidates every
-checkpoint (a resumed run never mixes configs — SURVEY.md §7.4).
+Dirty chunks run in plans of at most ``CHUNKS_PER_PLAN``: one ``process``
+call (for validation, one Ray Data plan) computes every chunk of the plan
+and leaves each chunk's outputs in its own ``.tmp-partition=<digest>``
+sibling, staging plan-wide outputs in ``.tmp-partition=plan-<digest>``
+first. The runner then commits the chunks one by one: ``_SUCCESS.json``
+into the tmp dir, then an atomic rename over ``partition=<digest>``. A
+crash therefore leaves each chunk of a plan either committed or visible
+only as a tmp dir — never a half-trusted output — and the next run redoes
+exactly the chunks that did not commit. On resume, partitions whose
+``_SUCCESS.json`` exists AND matches the current config hash + input
+lineage are skipped; a config change invalidates every checkpoint (a
+resumed run never mixes configs — SURVEY.md §7.4).
 
-A committed chunk is an immutable run, as in an LSM tree: a chunk whose
+A committed chunk is an immutable run, as in an LSM tree, and a plan is
+one flush that builds many runs and commits each on its own: a chunk whose
 membership changed is written under a new digest and the old one is left
 behind as an orphan until ``gc_orphans`` collects it. Readers therefore
 take the partition set from the run summary or the manifest's ``active``
@@ -38,7 +46,7 @@ import json
 import os
 import shutil
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 SUCCESS = "_SUCCESS.json"
 MANIFEST = "_MANIFEST.json"
@@ -48,6 +56,13 @@ MANIFEST = "_MANIFEST.json"
 # base + 11 appended shards, 4 files/chunk gave 17 chunks, and a +5% append
 # re-ran 3 of them; BASELINE.md, round 5 session 7).
 FILES_PER_PARTITION = 4
+
+# Most dirty chunks one ``process`` call (one plan) is handed. A plan pays
+# the fixed cost of a Ray Data execution once instead of once per chunk;
+# the cap bounds what a crash in the middle of a plan redoes (64 files at
+# the default chunk size). A nightly append fits one plan: the 1M-clip
+# append of round 5 made 13 new chunks.
+CHUNKS_PER_PLAN = 16
 
 
 def config_hash(obj) -> str:
@@ -131,16 +146,23 @@ def _write_manifest(out_dir: str, summary: Dict) -> None:
 def run_incremental(
     input_files: Sequence[str],
     out_dir: str,
-    process_partition: Callable[[List[str], str], Dict],
+    process: Callable[[List[Tuple[List[str], str]], str], List[Dict]],
     cfg_hash: str,
     files_per_partition: int = FILES_PER_PARTITION,
     gc_orphans: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Run ``process_partition(files, tmp_dir) -> metrics`` for every chunk
-    of ``files_per_partition`` sorted input files not already checkpointed
-    under ``partition=<digest of its files>``; commit each atomically.
+    """Run every chunk of ``files_per_partition`` sorted input files not
+    already checkpointed under ``partition=<digest of its files>``, in plans
+    of at most ``CHUNKS_PER_PLAN`` chunks, and commit each chunk atomically.
     Returns the run summary, also written to ``out_dir/_MANIFEST.json``.
+
+    ``process(chunks, staging_dir) -> [metrics]`` gets a plan's chunks as
+    ``(files, tmp_dir)`` pairs and returns one metrics dict per chunk, in
+    order, once every chunk's outputs are in its ``tmp_dir``.
+    ``staging_dir`` does not exist yet; ``process`` may write plan-wide
+    outputs there and move each chunk's share into its ``tmp_dir``. The
+    runner deletes it when ``process`` returns.
 
     A daily append therefore re-executes ONLY the chunks whose membership
     changed (the trailing partial chunk and the new files). Committed
@@ -155,39 +177,53 @@ def run_incremental(
     parts = partition_chunks(input_files, files_per_partition)
     active = [partition_digest(files) for files in parts]
     summary = {"config_hash": cfg_hash, "partitions": [], "skipped": 0,
-               "ran": 0, "orphaned": 0, "mode": "incremental",
+               "ran": 0, "orphaned": 0, "plans": 0, "mode": "incremental",
                "files_per_partition": int(files_per_partition)}
+    dirty = []  # (digest, files, summary entry) of every chunk to run
     for digest, files in zip(active, parts):
-        final_dir = os.path.join(out_dir, f"partition={digest}")
-        if _success_matches(final_dir, cfg_hash, files):
+        entry = {"digest": digest, "status": "skipped"}
+        summary["partitions"].append(entry)
+        if _success_matches(os.path.join(out_dir, f"partition={digest}"), cfg_hash, files):
             summary["skipped"] += 1
-            summary["partitions"].append({"digest": digest, "status": "skipped"})
             if log:
                 log(f"partition {digest}: checkpoint hit, skipping")
-            continue
-        tmp_dir = os.path.join(out_dir, f".tmp-partition={digest}")
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        os.makedirs(tmp_dir)
-        t0 = time.time()
-        metrics = process_partition(list(files), tmp_dir)
-        meta = {
-            "partition": digest,
-            "inputs": sorted(files),
-            "config_hash": cfg_hash,
-            "wall_sec": round(time.time() - t0, 3),
-            "metrics": metrics,
-        }
-        with open(os.path.join(tmp_dir, SUCCESS), "w") as f:
-            json.dump(meta, f, indent=1, sort_keys=True)
-        shutil.rmtree(final_dir, ignore_errors=True)
-        os.replace(tmp_dir, final_dir)
-        summary["ran"] += 1
-        summary["partitions"].append(
-            {"digest": digest, "status": "ran", "wall_sec": meta["wall_sec"],
-             "metrics": metrics}
-        )
-        if log:
-            log(f"partition {digest}: done in {meta['wall_sec']}s")
+        else:
+            dirty.append((digest, files, entry))
+
+    for start in range(0, len(dirty), CHUNKS_PER_PLAN):
+        plan = dirty[start:start + CHUNKS_PER_PLAN]
+        chunks = []
+        for digest, files, _ in plan:
+            tmp_dir = os.path.join(out_dir, f".tmp-partition={digest}")
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            os.makedirs(tmp_dir)
+            chunks.append((list(files), tmp_dir))
+        staging = os.path.join(
+            out_dir, f".tmp-partition=plan-{partition_digest([d for d, _, _ in plan])}")
+        shutil.rmtree(staging, ignore_errors=True)
+        t0 = time.perf_counter()
+        metrics = process(chunks, staging)
+        plan_wall = time.perf_counter() - t0
+        shutil.rmtree(staging, ignore_errors=True)
+        if len(metrics) != len(plan):
+            raise ValueError(f"process returned {len(metrics)} metrics for "
+                             f"{len(plan)} chunks")
+        timing = {"wall_sec": round(plan_wall / len(plan), 3),
+                  "plan_wall_sec": round(plan_wall, 3), "plan_chunks": len(plan)}
+        for (digest, files, entry), (_, tmp_dir), m in zip(plan, chunks, metrics):
+            meta = {"partition": digest, "inputs": sorted(files),
+                    "config_hash": cfg_hash, **timing, "metrics": m}
+            with open(os.path.join(tmp_dir, SUCCESS), "w") as f:
+                json.dump(meta, f, indent=1, sort_keys=True)
+            final_dir = os.path.join(out_dir, f"partition={digest}")
+            shutil.rmtree(final_dir, ignore_errors=True)
+            os.replace(tmp_dir, final_dir)
+            summary["ran"] += 1
+            entry.update(status="ran", **timing, metrics=m)
+            if log:
+                log(f"partition {digest}: done in {timing['wall_sec']}s "
+                    f"({len(plan)}-chunk plan)")
+        summary["plans"] += 1
 
     current = {p for p in os.listdir(out_dir) if p.startswith("partition=")}
     orphans = sorted(current - {f"partition={d}" for d in active})

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from schema_guru_ray.state import checkpoint
 from schema_guru_ray.state.checkpoint import (
     config_hash,
     partition_chunks,
@@ -32,6 +33,11 @@ def _mk_files(tmp_path, names):
     return files
 
 
+def _each(one):
+    """A plan-level ``process`` that runs ``one(files, tmp_dir)`` per chunk."""
+    return lambda chunks, staging: [one(f, d) for f, d in chunks]
+
+
 def _record(calls):
     def proc(part_files, tmp_dir):
         calls.append(sorted(part_files))
@@ -39,7 +45,7 @@ def _record(calls):
             json.dump(sorted(part_files), f)
         return {"n": len(part_files)}
 
-    return proc
+    return _each(proc)
 
 
 class TestChunking:
@@ -126,7 +132,8 @@ class TestIncrementalRun:
                             files_per_partition=2)
         assert s["ran"] == 2 and s["skipped"] == 0
 
-    def test_crash_commits_nothing_half_done(self, tmp_path):
+    def test_crash_commits_nothing_half_done(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint, "CHUNKS_PER_PLAN", 1)
         files = _mk_files(tmp_path, [f"in{i}" for i in range(4)])
         out = str(tmp_path / "out")
         cfg = config_hash({})
@@ -139,7 +146,7 @@ class TestIncrementalRun:
             return {"n": len(part_files)}
 
         with pytest.raises(RuntimeError, match="simulated"):
-            run_incremental(files, out, boom, cfg, files_per_partition=2)
+            run_incremental(files, out, _each(boom), cfg, files_per_partition=2)
         committed = [p for p in os.listdir(out) if p.startswith("partition=")]
         assert len(committed) == 1  # only the first chunk committed
         s = run_incremental(files, out, _record([]), cfg, files_per_partition=2)
@@ -204,7 +211,7 @@ class TestIncrementalProperty:
                         continue
                     files = sorted(current)
                     before = dict(executed_for)
-                    s = run_incremental(files, out, proc, cfg,
+                    s = run_incremental(files, out, _each(proc), cfg,
                                         files_per_partition=fpp,
                                         gc_orphans=True)
                     # (1) active set == contiguous chunking of the corpus
@@ -281,19 +288,155 @@ class TestValidatePipelineIncremental:
             assert any(f.endswith(".parquet") for f in os.listdir(vd))
 
 
+def _row_multiset(frame):
+    """Rows of a frame as a sorted list of tuples: list cells become
+    tuples and NaN becomes None, so equal rows compare equal."""
+    import math
+
+    def cell(v):
+        if hasattr(v, "tolist"):
+            v = v.tolist()
+        if isinstance(v, list):
+            return tuple(v)
+        return None if isinstance(v, float) and math.isnan(v) else v
+
+    rows = [tuple(cell(v) for v in r) for r in frame.itertuples(index=False)]
+    return list(frame.columns), sorted(rows, key=repr)
+
+
+def _kll_state(raw):
+    """A KLL's content with each level's item order dropped."""
+    from schema_guru_ray.sketches.kll import KLL
+
+    k = KLL.from_bytes(raw)
+    return k.k, k.n, list(k.flips), [sorted(level.tolist()) for level in k.levels]
+
+
+class TestValidatePlanDifferential:
+    """One plan over several dirty chunks commits, for every chunk, what
+    the public validation functions compute over that chunk's files alone:
+    verdict and violation rows, the codec verdict table, the sketch store
+    and the ``_SUCCESS`` metrics. The chunks cover a null codec, a chunk
+    with no violations and a chunk whose files hold no rows."""
+
+    def test_each_committed_chunk_matches_its_own_run(self, ray_session, tmp_path):
+        import pandas as pd
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from schema_guru_ray.pipelines.validate import (
+            ValidationConfig,
+            build_baseline,
+            codec_verdicts,
+            run_validation_checkpointed,
+            validate_clips,
+            violations_dataset,
+        )
+        from schema_guru_ray.sources.clips import ClipsConfig, generate_clips_table
+        from schema_guru_ray.state.sketch_store import (
+            decode_codecs,
+            load_baseline,
+            sketch_cfg_hash,
+        )
+
+        noisy = generate_clips_table(75, ClipsConfig(
+            seed=7, rate_corrupt=0.05, rate_snr=0.05, rate_transcript_mismatch=0.05,
+            rate_sr_invalid=0.05, rate_dur_mismatch=0.05))
+        null_codec = pa.array([i == 3 for i in range(75)])
+        noisy = noisy.set_column(
+            noisy.schema.get_field_index("codec"), "codec",
+            pc.if_else(null_codec, pa.scalar(None, pa.string()), noisy["codec"]))
+        clean = generate_clips_table(40, ClipsConfig(
+            seed=8, rate_dup=0, rate_corrupt=0, rate_ref_transcript_on_bad=0,
+            rate_ref_null_on_good=0, rate_snr=0, rate_transcript_mismatch=0,
+            rate_sr_invalid=0, rate_dur_mismatch=0))
+        shards = [noisy.slice(0, 30), noisy.slice(30, 30),  # violations + a null codec
+                  clean.slice(0, 20), clean.slice(20, 20),  # no violations
+                  noisy.slice(0, 0), noisy.slice(0, 0),     # zero rows
+                  noisy.slice(60, 15)]                      # trailing 1-file chunk
+        clips_dir = tmp_path / "clips"
+        clips_dir.mkdir()
+        for i, t in enumerate(shards):
+            pq.write_table(t, clips_dir / f"part-{i:03d}.parquet")
+
+        cfg = ValidationConfig()
+        baseline = build_baseline(validate_clips(rd.from_arrow(clean)), cfg)
+        out = str(tmp_path / "out")
+        s = run_validation_checkpointed(str(clips_dir), out, cfg, baseline=baseline,
+                                        files_per_partition=2)
+        assert (s["ran"], s["plans"]) == (4, 1)
+
+        def committed_rows(pdir, name):
+            d = os.path.join(pdir, name)
+            return pq.read_table(d).to_pandas() if os.path.isdir(d) else None
+
+        seen_violations = set()
+        for i, (entry, files) in enumerate(zip(
+                s["partitions"], checkpoint.partition_chunks(
+                    [str(clips_dir / f"part-{i:03d}.parquet") for i in range(7)], 2))):
+            pdir = os.path.join(out, f"partition={entry['digest']}")
+            oracle_dir = tmp_path / f"oracle{i}"
+            verdicts = validate_clips(rd.read_parquet(files), cfg).materialize()
+            violations = violations_dataset(verdicts).materialize()
+            violations.write_parquet(str(oracle_dir / "violations"))
+            cv, store = codec_verdicts(verdicts, cfg, baseline=baseline, return_store=True)
+
+            for name, rows in (("verdicts", verdicts), ("violations", violations)):
+                got, want = committed_rows(pdir, name), rows.to_pandas()
+                if got is None:  # a write of zero rows leaves no dir either
+                    assert len(want) == 0
+                    continue
+                assert _row_multiset(got) == _row_multiset(want)
+            assert os.path.isdir(os.path.join(pdir, "violations")) == \
+                os.path.isdir(oracle_dir / "violations")
+            seen_violations.add(violations.count() > 0)
+
+            cv.assign(violations_by_kind=cv["violations_by_kind"].map(json.dumps)) \
+                .to_parquet(oracle_dir / "cv.parquet")
+            pd.testing.assert_frame_equal(
+                pd.read_parquet(os.path.join(pdir, "codec_verdicts.parquet")),
+                pd.read_parquet(oracle_dir / "cv.parquet"))
+
+            got_store, got_meta = load_baseline(os.path.join(pdir, "sketches.json"))
+            assert got_meta["cfg_hash"] == sketch_cfg_hash(cfg)
+            assert got_meta["meta"] == {"n_clips": verdicts.count()}
+            assert {c: {col: _kll_state(b) for col, b in cols.items()}
+                    for c, cols in got_store.items()} == \
+                {c: {col: _kll_state(b) for col, b in cols.items()}
+                 for c, cols in decode_codecs(store).items()}
+
+            with open(os.path.join(pdir, "_SUCCESS.json")) as f:
+                meta = json.load(f)
+            assert meta["inputs"] == files and meta["plan_chunks"] == 4
+            assert meta["metrics"] == entry["metrics"] == {
+                "n_clips": verdicts.count(),
+                "n_ok": int(cv["n_ok"].sum()),
+                "n_violations": int(cv["n_violations"].sum()),
+                "codecs_passed": int(cv["passed"].sum()),
+                "codecs_total": int(len(cv)),
+            }
+        # the cases the chunks were built to cover all occurred
+        assert seen_violations == {True, False}
+        assert [p["metrics"]["n_clips"] for p in s["partitions"]] == [60, 40, 0, 15]
+        assert s["partitions"][0]["metrics"]["codecs_total"] == 5  # the null codec is one
+
+
 def test_partition_set_comes_only_from_the_runner():
     """Only state/checkpoint.py knows how partition dirs are named: no
     module in the package or jobs/ names a partition by index or globs
     ``partition=*`` — readers take the run summary's or the manifest's
-    active set, so orphaned chunks are never read. The striped runner
-    stays gone."""
+    active set, so orphaned chunks are never read. Only the runner names
+    tmp and staging dirs (``.tmp-partition``), so its GC sweep collects
+    every one a crash leaves. The striped runner stays gone."""
     import pathlib
     import re
 
     repo = pathlib.Path(__file__).resolve().parent.parent
     banned = re.compile(
         r"\brun_partitioned\b|\bpartition_inputs\b|\bis_partition_done\b"
-        r"|partition=(\d{4}|NNNN|\{[^}]*:0?4d\})|partition=\*")
+        r"|partition=(\d{4}|NNNN|\{[^}]*:0?4d\})|partition=\*|\.tmp-partition")
     hits = []
     for root in ("schema_guru_ray", "jobs"):
         for path in sorted((repo / root).rglob("*.py")):

@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from schema_guru_ray.pipelines import curate as curate_mod
+from schema_guru_ray.state import checkpoint
 from schema_guru_ray.pipelines.curate import (
     curate_documents,
     curate_documents_checkpointed,
@@ -67,6 +68,9 @@ class TestCurateCheckpoint:
 
         files, docs = doc_files
         out = str(tmp_path / "ckpt_crash")
+        # one chunk per plan, so the crash in the second chunk's body
+        # leaves the first one committed
+        monkeypatch.setattr(checkpoint, "CHUNKS_PER_PLAN", 1)
         real_remove = curate_mod._remove_drops
         state = {"calls": 0}
 
