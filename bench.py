@@ -80,10 +80,7 @@ def run_bench() -> dict:
     warm = read_clips(clips_path).map_batches(_touch, batch_format="pyarrow")
     warm.groupby("n").count().materialize()
 
-    vcfg = ValidationConfig(
-        validator_concurrency=(1, max(2, num_cpus - 2)),
-        validator_batch_size=256,
-    )
+    vcfg = ValidationConfig(validator_batch_size=256)
     # best-of-2 (measurement protocol, BASELINE.md): the sandbox host carries
     # unpredictable tenant load and the first execution absorbs residual cold
     # costs the warmup misses; min-of-repeats is the standard wall-clock
@@ -188,12 +185,7 @@ def run_headline(clips_path: str) -> dict:
     warm = read_clips(clips_path).map_batches(_touch, batch_format="pyarrow")
     n_clips = int(warm.groupby("n").count().to_pandas()["n"].sum())  # touches all bytes
 
-    # GRAFT_VALIDATOR_MODE=actors runs the explicit actor-pool validator
-    # (the real-codec configuration) instead of the warm-worker tasks mode
-    # — used by the tasks-vs-actors scaling-ladder comparison (BASELINE.md)
-    vcfg = ValidationConfig(
-        validator_mode=os.environ.get("GRAFT_VALIDATOR_MODE", "tasks")
-    )
+    vcfg = ValidationConfig()
     t0 = time.perf_counter()
     cv = codec_verdicts(validate_clips(read_clips(clips_path), vcfg), vcfg)
     sec = time.perf_counter() - t0

@@ -13,7 +13,7 @@ Design (the shape that holds at 10^12 clips):
 
 * windows MULTIPLY payload (overlap factor ≈ window/hop), so the export
   never shuffles audio: each content-addressed checkpoint chunk streams
-  its clips through the chunker actor pool and writes
+  its clips through the warm-task chunker and writes
   ``partition=<digest>/*.parquet`` locally — bytes go map-stage → writer,
   nothing else;
 * chunks commit atomically via state/checkpoint.py ``_SUCCESS``

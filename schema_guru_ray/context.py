@@ -2,8 +2,8 @@
 
 Reference: schema/Helpers.scala:43-85 — ``SchemaContext(enumCardinality,
 enumSets, quantity, deriveLength)`` is passed implicitly to every
-create/merge.  Here it is a frozen dataclass captured in closures and actor
-constructors (cheap to pickle, shipped once per task/actor).
+create/merge.  Here it is a frozen dataclass captured in closures and kernel
+constructors (cheap to pickle, shipped once per task).
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from schema_guru_ray.stages.binview import binary_views
 import pyarrow as pa
 
 from schema_guru_ray.pipelines.validate import ValidationConfig
+from schema_guru_ray.stages.warm import warm_kernel
 from schema_guru_ray.state.checkpoint import (
     FILES_PER_PARTITION,
     active_files,
@@ -59,16 +60,17 @@ def filter_valid_clips(clips_ds, vcfg: ValidationConfig):
     """Validate and KEEP passing rows with their bytes, one streaming pass
     (decode happens exactly once; see module docstring for why this is not
     a verdict join)."""
-    from schema_guru_ray.stages.audio import validate_batch_task
+    from schema_guru_ray.stages.audio import ClipValidator
+
+    validator = warm_kernel(
+        ClipValidator,
+        snr_threshold_db=vcfg.snr_threshold_db,
+        check_transcript=vcfg.check_transcript,
+        strict_codecs=vcfg.strict_codecs,
+    )
 
     def fv(batch: pa.Table) -> pa.Table:
-        verdict = validate_batch_task(
-            batch,
-            snr_threshold_db=vcfg.snr_threshold_db,
-            check_transcript=vcfg.check_transcript,
-            strict_codecs=vcfg.strict_codecs,
-        )
-        return batch.filter(verdict["ok"])
+        return batch.filter(validator(batch)["ok"])
 
     return clips_ds.map_batches(
         fv, batch_format="pyarrow", batch_size=vcfg.validator_batch_size
@@ -131,35 +133,11 @@ class _ValidateAndSign:
         ).append_column("vec_id", pa.array(vec_id, pa.int64()))
 
 
-_FUSED_CACHE: dict = {}
-
-
-def _validate_sign_task(batch: pa.Table, *, snr_threshold_db: float,
-                        check_transcript: bool, strict_codecs: bool) -> pa.Table:
-    """Stateless-task wrapper around :class:`_ValidateAndSign`, cached per
-    WORKER PROCESS by config — the same pattern as
-    ``stages/audio.validate_batch_task``, which measured ~4x faster
-    end-to-end than the actor-pool form (warm workers persist; no
-    per-execution actor spin-up)."""
-    key = (snr_threshold_db, check_transcript, strict_codecs)
-    k = _FUSED_CACHE.get(key)
-    if k is None:
-        k = _ValidateAndSign(
-            snr_threshold_db=snr_threshold_db,
-            check_transcript=check_transcript,
-            strict_codecs=strict_codecs,
-        )
-        _FUSED_CACHE[key] = k
-    return k(batch)
-
-
 def filter_valid_and_sign(clips_ds, vcfg: ValidationConfig):
     """The chain's stage-1: :func:`filter_valid_clips` fused with content
     signing over the same decode (see :class:`_ValidateAndSign`)."""
-    import functools
-
-    fn = functools.partial(
-        _validate_sign_task,
+    fn = warm_kernel(
+        _ValidateAndSign,
         snr_threshold_db=vcfg.snr_threshold_db,
         check_transcript=vcfg.check_transcript,
         strict_codecs=vcfg.strict_codecs,

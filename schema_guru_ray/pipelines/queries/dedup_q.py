@@ -344,7 +344,7 @@ WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.95
 def image_featurize_documents(sf_dir: str):
     """Multimodal pipeline over REAL image bytes: each doc's text
     deterministically synthesizes a 24×24 PNG payload (synth_media_png),
-    and the ImageFeaturizer actor pool decodes it with the pure-stdlib
+    and the warm-task ImageFeaturizer decodes it with the pure-stdlib
     PNG decoder (media/png.py, strict mode — no fake fallback) → resize →
     featurize. Rows-only."""
     from schema_guru_ray.stages.multimodal import ImageFeaturizer, synth_media_png
@@ -380,7 +380,7 @@ def image_phash_dedup_documents(sf_dir: str):
     """Image near-dup pairs by 64-bit DCT perceptual hash over REAL PNG
     payloads (each doc's text deterministically synthesizes a 24×24 PNG;
     the pure-stdlib decoder in media/png.py decodes it — no fake, no
-    image library): actor-pool decode+hash, then the shared 16-bit-chunk
+    image library): warm-task decode+hash, then the shared 16-bit-chunk
     pigeonhole pairing (exact for hamming ≤ 3). Identical payloads (the
     corpus' exact-dup docs) land at hamming 0. Rows-only; codec ground
     truth in tests/test_png.py, pHash ground truth in
@@ -402,7 +402,7 @@ def video_frame_sample_documents(sf_dir: str):
     """Full multimodal chain over REAL video bytes: each doc's text
     deterministically synthesizes a 6-frame 16×16 .y4m clip
     (synth_media_y4m — the doc's gradient image panning), the
-    FrameSampler actor pool decodes it with the pure-stdlib Y4M decoder
+    warm-task FrameSampler decodes it with the pure-stdlib Y4M decoder
     (media/y4m.py, streaming frame iteration) keeping every 2nd frame as
     PNG bytes, and a second pass pHashes each sampled frame through the
     real PNG decode chain. Only (id, frame_idx, 8-byte hash) rows leave

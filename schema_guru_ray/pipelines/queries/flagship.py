@@ -126,12 +126,11 @@ def prepare_training_corpus(sf_dir: str):
     def decontam(b: pd.DataFrame) -> pd.DataFrame:
         # vectorized hash probe + exact recount for flagged docs only,
         # over the broadcast (sorted-hash-array, frozenset) probe pair —
-        # per-worker deserialize-once via the stage's own cache
-        from schema_guru_ray.stages.contamination import (
-            _get_probe, exact_hit_counts,
-        )
+        # fetched once per worker process
+        from schema_guru_ray.stages.contamination import exact_hit_counts
+        from schema_guru_ray.stages.warm import fetch
 
-        hash_arr, grams = _get_probe(probe_ref)
+        hash_arr, grams = fetch(probe_ref)
         hits = exact_hit_counts(b["text"].fillna(""), hash_arr, grams, 3)
         mask = (b["doc_id"].to_numpy(np.int64) % 97 != 0) & (hits == 0)
         return b[pd.Series(mask, index=b.index)]

@@ -2,9 +2,7 @@
 
 Topology (SURVEY.md §3.5):
 
-    read clips → map_batches(validate_batch_task)   [bytes dropped here]
-      (warm-worker tasks; a ClipValidator actor pool when
-       validator_mode="actors")
+    read clips → map_batches(warm_kernel(ClipValidator))  [bytes dropped here]
       → verdicts Dataset (streams; audio never crosses a shuffle)
       → materialized verdicts coalesce to TAIL_ROWS-row blocks  [no shuffle]
       ├─ write/consume verdict rows + exploded violation rows
@@ -52,6 +50,7 @@ from schema_guru_ray.sketches.hll import HLL
 from schema_guru_ray.sketches.kll import KLL
 from schema_guru_ray.stages.audio import ClipValidator, explode_violations
 from schema_guru_ray.stages.profile import stable_hash64
+from schema_guru_ray.stages.warm import warm_kernel
 from schema_guru_ray.state.checkpoint import (
     FILES_PER_PARTITION,
     active_dirs,
@@ -72,43 +71,20 @@ class ValidationConfig:
     hll_p: int = 12
     kll_k: int = 800  # tail accuracy: q0.99 err 2% vs 12.5% at k=200, state ~15 KB
     validator_batch_size: int = 512
-    # "tasks": warm-worker cached state (fast start; right when the decoder
-    # state is cheap to build, as here). "actors": explicit actor pool —
-    # right when per-actor state is expensive (real codec libs, broadcast
-    # baseline sketch stores); pays pool spin-up per execution.
-    validator_mode: str = "tasks"
-    # actor-pool sizing (mode="actors"): autoscaling, min 1 so the stage can
-    # always start even when the pool would otherwise reserve every CPU
-    # (4-CPU test sessions).
-    validator_concurrency: object = (1, 24)  # int or (min, max)
-    validator_num_cpus: float = 1.0
 
 
 def validate_clips(ds, cfg: ValidationConfig = ValidationConfig()):
     """clips Dataset → verdicts Dataset (lazy). The validator state (decoder
-    registry + thresholds) loads once per worker/actor; audio bytes do not
-    flow past this stage."""
-    kwargs = dict(
+    registry + thresholds) loads once per worker process; audio bytes do
+    not flow past this stage."""
+    validator = warm_kernel(
+        ClipValidator,
         snr_threshold_db=cfg.snr_threshold_db,
         check_transcript=cfg.check_transcript,
         strict_codecs=cfg.strict_codecs,
     )
-    if cfg.validator_mode == "tasks":
-        from schema_guru_ray.stages.audio import validate_batch_task
-
-        return ds.map_batches(
-            validate_batch_task,
-            fn_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.validator_batch_size,
-        )
     return ds.map_batches(
-        ClipValidator,
-        fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow",
-        batch_size=cfg.validator_batch_size,
-        concurrency=cfg.validator_concurrency,
-        num_cpus=cfg.validator_num_cpus,
+        validator, batch_format="pyarrow", batch_size=cfg.validator_batch_size
     )
 
 

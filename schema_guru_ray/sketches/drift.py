@@ -8,7 +8,7 @@
   sketch items.
 
 The baseline sketch store is a small dict {column -> KLL bytes} broadcast
-via ``ray.put`` and loaded once per actor (SURVEY.md §2.3).
+via ``ray.put`` and loaded once per worker process (SURVEY.md §2.3).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Downstream uses:
   clips without looking at clip_id;
 * audio similarity search via the ANN operators.
 
-Runs as ``map_batches`` (warm-worker task or actor pool); bytes are dropped
+Runs as a warm-task ``map_batches`` stage (stages/warm.py); bytes are dropped
 after featurization so only 48 floats per clip flow on.
 """
 
@@ -162,16 +162,8 @@ class AudioFeaturizer:
         )
 
 
-def audio_features(clips_ds, batch_size: int = 256, mode: str = "tasks"):
-    """clips Dataset → feature Dataset (bytes dropped here). Warm-task
-    mode by default — the kernel state is two floats and the DSP constants
-    are lru_cached per worker either way (stages/warm.py); ``"actors"``
-    keeps the explicit pool for expensive-state deployments."""
-    if mode == "actors":
-        return clips_ds.map_batches(
-            AudioFeaturizer, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
+def audio_features(clips_ds, batch_size: int = 256):
+    """clips Dataset → feature Dataset (bytes dropped here)."""
     return clips_ds.map_batches(
         warm_kernel(AudioFeaturizer), batch_format="pyarrow",
         batch_size=batch_size,
@@ -198,7 +190,7 @@ def content_dedup_pairs(clips_ds, threshold: float = 0.999, n_bits: int = 10):
         return b
 
     # materialize the (tiny: 48 floats/clip) feature rows so the decode
-    # actor pool never shares a streaming plan with the LSH groupbys —
+    # stage never shares a streaming plan with the LSH groupbys —
     # an all-to-all's resource reservation starves a heavy map operator
     # in the same plan (see pipelines/validate.py codec_verdicts).
     feats = feats.map_batches(with_num_id, batch_format="pandas").materialize()
@@ -274,14 +266,8 @@ class AudioIntegrity:
         return out
 
 
-def audio_integrity(clips_ds, batch_size: int = 256, mode: str = "tasks"):
-    """clips Dataset → integrity-signal Dataset (streaming, no shuffle).
-    Warm-task mode by default (stages/warm.py)."""
-    if mode == "actors":
-        return clips_ds.map_batches(
-            AudioIntegrity, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
+def audio_integrity(clips_ds, batch_size: int = 256):
+    """clips Dataset → integrity-signal Dataset (streaming, no shuffle)."""
     return clips_ds.map_batches(
         warm_kernel(AudioIntegrity), batch_format="pyarrow",
         batch_size=batch_size,

@@ -1,7 +1,7 @@
 """Audio transform stages — energy-based segmentation (VAD) and
 resample / loudness-normalize. Pure-numpy DSP (public textbook methods:
 frame-RMS gating with hysteresis; linear-interpolation resampling), run as
-``map_batches`` actor-pool stages over the clips table
+warm-task ``map_batches`` stages (stages/warm.py) over the clips table
 (clip_id, bytes, sr_hz, dur_ms, codec, transcript).
 
 At 10^12-clip scale both stages are embarrassingly parallel (no shuffle):
@@ -134,17 +134,8 @@ class EnergySegmenter:
         )
 
 
-def segment_clips(clips_ds, batch_size: int = 256, mode: str = "tasks", **kw):
-    """clips Dataset → (clip_id, seg_idx, start_ms, end_ms, rms_db).
-    ``mode="tasks"`` (default) runs the kernel in warm-task mode — the
-    constructor state here is a few floats, and the actor pool's spin-up
-    + queueing dominates short stages (stages/warm.py); ``"actors"``
-    keeps the explicit pool for expensive-state deployments."""
-    if mode == "actors":
-        return clips_ds.map_batches(
-            EnergySegmenter, fn_constructor_kwargs=kw, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=(1, 16), num_cpus=1,
-        )
+def segment_clips(clips_ds, batch_size: int = 256, **kw):
+    """clips Dataset → (clip_id, seg_idx, start_ms, end_ms, rms_db)."""
     return clips_ds.map_batches(
         warm_kernel(EnergySegmenter, **kw), batch_format="pyarrow",
         batch_size=batch_size,
@@ -230,19 +221,12 @@ class WindowChunker:
 
 
 def window_clips(clips_ds, window_ms: int = 250, hop_ms: int = 100,
-                 emit_bytes: bool = False, batch_size: int = 256,
-                 mode: str = "tasks"):
+                 emit_bytes: bool = False, batch_size: int = 256):
     """clips Dataset → fixed training-window rows. With ``emit_bytes`` the
     batch size should shrink (each input clip multiplies into
-    ~dur/hop windows of payload). Warm-task mode by default
-    (stages/warm.py); ``mode="actors"`` keeps the explicit pool."""
+    ~dur/hop windows of payload)."""
     kw = {"window_ms": window_ms, "hop_ms": hop_ms, "emit_bytes": emit_bytes}
     bs = batch_size if not emit_bytes else max(16, batch_size // 8)
-    if mode == "actors":
-        return clips_ds.map_batches(
-            WindowChunker, fn_constructor_kwargs=kw, batch_format="pyarrow",
-            batch_size=bs, concurrency=(1, 16), num_cpus=1,
-        )
     return clips_ds.map_batches(
         warm_kernel(WindowChunker, **kw), batch_format="pyarrow", batch_size=bs,
     )
@@ -326,21 +310,11 @@ class AudioResampler:
 
 
 def resample_clips(clips_ds, sr_out: int = 16000,
-                   target_dbfs: Optional[float] = -20.0, batch_size: int = 128,
-                   mode: str = "tasks"):
+                   target_dbfs: Optional[float] = -20.0, batch_size: int = 128):
     """clips Dataset → clips Dataset at a uniform sample rate + loudness.
     Batch size is small because bytes stay in the batch (large-binary
-    guidance from the Ray Data guide). Warm-task mode by default: the
-    kernel state is two floats, and ds.stats() measured ~3.5 s of the
-    actor form's 4.0 s operator wall as pool spin-up + queueing
-    (stages/warm.py); ``mode="actors"`` keeps the explicit pool."""
+    guidance from the Ray Data guide)."""
     kw = {"sr_out": sr_out, "target_dbfs": target_dbfs}
-    if mode == "actors":
-        return clips_ds.map_batches(
-            AudioResampler, fn_constructor_kwargs=kw,
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
     return clips_ds.map_batches(
         warm_kernel(AudioResampler, **kw), batch_format="pyarrow",
         batch_size=batch_size,
@@ -411,16 +385,9 @@ class SpeedPerturber:
 
 
 def speed_perturb_clips(clips_ds, factors: Tuple[float, ...] = (0.9, 1.1),
-                        batch_size: int = 128, mode: str = "tasks"):
+                        batch_size: int = 128):
     """clips Dataset → perturbed-copies Dataset (clips shape +
-    ``speed_factor``). Streaming map; bytes never shuffle. Warm-task
-    mode by default (stages/warm.py); ``mode="actors"`` keeps the pool."""
-    if mode == "actors":
-        return clips_ds.map_batches(
-            SpeedPerturber, fn_constructor_kwargs={"factors": tuple(factors)},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
+    ``speed_factor``). Streaming map; bytes never shuffle."""
     return clips_ds.map_batches(
         warm_kernel(SpeedPerturber, factors=tuple(factors)),
         batch_format="pyarrow", batch_size=batch_size,
@@ -490,17 +457,9 @@ class NoiseMixer:
         )
 
 
-def mix_noise_clips(clips_ds, snr_db: float = 20.0, batch_size: int = 128,
-                    mode: str = "tasks"):
+def mix_noise_clips(clips_ds, snr_db: float = 20.0, batch_size: int = 128):
     """clips Dataset → noisy-copies Dataset (clips shape +
-    ``achieved_snr_centi``). Streaming map; bytes never shuffle. Warm-task
-    mode by default (stages/warm.py); ``mode="actors"`` keeps the pool."""
-    if mode == "actors":
-        return clips_ds.map_batches(
-            NoiseMixer, fn_constructor_kwargs={"snr_db": snr_db},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
+    ``achieved_snr_centi``). Streaming map; bytes never shuffle."""
     return clips_ds.map_batches(
         warm_kernel(NoiseMixer, snr_db=snr_db),
         batch_format="pyarrow", batch_size=batch_size,
@@ -564,17 +523,9 @@ class PerturbWindowChunker:
 
 def perturb_window_clips(clips_ds, factors: Tuple[float, ...] = (1.0, 0.9, 1.1),
                          window_ms: int = 250, hop_ms: int = 100,
-                         batch_size: int = 256, mode: str = "tasks"):
-    """clips Dataset → augmented window-layout rows, one decode per clip.
-    Warm-task mode by default (stages/warm.py); ``mode="actors"`` keeps
-    the explicit pool."""
+                         batch_size: int = 256):
+    """clips Dataset → augmented window-layout rows, one decode per clip."""
     kw = {"factors": tuple(factors), "window_ms": window_ms, "hop_ms": hop_ms}
-    if mode == "actors":
-        return clips_ds.map_batches(
-            PerturbWindowChunker, fn_constructor_kwargs=kw,
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=(1, 16), num_cpus=1,
-        )
     return clips_ds.map_batches(
         warm_kernel(PerturbWindowChunker, **kw),
         batch_format="pyarrow", batch_size=batch_size,

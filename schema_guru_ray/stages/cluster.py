@@ -27,18 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-_CENT_CACHE: dict = {}
-
-
-def _fetch(ref):
-    import ray
-
-    key = getattr(ref, "hex", lambda: id(ref))()
-    val = _CENT_CACHE.get(key)
-    if val is None:
-        val = ray.get(ref)
-        _CENT_CACHE[key] = val
-    return val
+from schema_guru_ray.stages.warm import fetch
 
 
 def quantize_milli(x: np.ndarray) -> np.ndarray:
@@ -58,7 +47,7 @@ def drop_null_vectors(batch: pd.DataFrame, column: str) -> pd.DataFrame:
 
 def _assign_batch(batch: pd.DataFrame, *, cents_ref, column: str,
                   id_column: str) -> pd.DataFrame:
-    cent_ids, cents_q = _fetch(cents_ref)
+    cent_ids, cents_q = fetch(cents_ref)
     batch = drop_null_vectors(batch, column)
     if batch.empty:
         return pd.DataFrame({
@@ -109,7 +98,7 @@ def _partials_batch(batch: pd.DataFrame, *, cents_ref, column: str) -> pa.Table:
     # cluster, and Ray's sort shuffle takes pandas blocks (object-dtype
     # vec_sum) through a measured ~5x slow path; a list<float64> column
     # also keeps the block size estimator exact.
-    C = _fetch(cents_ref)
+    C = fetch(cents_ref)
     batch = drop_null_vectors(batch, column)
     if batch.empty or not len(C):
         return _PARTIAL_SCHEMA.empty_table()

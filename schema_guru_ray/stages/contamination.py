@@ -39,6 +39,7 @@ import pandas as pd
 
 from schema_guru_ray.stages.dedup import shingle_combine
 from schema_guru_ray.stages.profile import stable_hash64
+from schema_guru_ray.stages.warm import fetch
 
 TOKEN_RE = re.compile(r"\S+")
 
@@ -142,26 +143,11 @@ def exact_hit_counts(
     return hits
 
 
-_GRAM_CACHE: dict = {}
-
-
-def _get_probe(probe_ref):
-    """Per-worker deserialize-once cache for the broadcast
-    (sorted-hash-array, gram-frozenset) probe pair."""
-    import ray
-
-    key = getattr(probe_ref, "hex", lambda: id(probe_ref))()
-    probe = _GRAM_CACHE.get(key)
-    if probe is None:
-        probe = ray.get(probe_ref)
-        _GRAM_CACHE[key] = probe
-    return probe
-
-
 def _score_batch(batch: pd.DataFrame, *, probe_ref, n: int, column: str,
                  id_column: str) -> pd.DataFrame:
-    """Stateless scoring kernel over the broadcast probe pair."""
-    hash_arr, grams = _get_probe(probe_ref)
+    """Stateless scoring kernel over the broadcast (sorted-hash-array,
+    gram-frozenset) probe pair, fetched once per worker process."""
+    hash_arr, grams = fetch(probe_ref)
     hits = exact_hit_counts(batch[column].fillna(""), hash_arr, grams, n)
     out = pd.DataFrame(
         {

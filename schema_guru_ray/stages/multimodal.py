@@ -1,18 +1,18 @@
 """Multimodal column plumbing: opaque ``binary`` payloads + typed metadata,
-processed by actor-pool ``map_batches`` stages.
+processed by warm-task ``map_batches`` stages (stages/warm.py).
 
 The container ships no image/video libraries, so decode resolves in
 order: **PNG payloads decode for real** (pure stdlib zlib + numpy,
 ``media/png.py`` — same move as the audio side's G.711 tables), PIL when
 importable handles other formats, and anything else falls to a
 deterministic fake (``NotImplementedError`` in strict mode) — so the
-Ray-side plumbing (schema contracts, actor signatures, batch sizing for
+Ray-side plumbing (schema contracts, kernel signatures, batch sizing for
 wide binary rows, output layout) always runs end-to-end. Audio's PCM
 WAV decoder in ``audio/wav.py`` is likewise fully real.
 
 Batch-size guidance for wide binary rows (SURVEY.md §7.4): keep
 ``batch_size`` small enough that ``batch_size × median_payload ×
-concurrency`` fits the worker heap, and raise
+tasks in flight`` fits the worker heap, and raise
 ``DataContext.target_max_block_size`` so blocks aren't split absurdly
 small.
 """
@@ -267,7 +267,7 @@ class ImagePHasher:
 
 def phash_dup_pairs(media_ds, max_hamming: int = 3, column: str = "media",
                     id_column: str = "doc_id", batch_size: int = 64):
-    """Image near-dup pairs by perceptual hash: actor-pool decode+hash
+    """Image near-dup pairs by perceptual hash: warm-task decode+hash
     (small batches — wide binary rows), then the exact chunk-pigeonhole
     pairing. Payload bytes are dropped at the hash stage; only (id, 8-byte
     hash) rows shuffle."""

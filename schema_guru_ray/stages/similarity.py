@@ -17,6 +17,8 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
+from schema_guru_ray.stages.warm import fetch, warm_kernel
+
 
 def _unit(m: np.ndarray) -> np.ndarray:
     return m / np.clip(np.linalg.norm(m, axis=1, keepdims=True), 1e-12, None)
@@ -43,22 +45,13 @@ def _merge_topk_partials(partials, k: int, id_column: str) -> pd.DataFrame:
     )
 
 
-_TOPK_CACHE: dict = {}
-
-
 def _topk_task(batch: pd.DataFrame, *, queries_ref, k: int, column: str,
                id_column: str) -> pd.DataFrame:
     """Per-batch local top-k kernel: the unit-normalized query matrix is
-    fetched from the object store once per worker process and cached."""
-    import ray
-
-    key = getattr(queries_ref, "hex", lambda: id(queries_ref))()
-    q = _TOPK_CACHE.get(key)
-    if q is None:
-        q = _unit(np.asarray(ray.get(queries_ref), dtype=np.float64))
-        _TOPK_CACHE[key] = q
+    fetched from the object store once per worker process."""
     from schema_guru_ray.stages.cluster import drop_null_vectors
 
+    q = fetch(queries_ref)
     batch = drop_null_vectors(batch, column)
     if batch.empty:
         return pd.DataFrame({"query_idx": pd.Series(dtype="int64"),
@@ -90,11 +83,11 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
                      column: str = "embedding", id_column: str = "vec_id") -> pd.DataFrame:
     """Exact cosine top-k for each query row. Result is (n_q × k) rows —
     driver-side merge of per-batch partials via a single heap pass over the
-    (tiny) partial top-k stream. Query matrix broadcast once via ray.put;
-    warm-worker task caching avoids actor-pool spin-up."""
+    (tiny) partial top-k stream. The unit-normalized query matrix is
+    broadcast once via ray.put."""
     import ray
 
-    qref = ray.put(np.asarray(queries))
+    qref = ray.put(_unit(np.asarray(queries, dtype=np.float64)))
     partials = ds.map_batches(
         _topk_task,
         fn_kwargs=dict(queries_ref=qref, k=k, column=column, id_column=id_column),
@@ -131,7 +124,7 @@ class IVFBatchTopK:
         self.k = k
         self.column = column
         self.id_column = id_column
-        # per-query probed cells, precomputed once per actor
+        # per-query probed cells, precomputed once per worker process
         sims = self.queries @ self.centroids.T
         n_probe = min(n_probe, self.centroids.shape[0])
         self.probed = np.argpartition(-sims, n_probe - 1, axis=1)[:, :n_probe]
@@ -186,12 +179,10 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_cells: int = 16,
     cents = fit_centroids(sample, n_cells)
     qref, cref = ray.put(np.asarray(queries)), ray.put(cents)
     partials = ds.map_batches(
-        IVFBatchTopK,
-        fn_constructor_kwargs=dict(
-            queries_ref=qref, centroids_ref=cref, k=k, n_probe=n_probe,
-            column=column, id_column=id_column,
+        warm_kernel(
+            IVFBatchTopK, queries_ref=qref, centroids_ref=cref, k=k,
+            n_probe=n_probe, column=column, id_column=id_column,
         ),
         batch_format="pandas",
-        concurrency=2,
     )
     return _merge_topk_partials(partials, k, id_column)

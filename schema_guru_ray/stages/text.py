@@ -3,8 +3,8 @@ counting, quality scoring, document fingerprinting, language ID.
 
 All are vectorized ``map_batches`` kernels over pandas/numpy (string-heavy
 kernels want pandas' str engine); stateful pieces (compiled regexes,
-stopword tables, n-gram profiles) live in callable-class ``__init__`` so an
-actor pool pays setup once (SURVEY.md §2.3).
+stopword tables, n-gram profiles) live in callable-class ``__init__`` so
+setup is paid once per kernel instance (SURVEY.md §2.3).
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ class LangId:
     2. character-trigram fallback (Cavnar-Trenkle out-of-place distance
        against UDHR-seeded rank profiles) for text the stopword tier can't
        place — including languages with NO stopword list (tr/nl/sw).
-       Profiles are built once per actor in ``__init__``.
+       Profiles are built once per instance in ``__init__``.
 
     Acceptance: the trigram tier accepts when the best similarity clears an
     absolute floor AND beats the runner-up by a margin (random/non-language

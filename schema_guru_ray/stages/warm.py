@@ -1,52 +1,72 @@
-"""Warm-task execution for cheap-state map_batches kernels.
+"""Per-worker kernel state: the one place it lives.
 
-Ray Data runs a callable CLASS as an actor pool: explicit processes that
-must spin up, autoscale, and queue batches. That is the right home for
-genuinely expensive per-actor state (real codec libraries, broadcast
-sketch stores — see ``ValidationConfig``), but this repo's decode/DSP
-kernels hold only a handful of floats, and the pool overhead dominates
-short stages: the validator measured tasks-mode 1.55x faster end-to-end
-(BASELINE.md round 5), and ``ds.stats()`` on the resample stage showed
-~3.5 s of its 4.0 s operator wall was pool spin-up + batch queueing —
-the busy time (sum of task walls) was ~8 core-seconds.
+Every stateful ``map_batches`` kernel in this package runs as a plain Ray
+task, never as an actor pool. A pool's spin-up and batch queueing dominated
+every stage it was measured on: the validator ran 1.55x slower end-to-end
+as a pool (BASELINE.md round 5), and ``ds.stats()`` on the resample stage
+showed ~3.5 s of its 4.0 s operator wall was pool spin-up + queueing
+against ~8 core-seconds of busy time.
 
-:func:`warm_kernel` keeps the class (same kernel runs unchanged under an
-actor pool where a caller wants one) but executes it in TASK mode with
-once-per-worker-process construction: Ray reuses warm worker processes
-across tasks, so the instance cache below amortizes construction exactly
-like an actor's ``__init__`` — without the pool's fixed costs. Same
-pattern as ``stages/audio.py::validate_batch_task``, generalized.
+Ray reuses warm worker processes across tasks, so state built once per
+worker amortizes exactly like an actor's ``__init__``:
+
+* :func:`warm_kernel` turns a kernel class into a task function that
+  builds ``cls(**ctor_kwargs)`` once per worker process;
+* :func:`fetch` returns ``ray.get(ref)`` fetched once per worker process,
+  for broadcast values (centroids, probe sets, query matrices).
+
+Both share :data:`_CACHE`, an LRU of at most :data:`CACHE_ENTRIES`
+entries. A fetched value is a zero-copy view that pins its object in the
+store while cached, and every call that broadcasts a fresh ref adds a key,
+so the bound is what keeps a long-lived worker from pinning every
+broadcast of the session.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from collections import OrderedDict
+from typing import Callable, Hashable
 
-_CACHE: Dict[tuple, object] = {}
+# entries (kernel instances + fetched values) one worker keeps; the least
+# recently used one is evicted first
+CACHE_ENTRIES = 8
+
+_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 
 
-def warm_kernel(cls: type, **ctor_kwargs) -> Callable:
-    """A plain function running ``cls(**ctor_kwargs).__call__`` through a
-    per-worker-process instance cache. Pass the result to ``map_batches``
-    WITHOUT ``concurrency=`` (task mode). ctor kwargs must be hashable
-    (they key the cache)."""
+def _cached(key: tuple, build: Callable[[], object]) -> object:
+    # ``_CACHE`` is this module's global, resolved when the worker calls
+    # in. Callers reach this function by reference (module + name), so
+    # cloudpickle never snapshots the driver's cache CONTENTS into a
+    # serialized UDF — which would ship whatever the driver happened to
+    # build, and break when a cached instance isn't importable on workers.
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+        return _CACHE[key]
+    val = build()
+    _CACHE[key] = val
+    while len(_CACHE) > CACHE_ENTRIES:
+        _CACHE.popitem(last=False)
+    return val
+
+
+def warm_kernel(cls: type, **ctor_kwargs: Hashable) -> Callable:
+    """A plain function running ``cls(**ctor_kwargs).__call__`` through the
+    per-worker cache. Pass the result to ``map_batches`` as a task
+    function. ctor kwargs must be hashable (they key the cache); ObjectRefs
+    are."""
     key = (cls.__module__, cls.__qualname__, tuple(sorted(ctor_kwargs.items())))
 
     def _run(batch):
-        # Resolve the cache through the module at call time. Referencing the
-        # module-global ``_CACHE`` directly would make cloudpickle snapshot
-        # the driver's cache CONTENTS by value into the serialized UDF
-        # (dynamic closures ship referenced globals by value) — shipping
-        # whatever kernels the driver happened to have built, and breaking
-        # entirely when a cached instance isn't importable on workers.
-        from schema_guru_ray.stages.warm import _CACHE as cache
-
-        k = cache.get(key)
-        if k is None:
-            k = cls(**ctor_kwargs)
-            cache[key] = k
-        return k(batch)
+        return _cached(key, lambda: cls(**ctor_kwargs))(batch)
 
     _run.__name__ = f"warm_{cls.__name__}"
     _run.__qualname__ = _run.__name__
     return _run
+
+
+def fetch(ref):
+    """``ray.get(ref)``, once per worker process per ref."""
+    import ray
+
+    return _cached(("ray.get", ref.hex()), lambda: ray.get(ref))

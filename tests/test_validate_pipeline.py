@@ -1,4 +1,4 @@
-"""Flagship validation pipeline integration: actor-pool validator over a
+"""Flagship validation pipeline integration: warm-task validator over a
 Ray Dataset, violation parity with generator ground truth, duplicate
 detection, per-codec verdicts, drift, and checkpoint/resume."""
 
@@ -24,7 +24,7 @@ CFG = ClipsConfig(
     rate_ref_null_on_good=0.01, rate_snr=0.02, rate_transcript_mismatch=0.02,
     rate_sr_invalid=0.01, rate_dur_mismatch=0.02,
 )
-VCFG = ValidationConfig(validator_concurrency=2)
+VCFG = ValidationConfig()
 
 
 @pytest.fixture(scope="module")
@@ -95,20 +95,33 @@ class TestValidatePipeline:
         monkeypatch.setattr(fold, "DRIVER_FOLD_ROWS", 0)  # the tree regime
         assert counts(verdicts) == want
 
-    def test_actor_pool_mode_equivalent(self, ray_session):
+    def test_validator_matches_in_process_kernel(self, ray_session):
+        """The warm-task validator gives exactly what ClipValidator gives when
+        called on the driver: every column, snr_db included (NaN for an
+        undecodable clip), and a checkpoint plan's ``__chunk`` tag rides
+        through."""
+        import pandas as pd
+        import pyarrow as pa
         import ray.data as rd
 
+        from schema_guru_ray.stages.audio import ClipValidator
+
         tab = generate_clips_table(200, CFG)
-        a = validate_clips(
-            rd.from_arrow(tab), ValidationConfig(validator_mode="tasks")
-        ).to_pandas()
-        b = validate_clips(
-            rd.from_arrow(tab),
-            ValidationConfig(validator_mode="actors", validator_concurrency=2),
-        ).to_pandas()
-        a = a.sort_values("clip_id").reset_index(drop=True)
-        b = b.sort_values("clip_id").reset_index(drop=True)
-        assert a.drop(columns=["snr_db"]).equals(b.drop(columns=["snr_db"]))
+        tagged = tab.append_column(
+            "__chunk", pa.array([f"c{i % 3}" for i in range(tab.num_rows)])
+        )
+        for inp in (tab, tagged):
+            keys = [c for c in ("clip_id", "__chunk") if c in inp.column_names]
+
+            def norm(df):
+                df = df.assign(violations=df["violations"].map(list))
+                return df.sort_values(keys, kind="stable").reset_index(drop=True)
+
+            got = norm(validate_clips(rd.from_arrow(inp), VCFG).to_pandas())
+            want = norm(ClipValidator()(inp).to_pandas())
+            assert list(got.columns) == list(want.columns)
+            assert got["snr_db"].isna().any()  # NaN rows are compared too
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
 
     def test_drift_self_is_zero(self, verdicts):
         base = build_baseline(verdicts, VCFG)
@@ -152,7 +165,7 @@ class TestCheckpointResume:
         assert s2["ran"] == 0 and s2["skipped"] == 3
         # config change invalidates checkpoints
         s3 = run_validation_checkpointed(
-            clips_dir, out_dir, ValidationConfig(snr_threshold_db=20.0, validator_concurrency=2),
+            clips_dir, out_dir, ValidationConfig(snr_threshold_db=20.0),
             files_per_partition=1,
         )
         assert s3["ran"] == 3
