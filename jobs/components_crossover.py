@@ -54,6 +54,7 @@ def run(sizes):
         connected_components,
         connected_components_distributed,
     )
+    from schema_guru_ray.stages.joins import DEFAULT_ROWS_PER_BUCKET
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=16, include_dashboard=False,
@@ -65,7 +66,8 @@ def run(sizes):
     rows = []
     for n in sizes:
         df = make_pairs(n)
-        ds = rd.from_pandas(df).repartition(max(2, n // 250_000)).materialize()
+        ds = rd.from_pandas(df).repartition(
+            max(2, n // DEFAULT_ROWS_PER_BUCKET)).materialize()
 
         t0 = time.perf_counter()
         local = ds.to_pandas()

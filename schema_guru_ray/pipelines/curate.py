@@ -16,8 +16,8 @@ DuckDB oracle replays the whole chain as one CTE):
                           (stages/sample semantics).
 
 Shuffle budget of the whole chain: ONE full shuffle of the corpus (the
-exact-dedup group-keep, coarse-bucketed so reducers see whole buckets,
-not per-fingerprint groups), the LSH band shuffle over signatures, one
+exact-dedup group-keep, one ``joins.bucketed`` shuffle so reducers see
+whole buckets, not per-fingerprint groups), the LSH band shuffle over signatures, one
 semi-join of candidate texts, and stateless filters. The deduped corpus
 is materialized once because three downstream stages consume it.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import os
 
-import numpy as np
 import pandas as pd
 
 from schema_guru_ray.state.checkpoint import (
@@ -46,34 +45,25 @@ from schema_guru_ray.state.checkpoint import (
 )
 
 
-def _exact_dedup(ds, n_buckets: int = 64):
+def _exact_dedup(ds):
     """Stage 1: keep the min-doc_id row per normalized-content md5.
-    Returns a LAZY Dataset of (doc_id, text)."""
+    Returns a LAZY Dataset of (doc_id, text); the buckets are sized from
+    ``ds.count()`` (free on a parquet read or a materialized corpus)."""
     from schema_guru_ray.stages.dedup import _normalize
-    from schema_guru_ray.stages.profile import stable_hash64
+    from schema_guru_ray.stages.joins import bucketed
 
     def tag_fp(b: pd.DataFrame) -> pd.DataFrame:
         fp = b["text"].fillna("").map(
             lambda s: hashlib.md5(_normalize(s).encode()).hexdigest()
         )
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"],
-                "text": b["text"],
-                "fp": fp,
-                "bucket": (stable_hash64(fp) % np.uint64(n_buckets)).astype(np.int32),
-            }
-        )
+        return pd.DataFrame({"doc_id": b["doc_id"], "text": b["text"], "fp": fp})
 
     def keep_min(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="stable")
         return g.drop_duplicates("fp", keep="first")[["doc_id", "text"]]
 
-    return (
-        ds.map_batches(tag_fp, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(keep_min, batch_format="pandas")
-    )
+    return bucketed(ds.map_batches(tag_fp, batch_format="pandas"), "fp",
+                    keep_min, n_rows=ds.count())
 
 
 def _confirmed_drop_ids(kept, jaccard_threshold: float = 0.8):
@@ -85,14 +75,10 @@ def _confirmed_drop_ids(kept, jaccard_threshold: float = 0.8):
         minhash_candidate_pairs,
         verify_pairs_jaccard_distributed,
     )
-    from schema_guru_ray.stages.joins import derive_num_buckets
-
     signer = MinHashSigner(num_perm=63, bands=21)
     cands = minhash_candidate_pairs(kept, signer, min_est_jaccard=0.5)
     pairs = verify_pairs_jaccard_distributed(
-        cands, kept, threshold=jaccard_threshold,
-        num_partitions=derive_num_buckets(kept.count()),
-    )
+        cands, kept, threshold=jaccard_threshold)
     # distinct drop ids as a (tiny-state) materialized Dataset — never the
     # driver; materialized so counting and the removal join never re-run
     # the verification pass
@@ -135,10 +121,10 @@ def _quality_sample_fn(min_words: int, max_words: int, sample_rate: float):
 
 def curate_documents(ds, *, jaccard_threshold: float = 0.8,
                      min_words: int = 30, max_words: int = 100_000,
-                     sample_rate: float = 0.5, n_buckets: int = 64):
+                     sample_rate: float = 0.5):
     """documents Dataset (doc_id, text) → curated Dataset of
     (doc_id, n_words) surviving all four stages. Deterministic."""
-    kept = _exact_dedup(ds, n_buckets).materialize()  # reused by 3 stages
+    kept = _exact_dedup(ds).materialize()  # reused by 3 stages
     drops = _confirmed_drop_ids(kept, jaccard_threshold)
     survivors = _remove_drops(kept, drops)
     return survivors.map_batches(
@@ -150,7 +136,7 @@ def curate_documents(ds, *, jaccard_threshold: float = 0.8,
 def curate_documents_checkpointed(
     input_files, out_dir: str, *, jaccard_threshold: float = 0.8,
     min_words: int = 30, max_words: int = 100_000, sample_rate: float = 0.5,
-    n_buckets: int = 64, files_per_partition: int = FILES_PER_PARTITION, log=None,
+    files_per_partition: int = FILES_PER_PARTITION, log=None,
 ):
     """Resumable curate over a parquet file list. Three checkpointed
     stages under ``out_dir`` (each with atomic commit + lineage + config
@@ -176,15 +162,14 @@ def curate_documents_checkpointed(
     cfg = {
         "jaccard_threshold": jaccard_threshold, "min_words": min_words,
         "max_words": max_words, "sample_rate": sample_rate,
-        "n_buckets": n_buckets,
     }
     manifest = {}
 
     dedup_dir = os.path.join(out_dir, "dedup")
-    cfg_dedup = config_hash({"stage": "dedup", "n_buckets": n_buckets})
+    cfg_dedup = config_hash({"stage": "dedup"})
 
     def run_dedup(files, tmp_dir):
-        kept = _exact_dedup(rd.read_parquet(files), n_buckets)
+        kept = _exact_dedup(rd.read_parquet(files))
         kept.write_parquet(tmp_dir)
         if not any(n.endswith(".parquet") for n in os.listdir(tmp_dir)):
             # write_parquet emits NO files for an empty dataset, which

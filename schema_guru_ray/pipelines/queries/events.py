@@ -228,15 +228,15 @@ def approx_distinct_users_events(sf_dir: str):
 
     Scale shape: the HLL side ships one p=12 sketch (4 KB) per
     (batch × group) into a 5-group merge; the exact side is the
-    coarse-shard nunique pattern from :func:`distinct_counts` — a user's
-    duplicates co-locate in one shard, per-shard vectorized per-type
+    bucketed nunique pattern from :func:`distinct_counts` — a user's
+    duplicates co-locate in one bucket, per-bucket vectorized per-type
     nunique, only scalar rows reach the driver."""
     from schema_guru_ray.sketches.hll import HLL
+    from schema_guru_ray.stages.joins import bucketed
     from schema_guru_ray.stages.profile import stable_hash64
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    n_shards = 64
 
     def sketch_partial(df: pd.DataFrame) -> pd.DataFrame:
         rows = [
@@ -261,21 +261,17 @@ def approx_distinct_users_events(sf_dir: str):
     )  # one row per event type
 
     def exact_partial(df: pd.DataFrame) -> pd.DataFrame:
-        u = df.drop_duplicates()
-        return pd.DataFrame({
-            "shard": (stable_hash64(u["user_id"]) % np.uint64(n_shards)).astype(np.int32),
-            "event_type": u["event_type"].to_numpy(),
-            "user_id": u["user_id"].to_numpy(),
-        })
+        return df.drop_duplicates()
 
     def shard_counts(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby("event_type", sort=False)["user_id"].nunique()
         return pd.DataFrame({"event_type": c.index, "n": c.to_numpy(dtype=np.int64)})
 
     exact_df = _pandas_cols(
-        ds.map_batches(exact_partial, batch_format="pandas", batch_size=131072)
-        .groupby("shard")
-        .map_groups(shard_counts, batch_format="pandas")
+        bucketed(
+            ds.map_batches(exact_partial, batch_format="pandas", batch_size=131072),
+            "user_id", shard_counts, n_rows=_meta_rows(sf_dir, "events"),
+        )
         .groupby("event_type")
         .aggregate(Sum("n", alias_name="n_users")),
         ["event_type", "n_users"], {"n_users": "int64"},
@@ -398,26 +394,17 @@ GROUP BY event_type
 """
 
 
-def sessionize_events(sf_dir: str, gap_sec: int = 1800, n_buckets: int = None):
+def sessionize_events(sf_dir: str, gap_sec: int = 1800):
     """Stream-shaped op: per-user session count with a 30-min gap rule.
 
-    Users are hash-bucketed into DATA-SCALED coarse groups (~250k rows per
-    bucket, not a fixed constant — round-1 verdict: 64 fixed buckets mean
-    ~1.6 TB per group at 100 TB) instead of one Python map_groups call per
-    user; inside a bucket the whole computation is a vectorized pandas
-    sort + shift — session starts are rows where the user changes or the
-    in-user gap exceeds the threshold."""
-    from schema_guru_ray.stages.joins import derive_num_buckets
-    from schema_guru_ray.stages.profile import stable_hash64
+    Users go through one :func:`stages.joins.bucketed` shuffle instead of
+    one Python map_groups call per user; inside a bucket the whole
+    computation is a vectorized pandas sort + shift — session starts are
+    rows where the user changes or the in-user gap exceeds the
+    threshold."""
+    from schema_guru_ray.stages.joins import bucketed
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    if n_buckets is None:
-        n_buckets = derive_num_buckets(ds.count())
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            bucket=(stable_hash64(b["user_id"]) % np.uint64(n_buckets)).astype(np.int32)
-        )
 
     def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="stable")
@@ -429,11 +416,8 @@ def sessionize_events(sf_dir: str, gap_sec: int = 1800, n_buckets: int = None):
             {"user_id": out.index.to_numpy(), "n_sessions": out.to_numpy().astype("int64")}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sessions_bucket, batch_format="pandas")
-    )
+    return bucketed(ds, "user_id", sessions_bucket,
+                    n_rows=_meta_rows(sf_dir, "events"))
 
 
 SESSIONIZE_EVENTS_SQL = """
@@ -623,6 +607,7 @@ def users_active_both_halves(sf_dir: str):
     both = bucketed_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
         "user_id", {"f": ("f", "max"), "s": ("s", "max")},
+        n_rows=_meta_rows(sf_dir, "events"),
     )
 
     def final(t: pa.Table) -> pa.Table:
@@ -648,22 +633,21 @@ def modal_event_type_user(sf_dir: str):
     smallest type, matching the oracle's ``row_number() OVER (ORDER BY cnt
     DESC, event_type ASC)``. 100-TB shape: counts are partial-per-batch so
     the ONE shuffle moves (user, type, n) partials — ≤ |event types| rows
-    per user per batch — into COARSE user-hash buckets (~250k users per
-    reducer group, not one pandas dispatch per user: millions of users
-    would mean millions of per-group Python calls); inside a bucket one
-    vectorized sort + drop_duplicates merges partials and takes every
+    per user per batch — through one :func:`stages.joins.bucketed`
+    shuffle on the user (not one pandas dispatch per user: millions of
+    users would mean millions of per-group Python calls); inside a bucket
+    one vectorized sort + drop_duplicates merges partials and takes every
     user's argmax at once."""
+    from schema_guru_ray.stages.joins import bucketed
+
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    nb = max(8, _meta_rows(sf_dir, "events") // 250_000 + 1)
 
     def partial(t: pa.Table) -> pa.Table:
         g = (
             t.group_by(["user_id", "event_type"])
             .aggregate([("event_type", "count", pc.CountOptions(mode="all"))])
         )
-        g = g.rename_columns(["user_id", "event_type", "cnt"])
-        b = (g["user_id"].to_numpy(zero_copy_only=False) % nb).astype(np.int32)
-        return g.append_column("__b", pa.array(b, pa.int32()))
+        return g.rename_columns(["user_id", "event_type", "cnt"])
 
     def bucket_pick(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["user_id", "event_type"], as_index=False)["cnt"].sum()
@@ -679,11 +663,8 @@ def modal_event_type_user(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_pick, batch_format="pandas")
-    )
+    return bucketed(ds.map_batches(partial, batch_format="pyarrow"), "user_id",
+                    bucket_pick, n_rows=_meta_rows(sf_dir, "events"))
 
 
 MODAL_EVENT_TYPE_USER_SQL = """
@@ -743,7 +724,8 @@ def funnel_conversions_events(sf_dir: str, window_sec: int = 3600):
     how many 'view' events were followed by at least one 'purchase'
     STRICTLY after the view and within the window. 100-TB shape: the type
     filter is pushed into the parquet read; slim (user, ts, type) rows
-    shuffle ONCE into user-hash buckets (a user's events co-locate); inside
+    go through ONE :func:`stages.joins.bucketed` shuffle on the user (a
+    user's events co-locate); inside
     a bucket one ``pd.merge_asof(direction='forward', by=user,
     tolerance=window, allow_exact_matches=False)`` finds every view's next
     purchase vectorized, then a bucket-local pandas groupby emits the
@@ -751,17 +733,13 @@ def funnel_conversions_events(sf_dir: str, window_sec: int = 3600):
     import pyarrow.dataset as pads
     import ray.data as rd
 
+    from schema_guru_ray.stages.joins import bucketed
+
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_type"],
         filter=pads.field("event_type").isin(["view", "purchase"]),
     )
-    nb = max(8, _meta_rows(sf_dir, "events") // 250_000 + 1)
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (t["user_id"].to_numpy(zero_copy_only=False) % nb).astype(np.int32)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
     tol = pd.Timedelta(seconds=window_sec)
 
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -787,11 +765,8 @@ def funnel_conversions_events(sf_dir: str, window_sec: int = 3600):
             {"user_id": "int64", "n_views": "int64", "n_converted": "int64"}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(funnel_bucket, batch_format="pandas")
-    )
+    return bucketed(ds, "user_id", funnel_bucket,
+                    n_rows=_meta_rows(sf_dir, "events"))
 
 
 def cohort_retention_events(sf_dir: str):
@@ -804,11 +779,11 @@ def cohort_retention_events(sf_dir: str):
     bucketed_aggregate`) into the user → signup-time side of one
     :func:`stages.joins.join_keyed` inner join that annotates every event;
     distinct (cohort, offset, user) triplets pre-dedupe per batch, and one
-    coarse user-hash groupby finishes the exact dedup and counts the
-    matrix."""
+    :func:`stages.joins.bucketed` shuffle on the user finishes the exact
+    dedup and counts the matrix."""
     from ray.data.aggregate import Sum
 
-    from schema_guru_ray.stages.joins import bucketed_aggregate, join_keyed
+    from schema_guru_ray.stages.joins import bucketed, bucketed_aggregate, join_keyed
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -822,11 +797,10 @@ def cohort_retention_events(sf_dir: str):
         )
         return g.rename_columns(["user_id", "signup_ts"])
 
-    # coarse user-hash buckets (~250k events each): a user's rows co-locate
-    nb = max(8, _meta_rows(sf_dir, "events") // 250_000 + 1)
+    n_events = _meta_rows(sf_dir, "events")
     signups = bucketed_aggregate(
         ds.map_batches(signup_partial, batch_format="pyarrow"), "user_id",
-        {"signup_ts": ("signup_ts", "min")}, n_buckets=nb,
+        {"signup_ts": ("signup_ts", "min")}, n_rows=n_events,
     )
 
     def offsets(t: pa.Table) -> pd.DataFrame:
@@ -840,15 +814,10 @@ def cohort_retention_events(sf_dir: str):
         trip = np.unique(
             np.stack([cohort[keep], off[keep], u[keep]], axis=1), axis=0
         )
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"cohort_day": trip[:, 0], "day_offset": trip[:, 1],
              "user_id": trip[:, 2]}
         ).astype("int64")
-        # a user's triplets co-locate, so the in-bucket dedup is globally
-        # exact — a (cohort, offset, user) sort aggregate would be one
-        # reducer group per triplet
-        df["__b"] = (df["user_id"] % nb).astype("int32")
-        return df
 
     def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["cohort_day", "day_offset", "user_id"])
@@ -857,11 +826,15 @@ def cohort_retention_events(sf_dir: str):
         )
         return out.astype("int64")
 
+    # a user's triplets co-locate, so the in-bucket dedup is globally
+    # exact — a (cohort, offset, user) sort aggregate would be one reducer
+    # group per triplet
     return (
-        join_keyed(ds, signups, on="user_id")
-        .map_batches(offsets, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_count, batch_format="pandas")
+        bucketed(
+            join_keyed(ds, signups, on="user_id")
+            .map_batches(offsets, batch_format="pyarrow"),
+            "user_id", bucket_count, n_rows=n_events,
+        )
         .groupby(["cohort_day", "day_offset"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )

@@ -116,7 +116,7 @@ def prepare_training_corpus(sf_dir: str):
     bench = ds.map_batches(
         lambda b: b[b["doc_id"] % 97 == 0], batch_format="pandas"
     )
-    kept = _exact_dedup(ds, 64).materialize()
+    kept = _exact_dedup(ds).materialize()
     drops = _confirmed_drop_ids(kept, 0.8)
     survivors = _remove_drops(kept, drops)
 

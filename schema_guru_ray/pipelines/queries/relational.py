@@ -268,40 +268,34 @@ SELECT 'l_shipdate', count(l_shipdate), count(*) - count(l_shipdate),
 """
 
 
-def distinct_counts(sf_dir: str, n_shards: int = 64):
+def distinct_counts(sf_dir: str):
     """Exact distincts, distributed end-to-end and shard-parallel:
-    per-batch ``pc.unique`` pre-reduction → shuffle into ``n_shards``
-    COARSE hash shards (a value's duplicates all land in one shard) →
-    vectorized per-shard ``nunique`` → sum of ≤ n_shards partial counts.
-    Only scalar counts reach the driver — no distinct-value list ever
-    materializes there, and no per-distinct-key reducer group exists
-    (a ``groupby(col).count()`` over 10^9 keys is itself the bottleneck —
-    measured 18.7 s vs 3 s for this shape at sf0.1)."""
-    from schema_guru_ray.stages.profile import stable_hash64
+    per-batch ``pc.unique`` pre-reduction → one :func:`stages.joins.
+    bucketed` shuffle on the value (a value's duplicates all land in one
+    bucket) → vectorized per-bucket ``nunique`` → sum of the per-bucket
+    partial counts. Only scalar counts reach the driver — no
+    distinct-value list ever materializes there, and no per-distinct-key
+    reducer group exists (a ``groupby(col).count()`` over 10^9 keys is
+    itself the bottleneck — measured 18.7 s vs 3 s for this shape at
+    sf0.1)."""
+    from schema_guru_ray.stages.joins import bucketed
 
     rows = []
     for table, col in (("lineitem", "l_orderkey"), ("orders", "o_custkey"),
                        ("events", "user_id")):
         ds = _read(sf_dir, table, [col])
 
-        def partial(t: pa.Table, c=col) -> pd.DataFrame:
-            u = pc.unique(t[c]).to_pandas()
-            return pd.DataFrame(
-                {
-                    "shard": (stable_hash64(u) % np.uint64(n_shards)).astype(np.int32),
-                    "value": u,
-                }
-            )
+        def partial(t: pa.Table, c=col) -> pa.Table:
+            return pa.table({"value": pc.unique(t[c])})
 
         def shard_nunique(g: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"n": [int(g["value"].nunique())]})
 
-        shards = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-            .groupby("shard")
-            .map_groups(shard_nunique, batch_format="pandas")
+        shards = bucketed(
+            ds.map_batches(partial, batch_format="pyarrow", batch_size=131072),
+            "value", shard_nunique, n_rows=_meta_rows(sf_dir, table),
         )
-        n = int(_pandas_cols(shards, ["n"], {"n": "int64"})["n"].sum())  # ≤ n_shards scalar rows
+        n = int(_pandas_cols(shards, ["n"], {"n": "int64"})["n"].sum())  # one scalar row per bucket
         rows.append({"table_col": f"{table}.{col}", "n_distinct": n})
     return pd.DataFrame(rows)
 
@@ -459,6 +453,7 @@ def top_customers_revenue(sf_dir: str, k: int = 10):
     agg = bucketed_aggregate(
         orders.map_batches(partial, batch_format="pyarrow", batch_size=65536),
         "o_custkey", {"revenue_cents": ("revenue_cents", "sum")},
+        n_rows=_meta_rows(sf_dir, "orders"),
     )
     top = _pandas_cols(
         agg.sort("revenue_cents", descending=True).limit(k),

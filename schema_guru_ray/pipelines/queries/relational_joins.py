@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from schema_guru_ray.context import SchemaContext
-from schema_guru_ray.stages.joins import join_keyed
+from schema_guru_ray.stages.joins import bucketed, join_keyed
 from schema_guru_ray.pipelines.queries._common import (
     _meta_rows,
     _pq_schema,
@@ -211,7 +211,7 @@ def nation_balance_full_outer(sf_dir: str):
     ``how='outer'`` inside the bucket."""
     from ray.data.aggregate import Sum
 
-    from schema_guru_ray.stages.joins import bucketed_hash_join
+    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
 
     def agg_side(table: str, key: str, bal: str, thresh: float, prefix: str):
         ds = _read(sf_dir, table, [key, bal])
@@ -242,11 +242,12 @@ def nation_balance_full_outer(sf_dir: str):
 
     cust = agg_side("customer", "c_nationkey", "c_acctbal", 9900.0, "cust")
     supp = agg_side("supplier", "s_nationkey", "s_acctbal", 5000.0, "supp")
-    # both sides are ≤|nations|-row aggregates; explicit tiny bucket count
-    # and schema hints (a .count()/.schema() here would execute each
-    # aggregate once extra — their plans end in an all-to-all)
+    # both sides are ≤|nations|-row aggregates: the nation footer and the
+    # schema hints stand in for .count()/.schema(), which would execute
+    # each aggregate once extra (their plans end in an all-to-all)
     joined = bucketed_hash_join(
-        cust, supp, on="nationkey", join_type="outer", num_buckets=8,
+        cust, supp, on="nationkey", join_type="outer",
+        num_buckets=derive_num_buckets(_meta_rows(sf_dir, "nation")),
         left_schema=pa.schema(
             [("nationkey", pa.int64()), ("cust_cents", pa.int64()),
              ("n_cust", pa.int64())]
@@ -355,26 +356,16 @@ def customer_order_distribution(sf_dir: str):
         )
         return g.rename_columns(["c_custkey", "c_count"])
 
-    # coarse-bucket merge of the per-batch partials (one vectorized pandas
-    # sum per ~250k-customer reducer group) instead of a 1-group-per-
-    # customer sort aggregate
-    nbk = max(8, _meta_rows(sf_dir, "customer") // 250_000 + 1)
-
-    def tagk(t: pa.Table) -> pa.Table:
-        b = (t["c_custkey"].to_numpy(zero_copy_only=False) % nbk).astype(np.int32)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
+    # bucketed merge of the per-batch partials (one vectorized pandas sum
+    # per bucket) instead of a 1-group-per-customer sort aggregate
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("c_custkey", as_index=False)["c_count"].sum()
         return s.astype({"c_custkey": "int64", "c_count": "int64"})
 
-    counts = (
-        orders.map_batches(per_cust, batch_format="pyarrow")
-        .map_batches(tagk, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(sum_bucket, batch_format="pandas")
-        .materialize()
-    )
+    counts = bucketed(
+        orders.map_batches(per_cust, batch_format="pyarrow"), "c_custkey",
+        sum_bucket, n_rows=_meta_rows(sf_dir, "customer"),
+    ).materialize()
     if counts.schema() is None:  # no orders at all: an empty, typed count side
         counts = pa.schema(
             [("c_custkey", pa.int64()), ("c_count", pa.int64())]
@@ -496,26 +487,17 @@ def large_orders_having(sf_dir: str, min_qty: int = 200):
         )
         return g.rename_columns(["o_orderkey", "sum_qty"])
 
-    # coarse-bucket aggregate instead of a 1-group-per-order sort: the
-    # shuffle has ~|orders|/250k reducer groups, each summed + HAVING-
-    # filtered by one vectorized pandas groupby (measured 5.9s → 2.4s at
-    # sf0.1 over groupby(o_orderkey).aggregate)
-    nb = max(8, _meta_rows(sf_dir, "orders") // 250_000 + 1)
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = (t["o_orderkey"].to_numpy(zero_copy_only=False) % nb).astype(np.int32)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
+    # bucketed aggregate instead of a 1-group-per-order sort: each bucket
+    # is summed + HAVING-filtered by one vectorized pandas groupby
+    # (measured 5.9s → 2.4s at sf0.1 over groupby(o_orderkey).aggregate)
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("o_orderkey", as_index=False)["sum_qty"].sum()
         s = s[s["sum_qty"] > int(min_qty)]
         return s.astype({"o_orderkey": "int64", "sum_qty": "int64"})
 
-    survivors = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    survivors = bucketed(
+        li.map_batches(partial, batch_format="pyarrow"), "o_orderkey",
+        reduce_bucket, n_rows=_meta_rows(sf_dir, "orders"),
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     return join_keyed(orders, survivors, on="o_orderkey")
@@ -570,15 +552,9 @@ def brand_supplier_distinct(sf_dir: str):
         comp = np.unique(bc * 2_000_000_000 + sup)
         return pa.table({"comp": pa.array(comp, pa.int64())})
 
-    # coarse-bucket distinct: ~250k composite keys per reducer group,
-    # deduped + counted by one vectorized np.unique per group — not a
-    # 1-group-per-pair sort aggregate
-    nbk = max(8, (_meta_rows(sf_dir, "supplier") * 32) // 250_000 + 1)
-
-    def tagc(t: pa.Table) -> pa.Table:
-        b = (t["comp"].to_numpy(zero_copy_only=False) % nbk).astype(np.int32)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
+    # bucketed distinct over the composite (brand, supplier) keys, sized at
+    # 32 keys per supplier, deduped + counted by one vectorized np.unique
+    # per bucket — not a 1-group-per-pair sort aggregate
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         u = np.unique(g["comp"].to_numpy())
         bc, n = np.unique(u // 2_000_000_000, return_counts=True)
@@ -587,11 +563,11 @@ def brand_supplier_distinct(sf_dir: str):
         )
 
     agg = (
-        join_keyed(li, part, on=("l_partkey", "p_partkey"))
-        .map_batches(pack, batch_format="pyarrow")
-        .map_batches(tagc, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(reduce_bucket, batch_format="pandas")
+        bucketed(
+            join_keyed(li, part, on=("l_partkey", "p_partkey"))
+            .map_batches(pack, batch_format="pyarrow"),
+            "comp", reduce_bucket, n_rows=32 * _meta_rows(sf_dir, "supplier"),
+        )
         .groupby("bc")
         .aggregate(Sum("n_supp", alias_name="n_supp"))
     )

@@ -148,7 +148,8 @@ def token_frequencies_documents(sf_dir: str):
         return _pa(pd.DataFrame({"token": counts.index, "n": counts.to_numpy()}))
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    return bucketed_aggregate(parts, "token", {"n": ("n", "sum")})
+    return bucketed_aggregate(parts, "token", {"n": ("n", "sum")},
+                              n_rows=_meta_rows(sf_dir, "documents"))
 
 
 TOKEN_FREQUENCIES_DOCUMENTS_SQL = """
@@ -191,7 +192,7 @@ def vocab_documents(sf_dir: str, min_freq: int = 5):
     # bucketed reduce: tokens are groups≈rows (round-5 aggregate trap)
     freq = bucketed_aggregate(
         ds.map_batches(partial, batch_format="pandas"),
-        "token", {"freq": ("n", "sum")},
+        "token", {"freq": ("n", "sum")}, n_rows=_meta_rows(sf_dir, "documents"),
     )
 
     def band(b: pd.DataFrame) -> pd.DataFrame:
@@ -409,7 +410,7 @@ def bigram_frequencies_documents(sf_dir: str, min_count: int = 5):
 
     agg = bucketed_aggregate(
         ds.map_batches(partial, batch_format="pandas"),
-        "bigram", {"n": ("n", "sum")},
+        "bigram", {"n": ("n", "sum")}, n_rows=_meta_rows(sf_dir, "documents"),
     )
     return agg.map_batches(
         lambda t: t.filter(pc.greater_equal(t["n"], min_count)),
@@ -481,7 +482,7 @@ def heavy_hitters_tokens(sf_dir: str, k: int = 20, capacity: int = 8192):
     exact = _pandas_cols(
         bucketed_aggregate(
             ds.map_batches(recount, batch_format="pandas"),
-            "token", {"n": ("n", "sum")},
+            "token", {"n": ("n", "sum")}, n_rows=_meta_rows(sf_dir, "documents"),
         ),
         ["token", "n"], {"n": "int64"},
     )
@@ -563,7 +564,7 @@ def tfidf_top_terms_documents(sf_dir: str, k: int = 5):
     df_tbl = _pandas_cols(
         bucketed_aggregate(
             ds.map_batches(df_partial, batch_format="pandas"),
-            "term", {"df": ("df", "sum")},
+            "term", {"df": ("df", "sum")}, n_rows=_meta_rows(sf_dir, "documents"),
         ),
         ["term", "df"], {"df": "int64"},
     )
@@ -939,9 +940,11 @@ def duplicate_passages_documents(sf_dir: str, n: int = 5, min_docs: int = 2):
 
     from ray.data.aggregate import Sum
 
+    from schema_guru_ray.stages.joins import bucketed
     from schema_guru_ray.stages.profile import stable_hash64
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    n_docs = _meta_rows(sf_dir, "documents")
     # odd multipliers make the n-window combine position-sensitive
     combine = np.array(
         [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
@@ -969,18 +972,14 @@ def duplicate_passages_documents(sf_dir: str, n: int = 5, min_docs: int = 2):
         valid = doc_idx[:n_win] == doc_idx[n - 1 :]
         return gh[valid], doc_idx[:n_win][valid], flat, np.flatnonzero(valid)
 
-    # coarse hash-bucket counts: a groupby(h) would be one reducer group
-    # per distinct gram (measured 43.8 s for 238k groups at sf0.1); ~64
-    # buckets co-locate each hash, and the in-bucket sum + HAVING are one
-    # vectorized np.unique per bucket (measured ~1 s)
-    nbk = max(16, _meta_rows(sf_dir, "documents") // 1000)
-
+    # bucketed hash counts: a groupby(h) would be one reducer group per
+    # distinct gram (measured 43.8 s for 238k groups at sf0.1); the
+    # in-bucket sum + HAVING are one vectorized np.unique per bucket
     def hash_partial(b: pd.DataFrame) -> pd.DataFrame:
         r = _gram_hashes(b)
         if r is None:
             return pd.DataFrame({"h": pd.Series(dtype="int64"),
-                                 "n": pd.Series(dtype="int64"),
-                                 "__b": pd.Series(dtype="int32")})
+                                 "n": pd.Series(dtype="int64")})
         gh, didx, _, _ = r
         # distinct (doc, gram) via one lexsort, then counts per gram
         order = np.lexsort((gh, didx))
@@ -988,10 +987,7 @@ def duplicate_passages_documents(sf_dir: str, n: int = 5, min_docs: int = 2):
         first = np.ones(len(gs), bool)
         first[1:] = (gs[1:] != gs[:-1]) | (ds_[1:] != ds_[:-1])
         u, cnt = np.unique(gs[first], return_counts=True)
-        return pd.DataFrame(
-            {"h": u.astype(np.int64), "n": cnt.astype(np.int64),
-             "__b": (u % np.uint64(nbk)).astype(np.int32)}
-        )
+        return pd.DataFrame({"h": u.astype(np.int64), "n": cnt.astype(np.int64)})
 
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         u, inv = np.unique(g["h"].to_numpy(np.int64), return_inverse=True)
@@ -1001,9 +997,8 @@ def duplicate_passages_documents(sf_dir: str, n: int = 5, min_docs: int = 2):
         return pd.DataFrame({"h": u[keep], "n": sums[keep]})
 
     surv = _pandas_cols(
-        docs.map_batches(hash_partial, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(sum_bucket, batch_format="pandas"),
+        bucketed(docs.map_batches(hash_partial, batch_format="pandas"), "h",
+                 sum_bucket, n_rows=n_docs),
         ["h", "n"], {"h": "int64", "n": "int64"},
     )
     surv_ref = ray.put(np.sort(surv["h"].to_numpy(np.int64).astype(np.uint64)))
@@ -1021,28 +1016,18 @@ def duplicate_passages_documents(sf_dir: str, n: int = 5, min_docs: int = 2):
                 if (d, g) not in seen:  # distinct per doc
                     seen.add((d, g))
                     c[g] += 1
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"g": list(c.keys()),
              "n_docs": pd.Series(list(c.values()), dtype="int64")}
         )
-        from schema_guru_ray.stages.profile import stable_hash64 as _h
-
-        df["__b"] = (
-            (_h(df["g"]) % np.uint64(nbk)).astype("int32")
-            if len(df) else pd.Series(dtype="int32")
-        )
-        return df
 
     def text_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("g", as_index=False)["n_docs"].sum()
         out = out[out["n_docs"] >= int(min_docs)]
         return out.astype({"n_docs": "int64"})
 
-    return (
-        docs.map_batches(recount_partial, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(text_bucket, batch_format="pandas")
-    )
+    return bucketed(docs.map_batches(recount_partial, batch_format="pandas"),
+                    "g", text_bucket, n_rows=n_docs)
 
 
 DUPLICATE_PASSAGES_DOCUMENTS_SQL = """

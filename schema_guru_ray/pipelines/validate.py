@@ -131,7 +131,7 @@ def duplicate_clip_ids(verdicts):
     with the groupby's all-to-all (whose resource reservation would starve
     it — see codec_verdicts); materialized input is already behind that
     boundary."""
-    from schema_guru_ray.stages.joins import bucketed_aggregate, derive_num_buckets
+    from schema_guru_ray.stages.joins import bucketed_aggregate
 
     if not _is_materialized(verdicts):
         verdicts = verdicts.select_columns(["clip_id"]).materialize()
@@ -140,7 +140,7 @@ def duplicate_clip_ids(verdicts):
     # native per-group aggregate (round-5 trap — see bucketed_aggregate)
     counts = bucketed_aggregate(
         ids, "clip_id", {"n_copies": ("clip_id", "size")},
-        n_buckets=derive_num_buckets(verdicts.count()),
+        n_rows=verdicts.count(),
     )
     return counts.map_batches(
         lambda t: t.filter(pc.greater(t["n_copies"], 1)),

@@ -346,32 +346,19 @@ def collapse_drop_hashes(sigs_ds):
     its validation decode pass) pays only this scalar collapse — no second
     decode of the corpus.
 
-    Coarse sig-hash buckets, NOT groupby(sig): mostly-unique signatures
-    would mean one pandas dispatch per distinct signal (≈ per clip at
-    10^12 scale); inside a bucket one vectorized transform("min")
-    collapses every cluster at once."""
-    from schema_guru_ray.stages.joins import derive_num_buckets
-    from schema_guru_ray.stages.profile import stable_hash64
-
-    nb = derive_num_buckets(sigs_ds.count())
-
-    def tag(b: pd.DataFrame) -> pa.Table:
-        b = b.copy()
-        b["__b"] = (stable_hash64(b["sig"]) % np.uint64(nb)).astype(np.int32)
-        return pa.Table.from_pandas(
-            b[["vec_id", "sig", "__b"]], preserve_index=False
-        )
+    One :func:`stages.joins.bucketed` shuffle on ``sig``, NOT
+    groupby(sig): mostly-unique signatures would mean one pandas dispatch
+    per distinct signal (≈ per clip at 10^12 scale); inside a bucket one
+    vectorized transform("min") collapses every cluster at once."""
+    from schema_guru_ray.stages.joins import bucketed
 
     def drop_bucket(g: pd.DataFrame) -> pa.Table:
         keep = g.groupby("sig")["vec_id"].transform("min")
         rest = g.loc[g["vec_id"] != keep, "vec_id"]
         return pa.table({"drop_h": pa.array(rest.astype("int64"))})
 
-    return (
-        sigs_ds.map_batches(tag, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(drop_bucket, batch_format="pandas")
-    )
+    return bucketed(sigs_ds.select_columns(["vec_id", "sig"]), "sig",
+                    drop_bucket, n_rows=sigs_ds.count())
 
 
 # --- feature-space training prep: SpecAugment masking + corpus CMVN --------

@@ -176,15 +176,13 @@ class ExactDedupHasher:
                          "fp_md5": pa.array(fp, pa.string())})
 
 
-def exact_dedup(ds, column: str = "text", id_column: str = "doc_id",
-                n_buckets: int = 64):
+def exact_dedup(ds, column: str = "text", id_column: str = "doc_id"):
     """Hash-partitioned exact dedup: one keeper (min id) per content hash.
     Returns rows (fp_md5, keeper_id, n_copies). Only (id, 16-byte hash)
     pairs shuffle. The reduce is :func:`joins.bucketed_aggregate`, NOT the
     native per-key aggregate — content hashes are a groups≈rows key, where
     Ray's aggregate pays per-group reduce overhead (round-5 measurement:
-    226k groups cost 297 s native vs 0.2 s bucketed). Size ``n_buckets``
-    to ~rows/250k at large scale."""
+    226k groups cost 297 s native vs 0.2 s bucketed)."""
     from schema_guru_ray.stages.joins import bucketed_aggregate
 
     hashed = ds.map_batches(
@@ -193,7 +191,7 @@ def exact_dedup(ds, column: str = "text", id_column: str = "doc_id",
     return bucketed_aggregate(
         hashed, "fp_md5",
         {"keeper_id": (id_column, "min"), "n_copies": (id_column, "size")},
-        n_buckets=n_buckets,
+        n_rows=ds.count(),
     )
 
 
@@ -276,23 +274,22 @@ class MinHashSigner:
         return pd.DataFrame(out)
 
 
-def minhash_candidate_pairs(ds, signer: MinHashSigner, min_est_jaccard: float = 0.5,
-                            n_buckets: int = 256):
+def minhash_candidate_pairs(ds, signer: MinHashSigner, min_est_jaccard: float = 0.5):
     """Dataset → candidate near-dup pairs with signature-estimated Jaccard.
     Returns rows (id_a, id_b, est_jaccard), deduped across bands.
 
-    Shuffle shape: the exploded (band, band_key) rows are grouped by a
-    COARSE hash bucket (``band_key % n_buckets``) — a few hundred groups
-    regardless of corpus size — and each bucket runs a vectorized pandas
-    groupby over its real keys, generating pairs only for keys with >= 2
-    docs (rare, by LSH design). This avoids per-collision-group Python
-    dispatch, which dominates wall time with millions of tiny groups.
-    Final pair dedup across bands is a vectorized Max aggregate."""
-    exploded = ds.map_batches(signer, batch_format="pandas").map_batches(
-        lambda b: b.assign(bucket=(b["band_key"] % np.uint64(n_buckets)).astype(np.int32)),
-        batch_format="pandas",
-    )
+    Shuffle shape: the exploded (band, band_key) rows go through one
+    :func:`stages.joins.bucketed` shuffle on ``band_key``, and each bucket
+    runs a vectorized pandas groupby over its real keys, generating pairs
+    only for keys with >= 2 docs (rare, by LSH design). This avoids
+    per-collision-group Python dispatch, which dominates wall time with
+    millions of tiny groups. Final pair dedup across bands is a vectorized
+    Max aggregate. Both shuffles are sized from ``bands × ds.count()``
+    (the exploded row count; free on a read or materialized input)."""
+    from schema_guru_ray.stages.joins import bucketed, bucketed_aggregate
 
+    n_rows = signer.bands * ds.count()
+    exploded = ds.map_batches(signer, batch_format="pandas")
     num_perm = signer.num_perm
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -319,13 +316,12 @@ def minhash_candidate_pairs(ds, signer: MinHashSigner, min_est_jaccard: float = 
         )
         return pa.Table.from_pandas(df, preserve_index=False)  # Arrow into the pair shuffle
 
-    pairs = exploded.groupby("bucket").map_groups(bucket_pairs, batch_format="pandas")
+    pairs = bucketed(exploded, "band_key", bucket_pairs, n_rows=n_rows)
     # pair keys are near-unique → bucketed vectorized max, NOT the native
     # per-group aggregate (groups≈rows trap, see bucketed_aggregate)
-    from schema_guru_ray.stages.joins import bucketed_aggregate
-
     return bucketed_aggregate(
-        pairs, ["id_a", "id_b"], {"est_jaccard": ("est_jaccard", "max")}
+        pairs, ["id_a", "id_b"], {"est_jaccard": ("est_jaccard", "max")},
+        n_rows=n_rows,
     )
 
 
@@ -374,14 +370,15 @@ def connected_components_distributed(pairs_ds, max_rounds: Optional[int] = None)
     # data-scaled bucket count for the in-loop joins (round-2 verdict: the
     # fixed 8 here meant 1/8 of the edge set materialized per pandas group
     # at ANY scale); edges is materialized, so count() is free
-    nb = derive_num_buckets(edges.count())
+    n_edges = edges.count()
+    nb = derive_num_buckets(n_edges)
 
     def self_min(b: pd.DataFrame) -> pa.Table:
         b = b.assign(label=b[["node", "label"]].min(axis=1))
         return pa.Table.from_pandas(b, preserve_index=False)
 
     labels = bucketed_aggregate(
-        edges, "node", {"label": ("peer", "min")}, n_buckets=nb
+        edges, "node", {"label": ("peer", "min")}, n_rows=n_edges
     ).map_batches(self_min, batch_format="pandas").materialize()
 
     def label_sum(lab) -> int:
@@ -437,7 +434,7 @@ def connected_components_distributed(pairs_ds, max_rounds: Optional[int] = None)
         # geometrically — bound it to the edge partitioning
         labels = (
             bucketed_aggregate(
-                both, "node", {"label": ("label", "min")}, n_buckets=nb
+                both, "node", {"label": ("label", "min")}, n_rows=n_edges
             )
             .repartition(max(8, edges.num_blocks()))
             .materialize()
@@ -589,9 +586,16 @@ def hamming_pairs_from_chunked_hashes(hashed, id_column: str = "doc_id",
     pair at hamming distance ≤ 3 must agree on at least one chunk, so
     bucketing on each chunk and verifying popcount in-bucket is EXACT for
     ``max_hamming ≤ 3`` (and a recall-documented heuristic above). Shared
-    by text SimHash and image perceptual-hash dedup. Returns (id_a, id_b,
-    hamming)."""
+    by text SimHash and image perceptual-hash dedup. ``hashed`` is
+    materialized here (small rows), which keeps the hashing map out of the
+    shuffle's plan and gives the row count that sizes the buckets. Returns
+    (id_a, id_b, hamming)."""
     import pandas as pd
+
+    from schema_guru_ray.stages.joins import bucketed, bucketed_aggregate
+
+    hashed = hashed.materialize()
+    n_rows = 4 * hashed.count()  # one exploded row per 16-bit chunk
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -608,10 +612,7 @@ def hamming_pairs_from_chunked_hashes(hashed, id_column: str = "doc_id",
             )
         return pd.concat(frames, ignore_index=True)
 
-    exploded = hashed.map_batches(explode, batch_format="pandas").map_batches(
-        lambda b: b.assign(bucket=(b["chunk_val"] % 251).astype(np.int32)),
-        batch_format="pandas",
-    )
+    exploded = hashed.map_batches(explode, batch_format="pandas")
 
     def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -635,12 +636,10 @@ def hamming_pairs_from_chunked_hashes(hashed, id_column: str = "doc_id",
         )
         return pa.Table.from_pandas(df, preserve_index=False)  # Arrow into the pair shuffle
 
-    pairs = exploded.groupby("bucket").map_groups(bucket_fn, batch_format="pandas")
+    pairs = bucketed(exploded, "chunk_val", bucket_fn, n_rows=n_rows)
     # near-unique pair keys → bucketed vectorized min (groups≈rows trap)
-    from schema_guru_ray.stages.joins import bucketed_aggregate
-
     return bucketed_aggregate(
-        pairs, ["id_a", "id_b"], {"hamming": ("hamming", "min")}
+        pairs, ["id_a", "id_b"], {"hamming": ("hamming", "min")}, n_rows=n_rows
     )
 
 
@@ -663,8 +662,6 @@ def verify_pairs_jaccard_distributed(
     id_column: str = "doc_id",
     shingle_n: int = 3,
     threshold: float = 0.8,
-    n_buckets: int = 256,
-    num_partitions: Optional[int] = None,
 ):
     """EXACT n-gram Jaccard verification of candidate pairs, end-to-end
     distributed (the scale path promised by :func:`verify_pairs_jaccard`):
@@ -675,11 +672,15 @@ def verify_pairs_jaccard_distributed(
        set. Without this prune the join would shuffle the ENTIRE corpus
        text to co-locate it with a handful of pairs;
     3. shingle-hash each surviving doc ONCE (:func:`shingle_hash_batch` —
-       sorted-distinct uint64 sets) and hash-join the int lists against
-       the exploded pairs — text never enters the exchange;
-    4. group by a coarse pair-hash bucket; inside a bucket a pandas
-       groupby walks real pairs and intersects the two sorted hash
-       arrays (integer intersection/union — no per-pair re-tokenizing).
+       sorted-distinct uint64 sets) and :func:`stages.joins.
+       bucketed_hash_join` the packed sets against the exploded pairs —
+       text never enters the exchange. (Ray's native join starts one
+       aggregator actor per partition and stalls once a row-derived
+       partition count outgrows the cluster.)
+    4. one :func:`stages.joins.bucketed` shuffle on the pair; inside a
+       bucket a pandas groupby walks real pairs and intersects the two
+       sorted hash arrays (integer intersection/union — no per-pair
+       re-tokenizing).
 
     ``pairs_ds`` is materialized here (2-int rows) so the id collection
     and bucket sizing never re-run the candidate plan.
@@ -690,7 +691,9 @@ def verify_pairs_jaccard_distributed(
     comparisons, so the result hash-matches a SQL oracle exactly."""
     from fractions import Fraction
 
-    from schema_guru_ray.stages.joins import derive_num_buckets, hash_join, join_keyed
+    from schema_guru_ray.stages.joins import (
+        bucketed, bucketed_hash_join, derive_num_buckets, join_keyed,
+    )
 
     frac = Fraction(threshold).limit_denominator(1000)
     p_num, p_den = frac.numerator, frac.denominator
@@ -705,8 +708,8 @@ def verify_pairs_jaccard_distributed(
                 "id_b": pd.concat([b["id_b"], b["id_b"]], ignore_index=True).astype("int64"),
             }
         )
-        # metadata-free Arrow: the native join's shuffle aggregators hash
-        # block schemas, and schema metadata (a dict) always fails that hash
+        # metadata-free Arrow: Ray hashes block schemas, and the pandas
+        # schema metadata (a dict) always fails that hash
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
     sides = pairs_ds.map_batches(explode, batch_format="pandas")
@@ -734,8 +737,6 @@ def verify_pairs_jaccard_distributed(
         batch_format="pandas",
     ).materialize()
     docs_clean = join_keyed(docs_clean, cand_ids, on=id_column, how="semi")
-    if num_partitions is None:
-        num_partitions = derive_num_buckets(2 * n_pairs + cand_ids.count())
     # shingle each surviving doc ONCE (sorted-distinct uint64 hash set);
     # the join then ships int lists, never text, and verification is an
     # integer-array intersection per pair
@@ -743,11 +744,13 @@ def verify_pairs_jaccard_distributed(
         lambda b: shingle_hash_batch(b, column=column, id_column=id_column, n=shingle_n),
         batch_format="pandas",
     )
-    joined = hash_join(sides, docs_sh, on=id_column, num_partitions=num_partitions)
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        key = b["id_a"].astype(np.int64) * np.int64(1_000_003) + b["id_b"].astype(np.int64)
-        return b.assign(bucket=(stable_hash64(key) % np.uint64(n_buckets)).astype(np.int32))
+    i64 = pa.int64()
+    joined = bucketed_hash_join(
+        sides, docs_sh, on=id_column,
+        num_buckets=derive_num_buckets(2 * n_pairs + cand_ids.count()),
+        left_schema=pa.schema([(id_column, i64), ("id_a", i64), ("id_b", i64)]),
+        right_schema=pa.schema([(id_column, i64), ("__sh", pa.large_binary())]),
+    )
 
     def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -765,11 +768,7 @@ def verify_pairs_jaccard_distributed(
             rows, columns=["id_a", "id_b", "n_inter", "n_union"]
         ).astype({"id_a": "int64", "id_b": "int64", "n_inter": "int64", "n_union": "int64"})
 
-    return (
-        joined.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(verify_bucket, batch_format="pandas")
-    )
+    return bucketed(joined, ["id_a", "id_b"], verify_bucket, n_rows=2 * n_pairs)
 
 
 def verify_pairs_jaccard(
@@ -853,27 +852,22 @@ class HyperplaneLSH:
 
 def embedding_near_dup_pairs(ds, dim: int, threshold: float = 0.95,
                              n_bits: int = 12, column: str = "embedding",
-                             id_column: str = "vec_id", n_tables: int = 1,
-                             n_buckets: int = 256):
+                             id_column: str = "vec_id", n_tables: int = 1):
     """Cosine near-dup pairs via hyperplane-LSH buckets + in-bucket exact
     cosine. Returns (id_a, id_b, cosine).
 
     Recall: tune with ``n_tables`` (multi-table LSH, see HyperplaneLSH) —
     n_tables=16 with n_bits=6 is effectively exhaustive at cosine ≥0.95.
-    Shuffle shape mirrors MinHash: exploded rows group by a COARSE hash
-    bucket, in-bucket work is a vectorized pandas groupby over real
-    (table, bucket) keys, and the cross-table pair dedup is Ray's
-    vectorized Max aggregate — no per-pair Python dispatch."""
+    Shuffle shape mirrors MinHash: exploded rows go through one
+    :func:`stages.joins.bucketed` shuffle on (table, bucket), in-bucket
+    work is a vectorized pandas groupby over those real keys, and the
+    cross-table pair dedup is a vectorized max — no per-pair Python
+    dispatch. Both shuffles are sized from ``n_tables × ds.count()``."""
+    from schema_guru_ray.stages.joins import bucketed, bucketed_aggregate
+
+    n_rows = n_tables * ds.count()
     hashed = ds.map_batches(
         HyperplaneLSH(dim, n_bits, column, id_column, n_tables=n_tables),
-        batch_format="pandas",
-    ).map_batches(
-        lambda b: b.assign(
-            coarse=(
-                stable_hash64(b["bucket"] + 1_000_003 * b["table"].astype(np.int64))
-                % np.uint64(n_buckets)
-            ).astype(np.int32)
-        ),
         batch_format="pandas",
     )
 
@@ -924,10 +918,8 @@ def embedding_near_dup_pairs(ds, dim: int, threshold: float = 0.95,
         out = out.astype({"id_a": "int64", "id_b": "int64"})
         return pa.Table.from_pandas(out, preserve_index=False)  # Arrow into the pair shuffle
 
-    pairs = hashed.groupby("coarse").map_groups(coarse_pairs, batch_format="pandas")
+    pairs = bucketed(hashed, ["table", "bucket"], coarse_pairs, n_rows=n_rows)
     # near-unique pair keys → bucketed vectorized max (groups≈rows trap)
-    from schema_guru_ray.stages.joins import bucketed_aggregate
-
     return bucketed_aggregate(
-        pairs, ["id_a", "id_b"], {"cosine": ("cosine", "max")}
+        pairs, ["id_a", "id_b"], {"cosine": ("cosine", "max")}, n_rows=n_rows
     )

@@ -8,6 +8,11 @@
   (:func:`bucketed_hash_join` for inner/left; a Bloom split plus one
   Arrow-native bucketed membership check for semi/anti). Every
   broadcast-or-shuffle decision in the package is this one.
+* :func:`bucketed` — the one hash-bucket shuffle: tag each row with
+  ``_key_hash(key) % derive_num_buckets(n_rows)``, group by the tag and
+  run a vectorized ``fn`` once per bucket. :func:`bucketed_aggregate`,
+  :func:`grouped_topk`, :func:`partitioned_window` and every per-key
+  reduce in the package that co-locates a key's rows call it.
 * :func:`hash_join` — both sides large: Ray Data's native hash-partitioned
   ``Dataset.join`` when present (Ray >= 2.46), else the portable explicit
   pattern: add ``bucket = hash(key) % B`` to both sides, group each bucket,
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -66,10 +71,15 @@ BROADCAST_BYTES = 80_000_000
 # materialize 1/16 of the table per group at any scale).
 DEFAULT_ROWS_PER_BUCKET = 250_000
 
+# the fewest buckets a bucketed shuffle uses, so small inputs still spread
+# over several reduce tasks. derive_num_buckets reads it on the driver at
+# each call; the workers only ever see the derived count.
+MIN_BUCKETS = 8
 
-def derive_num_buckets(n_rows: int, rows_per_bucket: int = DEFAULT_ROWS_PER_BUCKET,
-                        floor: int = 8) -> int:
-    return max(floor, math.ceil(n_rows / max(1, rows_per_bucket)))
+
+def derive_num_buckets(n_rows: int,
+                       rows_per_bucket: int = DEFAULT_ROWS_PER_BUCKET) -> int:
+    return max(MIN_BUCKETS, math.ceil(n_rows / max(1, rows_per_bucket)))
 
 
 def _to_arrow_clean(df: pd.DataFrame, schema: Optional[pa.Schema] = None) -> pa.Table:
@@ -135,14 +145,57 @@ def _nullable_types_mapper(t: pa.DataType):
     return None
 
 
-def _key_hash(col) -> np.ndarray:
-    """``stable_hash64`` of a key column that does not depend on whether
-    its batch holds a NULL: pandas turns a nullable integer column into
-    float64, which hashes every key of that batch differently from the
-    same key in a NULL-free batch. NULLs hash as 0 (they never match)."""
-    if col.null_count and pa.types.is_integer(col.type):
-        col = pc.fill_null(col, 0)
-    return stable_hash64(col.to_pandas())
+def _key_hash(cols) -> np.ndarray:
+    """``stable_hash64`` of a key column, or of a list of key columns
+    hashed as one row key, that does not depend on whether its batch
+    holds a NULL: pandas turns a nullable integer column into float64 and
+    a nullable bool column into object, either of which hashes every key
+    of that batch differently from the same key in a NULL-free batch.
+    NULL integers hash as 0 and NULL bools as False."""
+    h = None
+    for col in cols if isinstance(cols, (list, tuple)) else [cols]:
+        if col.null_count and pa.types.is_boolean(col.type):
+            col = pc.fill_null(col, False)
+        elif col.null_count and pa.types.is_integer(col.type):
+            col = pc.fill_null(col, 0)
+        hk = stable_hash64(col.to_pandas())
+        h = hk if h is None else (h * np.uint64(0x9E3779B97F4A7C15)) ^ hk
+    return h
+
+
+def bucketed(ds, key, fn, *, n_rows: int):
+    """The package's one hash-bucket shuffle: rows of ``ds`` with equal
+    ``key`` (a column name or a list of them) land in one bucket, and
+    ``fn(frame) -> pd.DataFrame | pa.Table`` runs once per bucket on a
+    pandas frame of that bucket's rows, the tag column dropped. There is
+    one Ray dispatch per bucket, never one per key, so ``fn`` does its
+    per-key work vectorized (a groupby, a sort + head, ``np.unique``).
+
+    ``n_rows`` is the row count ``ds`` carries, or an estimate of it: it
+    only sizes the buckets (:func:`derive_num_buckets`). Take it from
+    something that does not execute ``ds``'s plan — a parquet footer, the
+    ``count()`` of a materialized input, or a known multiple of one.
+
+    The tag is :func:`_key_hash` in one Arrow ``map_batches`` (Ray fuses
+    it with the caller's map), so a key lands in one bucket whether or not
+    its batch holds a NULL. NULL-key rows reach ``fn``; a pandas groupby
+    in ``fn`` drops them, as pandas does (:func:`bucketed_aggregate`
+    returns one row per non-NULL key)."""
+    keys = [key] if isinstance(key, str) else list(key)
+    nb = np.uint64(derive_num_buckets(n_rows))
+
+    def tag(t: pa.Table) -> pa.Table:
+        b = (_key_hash([t[k] for k in keys]) % nb).astype(np.int32)
+        return t.append_column("__bucket", pa.array(b)).replace_schema_metadata(None)
+
+    def run(g: pd.DataFrame):
+        return fn(g.drop(columns="__bucket"))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby("__bucket")
+        .map_groups(run, batch_format="pandas")
+    )
 
 
 def _tag_fn(side: str, key: str, num_buckets: int):
@@ -848,11 +901,10 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
     return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
 
 
-def bucketed_aggregate(ds, keys, aggs: Dict[str, Tuple[str, str]],
-                       n_buckets: int = 64):
-    """Per-key aggregation for HIGH-CARDINALITY keys: coarse hash buckets
-    (one Ray dispatch per bucket) + ONE vectorized pandas groupby inside
-    each bucket.
+def bucketed_aggregate(ds, keys, aggs: Dict[str, Tuple[str, str]], *,
+                       n_rows: Optional[int] = None):
+    """Per-key aggregation for HIGH-CARDINALITY keys: one :func:`bucketed`
+    shuffle + ONE vectorized pandas groupby inside each bucket.
 
     Ray's native ``groupby(key).aggregate(...)`` pays per-GROUP overhead in
     its reduce — measured round 5 on a 400k-row / 226k-group min: native
@@ -863,17 +915,11 @@ def bucketed_aggregate(ds, keys, aggs: Dict[str, Tuple[str, str]],
 
     ``aggs``: ``{out_col: (in_col, fn)}`` with pandas-groupby fn names
     ("min"/"max"/"sum"/"count"/"first"...). Keys may be one column or a
-    list. Blocks stay Arrow through the shuffle; a single hot KEY still
-    lands in one bucket (keys here are near-unique by premise — if one key
-    dominates, aggregate partials first)."""
+    list. A single hot KEY still lands in one bucket (keys here are
+    near-unique by premise — if one key dominates, aggregate partials
+    first). ``n_rows``: rows of ``ds`` (see :func:`bucketed`); None counts
+    ``ds``, which is free on a parquet read or a materialized Dataset."""
     key_list = [keys] if isinstance(keys, str) else list(keys)
-
-    def tag(t: pa.Table) -> pa.Table:
-        h = stable_hash64(t[key_list[0]].to_pandas())
-        for k in key_list[1:]:
-            h = h ^ stable_hash64(t[k].to_pandas())
-        b = (h % np.uint64(n_buckets)).astype(np.int32)
-        return t.append_column("__gb", pa.array(b)).replace_schema_metadata(None)
 
     def agg_bucket(g: pd.DataFrame) -> pa.Table:
         gb = g.groupby(key_list, as_index=False, sort=False).agg(
@@ -881,38 +927,28 @@ def bucketed_aggregate(ds, keys, aggs: Dict[str, Tuple[str, str]],
         )
         return pa.Table.from_pandas(gb, preserve_index=False)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__gb")
-        .map_groups(agg_bucket, batch_format="pandas")
-    )
+    return bucketed(ds, key_list, agg_bucket,
+                    n_rows=ds.count() if n_rows is None else n_rows)
 
 
 def grouped_topk(ds, group_col: str, order_col: str, k: int,
                  descending: bool = True, tie_col: Optional[str] = None,
-                 rank_alias: Optional[str] = None, n_buckets: int = 64):
+                 rank_alias: Optional[str] = None):
     """Top-k rows per group WITHOUT a global sort: each batch pre-reduces
     to its local top-k per group (vectorized sort + groupby-head), then the
-    survivors shuffle into COARSE hash buckets (a group's rows all land in
-    one bucket; one Ray dispatch per bucket, not per group key — a
-    per-custkey dispatch would be 10^5 Python calls) where one vectorized
-    sort + groupby-head finishes the job. Shuffle volume is
-    O(#batches × #groups × k), never O(rows). ``tie_col`` (ascending)
-    makes the result a total order — required for exact parity with a SQL
-    ``row_number() OVER (... ORDER BY v DESC, tie)`` oracle."""
-    from schema_guru_ray.stages.profile import stable_hash64
-
+    survivors go through one :func:`bucketed` shuffle on ``group_col``
+    where one vectorized sort + groupby-head per bucket finishes the job.
+    Shuffle volume is O(#batches × #groups × k), never O(rows); the
+    buckets are sized from ``ds.count()`` (free on a parquet read).
+    ``tie_col`` (ascending) makes the result a total order — required for
+    exact parity with a SQL ``row_number() OVER (... ORDER BY v DESC,
+    tie)`` oracle."""
     sort_cols = [order_col] + ([tie_col] if tie_col else [])
     ascending = [not descending] + ([True] if tie_col else [])
 
     def local_topk(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(sort_cols, ascending=ascending, kind="stable")
-        b = b.groupby(group_col, sort=False).head(k)
-        return b.assign(
-            __cbucket=(stable_hash64(b[group_col]) % np.uint64(n_buckets)).astype(
-                np.int32
-            )
-        )
+        return b.groupby(group_col, sort=False).head(k)
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(sort_cols, ascending=ascending, kind="stable")
@@ -921,13 +957,10 @@ def grouped_topk(ds, group_col: str, order_col: str, k: int,
             g = g.assign(
                 **{rank_alias: g.groupby(group_col, sort=False).cumcount() + 1}
             )
-        return g.drop(columns="__cbucket")
+        return g
 
-    return (
-        ds.map_batches(local_topk, batch_format="pandas")
-        .groupby("__cbucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+    return bucketed(ds.map_batches(local_topk, batch_format="pandas"),
+                    group_col, merge_bucket, n_rows=ds.count())
 
 
 def hopping_window_agg(ds, ts_col: str, window_sec: int, hop_sec: int,
@@ -1195,44 +1228,30 @@ def range_join(points, intervals, *, point_col: str, lo_col: str, hi_col: str,
 
 
 def partitioned_window(ds, key: str, order_cols: Sequence[str], apply_fn,
-                       n_buckets: Optional[int] = None,
                        n_rows: Optional[int] = None):
     """Analytic (SQL ``OVER (PARTITION BY key ORDER BY ...)``) window
     functions: running sums, row_number/rank, lag/lead, moving averages.
 
     Ray Data has no window-function primitive, so this is the composition
-    the semantics allow: hash-bucket rows by the PARTITION key into coarse
-    data-scaled buckets (a key's rows all land in one bucket; one Ray
-    dispatch per bucket, not per key), stable-sort ``[key, *order_cols]``
-    inside the bucket, and run ``apply_fn`` — a VECTORIZED pandas transform
-    over the sorted bucket frame (cumsum / cumcount / shift per group) —
-    once per bucket. Shuffle volume is one pass over the input; no global
-    sort. Partitioning assumption (same contract as :func:`asof_join` /
-    sessionize): each key's rows fit a bucket worker; a single hot key
-    still lands in one bucket by construction — pre-aggregate or split the
-    frame definition if a key exceeds worker memory.
+    the semantics allow: one :func:`bucketed` shuffle on the PARTITION key
+    (a key's rows all land in one bucket), stable-sort ``[key,
+    *order_cols]`` inside the bucket, and run ``apply_fn`` — a VECTORIZED
+    pandas transform over the sorted bucket frame (cumsum / cumcount /
+    shift per group) — once per bucket. Shuffle volume is one pass over
+    the input; no global sort. Partitioning assumption (same contract as
+    :func:`asof_join` / sessionize): each key's rows fit a bucket worker;
+    a single hot key still lands in one bucket by construction —
+    pre-aggregate or split the frame definition if a key exceeds worker
+    memory. ``n_rows``: rows of ``ds``; None counts ``ds``.
 
     ``apply_fn(g: pd.DataFrame) -> pd.DataFrame`` receives the bucket
     sorted by ``[key, *order_cols]`` (stable) and must emit the output
     columns; use ``g.groupby(key, sort=False)`` transforms inside.
     """
-    from schema_guru_ray.stages.profile import stable_hash64
-
-    if n_buckets is None:
-        n_buckets = derive_num_buckets(ds.count() if n_rows is None else n_rows)
     sort_cols = [key, *order_cols]
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            __wbucket=(stable_hash64(b[key]) % np.uint64(n_buckets)).astype(np.int32)
-        )
-
     def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, kind="stable").drop(columns="__wbucket")
-        return apply_fn(g)
+        return apply_fn(g.sort_values(sort_cols, kind="stable"))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__wbucket")
-        .map_groups(run_bucket, batch_format="pandas")
-    )
+    return bucketed(ds, key, run_bucket,
+                    n_rows=ds.count() if n_rows is None else n_rows)

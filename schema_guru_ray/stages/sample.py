@@ -19,7 +19,7 @@ functions of row content, so the DuckDB oracle can replay them exactly:
   stratum ORDER BY md5(key), key)``. Distributed as a per-group top-k
   WITHOUT a global sort: each batch pre-reduces to its local ≤cap rows
   per stratum (vectorized pandas groupby-head over a sorted frame), then
-  a single ``groupby(stratum)`` over the tiny survivors merges partials.
+  one ``joins.bucketed`` shuffle on the stratum merges the tiny survivors.
   Shuffle volume is O(#batches × #strata × cap), never O(rows).
 
 The md5-per-row map is a ``Series.map`` over short strings — the same
@@ -91,26 +91,23 @@ def stratified_sample(ds, stratum_column: str, key_column: str,
 
 
 def stratified_cap(ds, stratum_column: str, key_column: str, cap: int,
-                   rank_alias: Optional[str] = None, n_buckets: int = 64):
+                   rank_alias: Optional[str] = None):
     """Keep at most ``cap`` rows per stratum, selected by ascending
     (md5(key), key). When ``rank_alias`` is given, the per-stratum rank
     (1-based) is emitted under that column name.
 
-    The merge shuffles the ≤cap×batches survivors into COARSE hash
-    buckets (one Ray dispatch per bucket, not per stratum — a per-domain
-    dispatch would be one Python call per domain at web scale) and
-    finishes with a single vectorized sort + groupby-head per bucket."""
-    from schema_guru_ray.stages.profile import stable_hash64
+    The merge is one :func:`stages.joins.bucketed` shuffle of the
+    ≤cap×batches survivors on the stratum (one Ray dispatch per bucket,
+    not per stratum — a per-domain dispatch would be one Python call per
+    domain at web scale), finished with a single vectorized sort +
+    groupby-head per bucket. The buckets are sized from ``ds.count()``
+    (free on a parquet read)."""
+    from schema_guru_ray.stages.joins import bucketed
 
     def local_cap(b: pd.DataFrame) -> pd.DataFrame:
         b = b.assign(__md5=md5_hex(b[key_column]))
         b = b.sort_values(["__md5", key_column], kind="stable")
-        b = b.groupby(stratum_column, sort=False).head(cap)
-        return b.assign(
-            __cbucket=(
-                stable_hash64(b[stratum_column]) % np.uint64(n_buckets)
-            ).astype(np.int32)
-        )
+        return b.groupby(stratum_column, sort=False).head(cap)
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["__md5", key_column], kind="stable")
@@ -119,13 +116,10 @@ def stratified_cap(ds, stratum_column: str, key_column: str, cap: int,
             g = g.assign(
                 **{rank_alias: (g.groupby(stratum_column, sort=False).cumcount() + 1).astype(np.int64)}
             )
-        return g.drop(columns=["__md5", "__cbucket"])
+        return g.drop(columns="__md5")
 
-    return (
-        ds.map_batches(local_cap, batch_format="pandas")
-        .groupby("__cbucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+    return bucketed(ds.map_batches(local_cap, batch_format="pandas"),
+                    stratum_column, merge_bucket, n_rows=ds.count())
 
 
 # --- content-addressed train/val/test split assignment ---------------------

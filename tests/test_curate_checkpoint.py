@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from schema_guru_ray.pipelines import curate as curate_mod
+from schema_guru_ray.stages import joins
 from schema_guru_ray.state import checkpoint
 from schema_guru_ray.pipelines.curate import (
     curate_documents,
@@ -71,6 +72,11 @@ class TestCurateCheckpoint:
         # one chunk per plan, so the crash in the second chunk's body
         # leaves the first one committed
         monkeypatch.setattr(checkpoint, "CHUNKS_PER_PLAN", 1)
+        # the dedup stage writes one file per non-empty output block of its
+        # bucketed shuffle; 64 buckets give the final pass the three
+        # chunks this scenario needs (a crash in the second, a resume that
+        # runs the second and third)
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 64)
         real_remove = curate_mod._remove_drops
         state = {"calls": 0}
 

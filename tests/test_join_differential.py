@@ -39,6 +39,37 @@ def _assert_same(got: pd.DataFrame, want: pd.DataFrame, cols, ctx: str):
     pd.testing.assert_frame_equal(g, w, check_dtype=False, obj=ctx)
 
 
+def _rows(df: pd.DataFrame, cols) -> list:
+    """Sorted row tuples with bools and numbers compared as floats: a
+    block holding a NULL key reads an integer key back as float64 and a
+    bool key as object."""
+    def norm(v):
+        if v is None or pd.isna(v):
+            return None
+        return float(v) if isinstance(v, (bool, int, float, np.number, np.bool_)) else v
+
+    return sorted((tuple(norm(v) for v in r) for r in df[cols].itertuples(index=False)),
+                  key=repr)
+
+
+def _null_split_blocks():
+    import pyarrow as pa
+
+    i64 = pa.int64()
+    return {
+        "int64": ({"k": pa.array([5, 6, 7], i64)}, {"k": pa.array([5, None, 7], i64)}),
+        "bool": ({"k": pa.array([True, False, True])},
+                 {"k": pa.array([True, None, False])}),
+        "int64+string": (
+            {"k": pa.array([5, 6, 7], i64), "k2": pa.array(["x", "y", "x"])},
+            {"k": pa.array([5, None, 7], i64), "k2": pa.array(["x", "y", "x"])},
+        ),
+    }
+
+
+NULL_SPLIT_KEYS = _null_split_blocks()
+
+
 def _keys(rng, n, card):
     k = rng.integers(0, card, n).astype(np.int64)
     if rng.random() < 0.5 and card > 1:  # skewed draw: 70% of rows on one key
@@ -205,10 +236,13 @@ class TestRangeJoinDifferential:
 @pytest.mark.usefixtures("ray_session")
 class TestBucketedAggregateDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_groupby_matches_duckdb(self, seed):
+    def test_groupby_matches_duckdb(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_aggregate
+
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 2000))
@@ -227,17 +261,20 @@ class TestBucketedAggregateDifferential:
             rd.from_pandas(df).repartition(3), "k",
             {"s": ("v", "sum"), "mn": ("v", "min"), "mx": ("v", "max"),
              "n": ("v", "count")},
-            n_buckets=4,
         ).to_pandas()
         _assert_same(got, want, ["k", "s", "mn", "mx", "n"],
                      f"bucketed_aggregate/seed{seed}")
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_multikey_groupby_matches_duckdb(self, seed):
-        """Composite (int, string) grouping keys — the XOR-hash tag path."""
+    def test_multikey_groupby_matches_duckdb(self, seed, monkeypatch):
+        """Composite (int, string) grouping keys — one row-key hash of both
+        columns."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_aggregate
+
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 3000))
@@ -254,10 +291,36 @@ class TestBucketedAggregateDifferential:
         got = bucketed_aggregate(
             rd.from_pandas(df).repartition(3), ["k1", "k2"],
             {"s": ("v", "sum"), "mn": ("v", "min"), "n": ("v", "count")},
-            n_buckets=4,
         ).to_pandas()
         _assert_same(got, want, ["k1", "k2", "s", "mn", "n"],
                      f"multikey_aggregate/seed{seed}")
+
+
+    @pytest.mark.parametrize("kind", list(NULL_SPLIT_KEYS))
+    def test_null_in_a_batch_does_not_split_a_key(self, kind):
+        """Two blocks, the second holding a NULL key: every non-NULL key
+        comes back once, as pandas ``groupby`` (default ``dropna``) says.
+        Hashing through pandas without filling NULLs turned the second
+        block's int64 key into float64 (bool into object), so keys 5 and
+        7 landed in other buckets than in the first block and came back
+        twice."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from schema_guru_ray.stages.joins import bucketed_aggregate
+
+        blocks = [
+            pa.table({**cols, "v": pa.array([1, 2, 3], pa.int64())})
+            for cols in NULL_SPLIT_KEYS[kind]
+        ]
+        keys = [c for c in blocks[0].column_names if c != "v"]
+        got = bucketed_aggregate(
+            rd.from_arrow(blocks), keys, {"s": ("v", "sum"), "n": ("v", "size")}
+        ).to_pandas()
+        want = pa.concat_tables(blocks).to_pandas().groupby(
+            keys, as_index=False).agg(s=("v", "sum"), n=("v", "size"))
+        cols = keys + ["s", "n"]
+        assert _rows(got, cols) == _rows(want, cols), f"null_split/{kind}"
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -485,6 +548,28 @@ class TestJoinKeyedDifferential:
                 df["payload"] = df["payload"].map(bytes)
         _assert_same(got.reindex(columns=cols), want, cols,
                      f"join_keyed/{how}/{regime}/seed{seed}")
+
+    def test_bool_key_with_null_in_one_batch_shuffle(self, monkeypatch):
+        """A bool lookup key whose second big batch holds a NULL: in the
+        shuffle regime both batches' True/False rows must still meet the
+        small side's keys in one bucket."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        big = [
+            pa.table({"k": pa.array([True, False, True]),
+                      "bv": pa.array([0, 1, 2], pa.int64())}),
+            pa.table({"k": pa.array([True, None, False]),
+                      "bv": pa.array([3, 4, 5], pa.int64())}),
+        ]
+        small = pa.table({"sk": pa.array([True, False]),
+                          "sv": pa.array([10, 20], pa.int64())})
+        got = _join_keyed(monkeypatch, "shuffle", rd.from_arrow(big), small,
+                          on=("k", "sk"), how="inner")
+        want = pd.DataFrame({"k": [True, False, True, True, False],
+                             "bv": [0, 1, 2, 3, 5], "sv": [10, 20, 10, 10, 20]})
+        cols = ["k", "bv", "sv"]
+        assert _rows(got, cols) == _rows(want, cols)
 
     @pytest.mark.parametrize("how", ["inner", "left"])
     @pytest.mark.parametrize("regime", list(REGIMES))

@@ -36,10 +36,13 @@ def _assert_same(got, want, cols, ctx):
 @pytest.mark.usefixtures("ray_session")
 class TestGroupedTopkDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_topk_matches_row_number_oracle(self, seed):
+    def test_topk_matches_row_number_oracle(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import grouped_topk
+
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 1500))
@@ -61,7 +64,7 @@ class TestGroupedTopkDifferential:
         ).df()
         got = grouped_topk(
             rd.from_pandas(df).repartition(4), "g", "v", k,
-            descending=True, tie_col="tie", rank_alias="rn", n_buckets=4,
+            descending=True, tie_col="tie", rank_alias="rn",
         ).to_pandas()
         _assert_same(got, want, ["g", "v", "tie", "rn"], f"grouped_topk/seed{seed}")
 
@@ -135,14 +138,17 @@ class TestWindowAggDifferential:
 @pytest.mark.usefixtures("ray_session")
 class TestPartitionedWindowDifferential:
     @pytest.mark.parametrize("seed", [11, 23, 37])
-    def test_window_functions_match_duckdb(self, seed):
+    def test_window_functions_match_duckdb(self, seed, monkeypatch):
         """row_number / running sum / lag through the bucketed window
         operator vs DuckDB OVER (PARTITION BY ... ORDER BY ...) on random
         skew-free tables (unique order column; tie semantics are covered
         by grouped_topk's tie_col tests)."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import partitioned_window
+
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 2500))
@@ -168,7 +174,7 @@ class TestPartitionedWindowDifferential:
 
         got = partitioned_window(
             rd.from_pandas(df).repartition(3), "k", ["o"], apply_fn,
-            n_buckets=4).to_pandas()
+        ).to_pandas()
         cols = ["k", "o", "v", "rn", "rsum", "prev"]
         g = got[cols].astype("float64").sort_values(cols).reset_index(drop=True)
         w = want[cols].astype("float64").sort_values(cols).reset_index(drop=True)
