@@ -323,6 +323,7 @@ def curate_clips_checkpointed(input_files, out_dir: str,
 
     import ray.data as rd
 
+    from schema_guru_ray.sources.clips import read_clips
     from schema_guru_ray.stages.audio_transform import resample_clips
 
     manifest = {}
@@ -341,7 +342,7 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         # vec_id columns persist into the checkpoint so the drops stage is
         # a column-pruned scalar read, not a re-decode of the corpus
         out = filter_valid_and_sign(
-            rd.read_parquet(files), cfg.validation
+            read_clips(files), cfg.validation
         ).materialize()
         out.write_parquet(tmp_dir)
         return {"n_valid": out.count()}
@@ -376,7 +377,7 @@ def curate_clips_checkpointed(input_files, out_dir: str,
         import pyarrow.parquet as pq
 
         n = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        out = exact_dedup_clips(rd.read_parquet(files), n_rows=n).materialize()
+        out = exact_dedup_clips(read_clips(files), n_rows=n).materialize()
         out.write_parquet(tmp_dir)
         return {"n_dedup": out.count()}
 
@@ -393,7 +394,7 @@ def curate_clips_checkpointed(input_files, out_dir: str,
     def run_drops(files, tmp_dir):
         # 2-column pruned read of the dedup checkpoint (sig/vec_id were
         # computed by the fused valid stage) — pure scalar collapse
-        sigs = rd.read_parquet(files, columns=["vec_id", "sig"])
+        sigs = read_clips(files, columns=["vec_id", "sig"])
         from schema_guru_ray.stages.audio_features import collapse_drop_hashes
 
         drops = collapse_drop_hashes(sigs).materialize()
@@ -414,9 +415,9 @@ def curate_clips_checkpointed(input_files, out_dir: str,
     )
 
     def run_final(files, tmp_dir):
-        part = rd.read_parquet(files)
+        part = read_clips(files)
         if drop_files:
-            part = _remove_by_hash(part, rd.read_parquet(drop_files))
+            part = _remove_by_hash(part, read_clips(drop_files))
         part = part.map_batches(
             lambda t: t.drop_columns(
                 [c for c in ("sig", "vec_id") if c in t.column_names]

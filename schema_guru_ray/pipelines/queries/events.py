@@ -408,7 +408,9 @@ def sessionize_events(sf_dir: str, gap_sec: int = 1800):
 
     def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="stable")
-        new_user = g["user_id"].ne(g["user_id"].shift())
+        # a bucket holding a NULL user_id has it as a nullable Int64,
+        # whose first shift() compares as NA, not True
+        new_user = g["user_id"].ne(g["user_id"].shift()).fillna(True)
         gap = g["ts"].diff().dt.total_seconds() > gap_sec
         starts = new_user | (gap & ~new_user)
         out = starts.groupby(g["user_id"], sort=False).sum()

@@ -28,9 +28,11 @@ from schema_guru_ray.pipelines.queries._common import (
 
 
 def join_orders_customers(sf_dir: str):
-    """Distributed hash join (both sides as Datasets; Ray's native
-    hash-partitioned join)."""
-    from schema_guru_ray.stages.joins import hash_join
+    """Orders joined to their customer through :func:`join_keyed` (the
+    customer key is unique, so it is a keyed lookup in either regime)."""
+    import pyarrow.parquet as pq
+
+    from schema_guru_ray.stages.joins import join_keyed
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -41,27 +43,9 @@ def join_orders_customers(sf_dir: str):
         )
 
     orders = orders.map_batches(cents, batch_format="pyarrow")
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"]).rename_columns(
-        {"c_custkey": "o_custkey"}
-    )
-    out = hash_join(
-        orders, cust, on="o_custkey", num_partitions=8,
-        # both sides are 1:1 maps/renames over base reads: footer row
-        # counts prove non-emptiness for free, skipping the per-side
-        # schema() emptiness probe (each executes one block of the plan)
-        assume_nonempty=(
-            _meta_rows(sf_dir, "orders") > 0
-            and _meta_rows(sf_dir, "customer") > 0
-        ),
-        left_schema=pa.schema(
-            [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-             ("price_cents", pa.int64())]
-        ),
-        right_schema=_renamed_schema(
-            _pq_schema(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"]),
-            {"c_custkey": "o_custkey"},
-        ),
-    )
+    cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
+                         columns=["c_custkey", "c_name", "c_mktsegment"])
+    out = join_keyed(orders, cust, on=("o_custkey", "c_custkey"), how="inner")
     return out.select_columns(["o_orderkey", "o_custkey", "c_name", "c_mktsegment", "price_cents"])
 
 

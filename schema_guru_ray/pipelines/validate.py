@@ -2,7 +2,8 @@
 
 Topology (SURVEY.md §3.5):
 
-    read clips → map_batches(warm_kernel(ClipValidator))  [bytes dropped here]
+    read_clips (read tasks sized by bytes, whole files per task)
+      → map_batches(warm_kernel(ClipValidator))  [bytes dropped here]
       → verdicts Dataset (streams; audio never crosses a shuffle)
       → materialized verdicts coalesce to TAIL_ROWS-row blocks  [no shuffle]
       ├─ write/consume verdict rows + exploded violation rows
@@ -18,7 +19,7 @@ projected away by the validator stage itself.
 A checkpointed run (:func:`run_validation_checkpointed`) runs this topology
 once per plan of dirty chunks, not once per chunk:
 
-    read every dirty file (include_paths) → path → ``__chunk`` digest
+    read_clips(every dirty file, include_paths) → path → ``__chunk`` digest
       → validate (the tag rides through) → materialize + coalesce once
       ├─ verdicts, violations: write_parquet(partition_cols=["__chunk"])
       │    into the plan's staging dir → each ``__chunk=<digest>`` subdir
@@ -395,7 +396,7 @@ def run_validation_checkpointed(
     import json
     import os
 
-    import ray.data as rd
+    from schema_guru_ray.sources.clips import read_clips
 
     files = sorted(glob.glob(os.path.join(clips_dir, "*.parquet")))
     if not files:
@@ -407,7 +408,7 @@ def run_validation_checkpointed(
         # the codec fold keys on (chunk, codec)
         digests = [partition_digest(part_files) for part_files, _ in chunks]
         chunk_of = {f: d for (part_files, _), d in zip(chunks, digests) for f in part_files}
-        ds = rd.read_parquet(sorted(chunk_of), include_paths=True).map_batches(
+        ds = read_clips(sorted(chunk_of), include_paths=True).map_batches(
             _tag_chunks, fn_kwargs={"chunk_of": chunk_of}, batch_format="pyarrow")
         verdicts = _coalesced(validate_clips(ds, cfg).materialize()).materialize()
         for name, rows in (("verdicts", verdicts), ("violations", violations_dataset(verdicts))):

@@ -22,6 +22,7 @@ builds a pyarrow Table in-process with the same bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import uuid
 from dataclasses import dataclass
@@ -274,43 +275,98 @@ def ensure_scaling_clips() -> str:
     return _ensure("/tmp/graft_clips/scaling", SCALING_N_CLIPS, SCALING_CFG)
 
 
-def read_clips(path: str, columns=None):
-    """Read a clips corpus as a Dataset. The deployment format is Lance
-    (BASELINE.json input_hint) — used via ``ray.data.read_lance`` when the
-    lance package is importable; this container ships no lance, so the
-    deterministic fixtures are parquet with the identical schema and the
-    rest of the pipeline is format-agnostic (it sees Arrow batches)."""
+def read_clips(path_or_files, columns=None, include_paths=False):
+    """Read a clips table (a directory, or a list of parquet files) as a
+    Dataset, in the number of read tasks :func:`read_task_count` picks from
+    the bytes to be read.
+
+    The rule: with ``n_files`` files, ``cpus`` cluster CPUs and ``B`` the
+    uncompressed bytes of the selected ``columns`` (summed from the parquet
+    footers, so sizing reads metadata only), fewer files than CPUs keep
+    Ray's own sizing; otherwise the read runs in
+    ``min(n_files, max(2 * cpus, ceil(B / target_max_block_size)))``
+    tasks, ``target_max_block_size`` being Ray Data's own block target
+    (128 MB by default), so there is no knob here.
+
+    * The ``2 * cpus`` floor is Ray's own (``_autodetect_parallelism``):
+      every CPU gets a read task even when the bytes would fit one block,
+      and a slow file does not leave the others idle. What the rule drops
+      is Ray's 200-block / 1 MB-minimum term, which split each small
+      shard into blocks of its own and paid one Ray task per block in
+      every stage after it (24 one-file tasks for the 80 MB validate
+      benchmark corpus, where 2 do the work on one CPU).
+    * A file is never split across tasks: ``override_num_blocks`` is at
+      most the file count, and Ray hands each read task whole files. On
+      the 250k-clip corpus (~150 MB shards) Ray's default split each shard
+      into 4 blocks, and one block per file measured 8-10% faster end to
+      end at every ladder parallelism (BASELINE.md round 5). Bytes over
+      ``target_max_block_size`` per file still give one task per file.
+
+    ``include_paths=True`` adds Ray's ``path`` column (the checkpoint plan
+    tags each row with its chunk from it). The deployment format is Lance
+    (BASELINE.json input_hint), read through ``ray.data.read_lance`` when
+    the lance package is importable and the input is a directory; this
+    container ships no lance, so the fixtures are parquet with the same
+    schema, and the rest of the pipeline only sees Arrow batches."""
     import ray.data as rd
 
-    try:
-        import lance  # noqa: F401
+    if isinstance(path_or_files, str) and not include_paths:
+        try:
+            import lance  # noqa: F401
 
-        return rd.read_lance(path, columns=columns)
-    except ImportError:
-        return rd.read_parquet(
-            path, columns=columns, override_num_blocks=_clips_num_blocks(path)
-        )
+            return rd.read_lance(path_or_files, columns=columns)
+        except ImportError:
+            pass
+    files = _parquet_files(path_or_files)
+    tasks = read_task_count(len(files), _cluster_cpus(), _column_bytes(files, columns))
+    return rd.read_parquet(path_or_files, columns=columns,
+                           include_paths=include_paths, override_num_blocks=tasks)
 
 
-def _clips_num_blocks(path: str):
-    """One read block per corpus shard (bounded below by cluster CPUs).
+def read_task_count(n_files: int, cpus: int, nbytes: int) -> Optional[int]:
+    """Read tasks for ``n_files`` files holding ``nbytes`` uncompressed
+    bytes on ``cpus`` CPUs (see :func:`read_clips`); None keeps Ray's own
+    sizing."""
+    import ray.data as rd
 
-    Ray's default sizing split each ~150 MB shard of the 250k-clip corpus
-    into 4 blocks; every extra block is an extra object-store round trip
-    for the wide ``bytes`` payload, and the downstream decode stages
-    rebatch at their own ``batch_size`` anyway. One-block-per-file
-    measured 8-10%% faster end-to-end at every ladder parallelism
-    (BASELINE.md round 5). When shards are fewer than CPUs (tiny test
-    corpora), fall back to Ray's own sizing so the read still fans out."""
+    cpus = max(cpus, 1)
+    if n_files < cpus:
+        return None
+    block = rd.DataContext.get_current().target_max_block_size
+    by_bytes = math.ceil(nbytes / block) if block else 1
+    return min(n_files, max(2 * cpus, by_bytes))
+
+
+def _parquet_files(path_or_files) -> List[str]:
     import glob as _glob
 
-    try:
-        import ray
+    if isinstance(path_or_files, str):
+        if os.path.isdir(path_or_files):
+            return sorted(_glob.glob(os.path.join(path_or_files, "*.parquet")))
+        return [path_or_files]
+    return list(path_or_files)
 
-        cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:  # pragma: no cover - defensive
-        cpus = 0
-    n_files = len(_glob.glob(os.path.join(path, "*.parquet")))
-    if n_files and n_files >= max(cpus, 1):
-        return n_files
-    return None  # Ray's default sizing
+
+def _column_bytes(files: List[str], columns=None) -> int:
+    """Uncompressed bytes of ``columns`` (every column when None) in
+    ``files``, from the parquet footers."""
+    import pyarrow.parquet as pq
+
+    wanted = None if columns is None else set(columns)
+    total = 0
+    for f in files:
+        meta = pq.read_metadata(f)
+        for rg in range(meta.num_row_groups):
+            group = meta.row_group(rg)
+            for c in range(group.num_columns):
+                chunk = group.column(c)
+                if wanted is None or chunk.path_in_schema.split(".", 1)[0] in wanted:
+                    total += chunk.total_uncompressed_size
+    return total
+
+
+def _cluster_cpus() -> int:
+    """The cluster's CPUs, or 0 when no Ray session is up yet."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0

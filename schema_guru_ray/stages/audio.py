@@ -61,8 +61,9 @@ def _stub_codec(name: str) -> Callable[[bytes], Tuple[np.ndarray, int]]:
 
 
 class ClipValidator:
-    """Actor-pool kernel: clips batch in → verdict batch out (audio bytes are
-    dropped from the output, so nothing heavy flows downstream)."""
+    """Stateful kernel, run as a warm task (``stages/warm.py``): clips
+    batch in → verdict batch out (audio bytes are dropped from the output,
+    so nothing heavy flows downstream)."""
 
     SNR_THRESHOLD_DB = 30.0
 

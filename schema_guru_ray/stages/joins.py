@@ -13,10 +13,6 @@
   run a vectorized ``fn`` once per bucket. :func:`bucketed_aggregate`,
   :func:`grouped_topk`, :func:`partitioned_window` and every per-key
   reduce in the package that co-locates a key's rows call it.
-* :func:`hash_join` — both sides large: Ray Data's native hash-partitioned
-  ``Dataset.join`` when present (Ray >= 2.46), else the portable explicit
-  pattern: add ``bucket = hash(key) % B`` to both sides, group each bucket,
-  merge pairwise inside ``map_groups``.
 * :func:`asof_join` — per-key ordered as-of join: hash-bucket by key, sort
   inside the bucket, ``pd.merge_asof`` per bucket (the guide's as-of
   pattern). Assumes each key's rows fit a bucket worker — bucket count is
@@ -180,7 +176,12 @@ def bucketed(ds, key, fn, *, n_rows: int):
     it with the caller's map), so a key lands in one bucket whether or not
     its batch holds a NULL. NULL-key rows reach ``fn``; a pandas groupby
     in ``fn`` drops them, as pandas does (:func:`bucketed_aggregate`
-    returns one row per non-NULL key)."""
+    returns one row per non-NULL key). A key column that holds a NULL
+    in a bucket reaches ``fn`` in a pandas nullable dtype
+    (:func:`_nullable_types_mapper`), not as the float64 (object for
+    bool) pandas would make it, so that bucket emits its keys with the
+    same type as the others; every other column converts as Ray's pandas
+    batches do."""
     keys = [key] if isinstance(key, str) else list(key)
     nb = np.uint64(derive_num_buckets(n_rows))
 
@@ -188,13 +189,20 @@ def bucketed(ds, key, fn, *, n_rows: int):
         b = (_key_hash([t[k] for k in keys]) % nb).astype(np.int32)
         return t.append_column("__bucket", pa.array(b)).replace_schema_metadata(None)
 
-    def run(g: pd.DataFrame):
-        return fn(g.drop(columns="__bucket"))
+    def run(t: pa.Table):
+        from ray.data.block import BlockAccessor
+
+        t = t.drop_columns(["__bucket"])
+        g = BlockAccessor.for_block(t).to_pandas()
+        for k in keys:
+            if t[k].null_count:
+                g[k] = t[k].to_pandas(types_mapper=_nullable_types_mapper)
+        return fn(g)
 
     return (
         ds.map_batches(tag, batch_format="pyarrow")
         .groupby("__bucket")
-        .map_groups(run, batch_format="pandas")
+        .map_groups(run, batch_format="pyarrow")
     )
 
 
@@ -414,37 +422,6 @@ def sorted_lookup(keys: np.ndarray, probe: np.ndarray):
     idx = np.clip(np.searchsorted(keys, probe), 0, max(len(keys) - 1, 0))
     hit = (keys[idx] == probe) if len(keys) else np.zeros(len(probe), bool)
     return idx, hit
-
-
-def hash_join(left, right, on: str, num_partitions: int = 16,
-              join_type: str = "inner",
-              left_schema: Optional[pa.Schema] = None,
-              right_schema: Optional[pa.Schema] = None,
-              assume_nonempty: bool = False):
-    """Distributed hash join of two Datasets on one key column.
-
-    Uses Ray's native hash-partitioned join when available — EXCEPT when a
-    side is empty-derived (``schema()`` → None): the native join's
-    in-worker ``pyarrow.Table.join`` then sees a canonical 0-column block
-    and dies with "No match ... for key field reference". Those inputs
-    fall back to :func:`bucketed_hash_join`, which types empty buckets
-    from the ``left_schema``/``right_schema`` hints.
-
-    ``assume_nonempty=True`` skips the emptiness probe (each ``schema()``
-    on a map-derived side executes one block of its plan, ~0.3-0.5 s).
-    Callers that can prove both sides non-empty from parquet FOOTER row
-    counts — 1:1 maps/renames over a table whose footer says rows > 0 —
-    should pass it."""
-    if hasattr(left, "join") and (
-        assume_nonempty
-        or (left.schema() is not None and right.schema() is not None)
-    ):
-        return left.join(
-            right, join_type=join_type, num_partitions=num_partitions, on=(on,)
-        )
-    return bucketed_hash_join(left, right, on, num_partitions, join_type,
-                              left_schema=left_schema,
-                              right_schema=right_schema)
 
 
 def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,

@@ -254,3 +254,29 @@ def test_bucket_policy_lives_only_in_joins_module():
                             hits.append(f"{root.name}/{rel}:{a.lineno}: "
                                         f"{node.name}(num_partitions)")
     assert not hits, "\n".join(hits)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_null_key_bucket_keeps_integer_key_type(tmp_path, monkeypatch):
+    """A bucket that holds a NULL integer key must emit its keys as int64
+    like every other bucket: pandas would hand ``fn`` that key column as
+    float64, and ``write_parquet`` would then write files whose key types
+    differ (double in one, int64 in the rest). At 3 buckets the NULL key
+    shares its bucket with key 5, and keys 6 and 7 land in another."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    monkeypatch.setattr(joins, "MIN_BUCKETS", 3)
+
+    blocks = [pa.table({"k": pa.array([5, 6, 7], pa.int64()),
+                        "v": pa.array([1, 2, 3], pa.int64())}),
+              pa.table({"k": pa.array([5, None, 7], pa.int64()),
+                        "v": pa.array([4, 5, 6], pa.int64())})]
+    out = joins.bucketed_aggregate(rd.from_arrow(blocks), "k",
+                                   {"n": ("v", "size")}, n_rows=6)
+    out.write_parquet(str(tmp_path))
+    files = sorted(tmp_path.glob("*.parquet"))
+    assert files
+    assert {str(pq.read_schema(f).field("k").type) for f in files} == {"int64"}
+    got = pd.concat([pq.read_table(f).to_pandas() for f in files])
+    assert dict(zip(got["k"], got["n"])) == {5: 2, 6: 1, 7: 2}

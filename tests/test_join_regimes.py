@@ -73,9 +73,10 @@ class TestJoinRegimes:
 
 def test_join_policy_lives_only_in_joins_module():
     """No module but stages/joins.py decides broadcast-or-shuffle: no
-    per-site ``*broadcast_limit``, no second BROADCAST_BYTES, and no Bloom
+    per-site ``*broadcast_limit``, no second BROADCAST_BYTES, no Bloom
     build (the Bloom-then-anti copies) outside joins.py and the Bloom
-    module itself."""
+    module itself, and no native ``Dataset.join`` (``hash_join``, a
+    ``num_partitions=``) anywhere."""
     import pathlib
     import re
 
@@ -86,6 +87,10 @@ def test_join_policy_lives_only_in_joins_module():
         (re.compile(r"\bBROADCAST_BYTES\s*=(?!=)"), {"stages/joins.py"}),
         (re.compile(r"\bbuild_bloom\("),
          {"stages/joins.py", "sketches/bloom.py"}),
+        # Ray's native Dataset.join starts one aggregator actor per
+        # partition, so a derived partition count stalls a small cluster
+        (re.compile(r"\bhash_join\("), set()),
+        (re.compile(r"num_partitions="), set()),
     ]
     hits = []
     for root in roots:
