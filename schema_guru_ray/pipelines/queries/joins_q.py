@@ -87,7 +87,7 @@ def skew_salted_type_join(sf_dir: str):
         ).astype({"type_weight": "int64"})
     )
     out = bucketed_hash_join(
-        events, dim, on="event_type", hot_key_threshold=100, hot_salt=8,
+        events, dim, on="event_type", hot_key_threshold=100,
         left_schema=pa.schema(
             [("event_id", pa.int64()), ("event_type", pa.string()),
              ("value_milli", pa.int64())]
@@ -111,7 +111,7 @@ def asof_latest_order_before_event(sf_dir: str):
     at or before the event time (bucketed pd.merge_asof; DuckDB ASOF JOIN
     oracle with a max-orderkey dedupe CTE; the Ray side achieves the same
     tie semantics via the in-bucket secondary sort — no extra shuffle)."""
-    from schema_guru_ray.stages.joins import asof_join, derive_num_buckets
+    from schema_guru_ray.stages.joins import asof_join
 
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     # row counts BEFORE the rename: count() on a bare parquet read is a
@@ -125,7 +125,7 @@ def asof_latest_order_before_event(sf_dir: str):
     )
     out = asof_join(
         events, orders, key="user_id", left_ts="ts", right_ts="o_orderdate",
-        right_columns=["o_orderkey"], num_buckets=derive_num_buckets(n_rows),
+        right_columns=["o_orderkey"], n_rows=n_rows,
         left_schema=_pq_schema(sf_dir, "events", ["event_id", "user_id", "ts"]),
         right_schema=_renamed_schema(
             _pq_schema(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
@@ -157,7 +157,7 @@ def asof_orders_bounded(sf_dir: str):
     range-join primitive. (The synthetic events sit ~8,200-9,800 days
     after the TPC-H order dates, so this bound meaningfully splits the
     matches.) Same bucketed topology as the unbounded as-of."""
-    from schema_guru_ray.stages.joins import asof_join, derive_num_buckets
+    from schema_guru_ray.stages.joins import asof_join
 
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     n_rows = events.count() + _read(sf_dir, "orders", ["o_orderkey"]).count()
@@ -166,7 +166,7 @@ def asof_orders_bounded(sf_dir: str):
     )
     out = asof_join(
         events, orders, key="user_id", left_ts="ts", right_ts="o_orderdate",
-        right_columns=["o_orderkey"], num_buckets=derive_num_buckets(n_rows),
+        right_columns=["o_orderkey"], n_rows=n_rows,
         tolerance_sec=8500 * 86400,
         left_schema=_pq_schema(sf_dir, "events", ["event_id", "user_id", "ts"]),
         right_schema=_renamed_schema(
@@ -202,7 +202,7 @@ def range_join_clicks_after_signup(sf_dir: str):
     (count 0) by a :func:`stages.joins.join_keyed` LEFT join of the signup
     ids against the per-signup count side, zero-filled on a miss."""
     from schema_guru_ray.stages.joins import (
-        bucketed, derive_num_buckets, join_keyed, range_join,
+        bucketed, join_keyed, range_join,
     )
 
     events = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
@@ -238,7 +238,7 @@ def range_join_clicks_after_signup(sf_dir: str):
         ),
         # clicks + signups ≤ all events: footer row count sizes the buckets
         # without executing either filtered side's count()
-        num_buckets=derive_num_buckets(_meta_rows(sf_dir, "events")),
+        n_rows=_meta_rows(sf_dir, "events"),
     )
     # per-signup click counts: per-batch Arrow partials, then one vectorized
     # pandas sum per bucket — never one sort-aggregate group per signup id

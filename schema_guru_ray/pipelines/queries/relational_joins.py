@@ -211,7 +211,7 @@ def nation_balance_full_outer(sf_dir: str):
     ``how='outer'`` inside the bucket."""
     from ray.data.aggregate import Sum
 
-    from schema_guru_ray.stages.joins import bucketed_hash_join, derive_num_buckets
+    from schema_guru_ray.stages.joins import bucketed_hash_join
 
     def agg_side(table: str, key: str, bal: str, thresh: float, prefix: str):
         ds = _read(sf_dir, table, [key, bal])
@@ -247,7 +247,7 @@ def nation_balance_full_outer(sf_dir: str):
     # each aggregate once extra (their plans end in an all-to-all)
     joined = bucketed_hash_join(
         cust, supp, on="nationkey", join_type="outer",
-        num_buckets=derive_num_buckets(_meta_rows(sf_dir, "nation")),
+        n_rows=_meta_rows(sf_dir, "nation"),
         left_schema=pa.schema(
             [("nationkey", pa.int64()), ("cust_cents", pa.int64()),
              ("n_cust", pa.int64())]

@@ -865,13 +865,11 @@ def edit_distance_adjacent_docs(sf_dir: str, cap: int = 48):
             }
         )
 
-    from schema_guru_ray.stages.joins import derive_num_buckets
-
     left = docs.map_batches(left_side, batch_format="pyarrow")
     right = docs.map_batches(right_side, batch_format="pyarrow")
     pairs = bucketed_hash_join(
         left, right, on="pair_key",
-        num_buckets=derive_num_buckets(2 * _meta_rows(sf_dir, "documents")),
+        n_rows=2 * _meta_rows(sf_dir, "documents"),
         left_schema=pa.schema(
             [("pair_key", pa.int64()), ("doc_a", pa.int64()),
              ("text_a", pa.string())]

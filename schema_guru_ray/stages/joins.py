@@ -1,5 +1,21 @@
 """Join + window operators.
 
+* :func:`bucketed` — the one-sided hash-bucket shuffle: tag each row with
+  ``_key_hash(key) % derive_num_buckets(n_rows)``, group by the tag and
+  run a vectorized ``fn`` once per bucket. :func:`bucketed_aggregate`,
+  :func:`grouped_topk`, :func:`partitioned_window` and every per-key
+  reduce in the package that co-locates a key's rows call it.
+* :func:`cobucketed` — the two-sided form: each input is tagged in one
+  Arrow map, the two are unioned and grouped by the same tag, and
+  ``fn(l, r, bucket)`` runs once per bucket on each side's rows. A side's
+  tag defaults to the key hash; a caller may replace it with a tag that
+  drops or replicates rows. :func:`bucketed_hash_join`,
+  :func:`asof_join`, :func:`range_join` (range tags: a point goes to one
+  bucket, an interval to every bucket it overlaps) and the semi/anti
+  membership check of :func:`join_keyed` call it. The hot-key escape
+  hatch of the first two is a pair of salted tags (:func:`_skew_plan`,
+  :data:`HOT_SALT`). Both primitives reach the groupby through
+  :func:`_shuffle`.
 * :func:`join_keyed` — the one keyed lookup of a big Dataset against a
   small side (inner / left / semi / anti). Its single policy,
   :data:`BROADCAST_BYTES`, reads the small side's measured bytes: a side
@@ -8,30 +24,22 @@
   (:func:`bucketed_hash_join` for inner/left; a Bloom split plus one
   Arrow-native bucketed membership check for semi/anti). Every
   broadcast-or-shuffle decision in the package is this one.
-* :func:`bucketed` — the one hash-bucket shuffle: tag each row with
-  ``_key_hash(key) % derive_num_buckets(n_rows)``, group by the tag and
-  run a vectorized ``fn`` once per bucket. :func:`bucketed_aggregate`,
-  :func:`grouped_topk`, :func:`partitioned_window` and every per-key
-  reduce in the package that co-locates a key's rows call it.
-* :func:`asof_join` — per-key ordered as-of join: hash-bucket by key, sort
-  inside the bucket, ``pd.merge_asof`` per bucket (the guide's as-of
-  pattern). Assumes each key's rows fit a bucket worker — bucket count is
-  data-scaled (see :func:`derive_num_buckets`), but a single hot KEY still
-  lands in one bucket by construction.
 * :func:`tumbling_window_agg` — event-time tumbling windows as a computed
   window key + vectorized per-batch partial aggregation + small groupby (no
   watermark machinery: batch semantics over an ordered log).
 
-Dtype discipline: the bucketed paths union the two tagged sides, and a
-union null-fills each side's missing columns — which, through a pandas
-round-trip, silently degrades numpy int64/bool columns to float64/object
-inside the buckets (the round-1 asof oracle mismatch: ``77`` became
-``77.0``). Both paths therefore keep blocks ARROW across the tag → union →
-shuffle (zero-copy, null-fill representable, hashable schemas) and convert
-to pandas only inside the bucket via ``types_mapper=_nullable_types_mapper``
-(int/bool → pandas nullable dtypes); outputs convert back with an explicit
-Arrow schema so the source types round-trip exactly, even for empty
-buckets.
+Dtype discipline lives in :func:`cobucketed`. A union null-fills each
+side's missing columns, and through a pandas round-trip that degrades
+int64/bool columns to float64/object (the round-1 asof oracle mismatch:
+``77`` became ``77.0``); two sides that share a column name would also
+have to unify its type. So blocks stay Arrow across tag → union →
+shuffle, each side's columns travel under private names and are cast to
+that side's resolved schema at tag time, and ``fn`` gets each side back
+as its own Arrow table with its own names and types — an empty side as
+an empty table of its schema. A caller that goes through pandas converts
+with ``types_mapper=_nullable_types_mapper`` (int/bool → pandas nullable
+dtypes) and back with an explicit Arrow schema built from the two sides'
+schemas, so the source types round-trip exactly, even for empty buckets.
 """
 
 from __future__ import annotations
@@ -71,6 +79,12 @@ DEFAULT_ROWS_PER_BUCKET = 250_000
 # over several reduce tasks. derive_num_buckets reads it on the driver at
 # each call; the workers only ever see the derived count.
 MIN_BUCKETS = 8
+
+# sub-buckets per hot key in the salted regime of bucketed_hash_join and
+# asof_join: the spread side's rows of a hot key split over this many
+# buckets, and the replicated side's rows are copied into each. Read on the
+# driver when a join is planned, like MIN_BUCKETS.
+HOT_SALT = 8
 
 
 def derive_num_buckets(n_rows: int,
@@ -131,8 +145,8 @@ def _output_schema(out_cols, lschema, rschema,
 
 def _nullable_types_mapper(t: pa.DataType):
     """``Table.to_pandas(types_mapper=...)`` hook: int/bool columns land in
-    pandas NULLABLE dtypes, so union null-fill (rows of the other side)
-    cannot degrade int64 → float64 / bool → object inside a bucket."""
+    pandas NULLABLE dtypes, so a NULL in the column cannot degrade int64
+    → float64 / bool → object inside a bucket."""
     if pa.types.is_integer(t):
         prefix = "UInt" if pa.types.is_unsigned_integer(t) else "Int"
         return getattr(pd, f"{prefix}{t.bit_width}Dtype")()
@@ -160,8 +174,8 @@ def _key_hash(cols) -> np.ndarray:
 
 
 def bucketed(ds, key, fn, *, n_rows: int):
-    """The package's one hash-bucket shuffle: rows of ``ds`` with equal
-    ``key`` (a column name or a list of them) land in one bucket, and
+    """The package's one-sided hash-bucket shuffle: rows of ``ds`` with
+    equal ``key`` (a column name or a list of them) land in one bucket, and
     ``fn(frame) -> pd.DataFrame | pa.Table`` runs once per bucket on a
     pandas frame of that bucket's rows, the tag column dropped. There is
     one Ray dispatch per bucket, never one per key, so ``fn`` does its
@@ -199,24 +213,114 @@ def bucketed(ds, key, fn, *, n_rows: int):
                 g[k] = t[k].to_pandas(types_mapper=_nullable_types_mapper)
         return fn(g)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pyarrow")
-    )
+    return _shuffle(ds.map_batches(tag, batch_format="pyarrow"), run)
 
 
-def _tag_fn(side: str, key: str, num_buckets: int):
-    """Arrow-native tag stage: append ``__bucket``/``__side`` without
-    touching (or copying) the data columns."""
+def _shuffle(tagged, run):
+    """The package's one groupby on the bucket tag: ``run`` gets each
+    ``__bucket`` group as one Arrow table. :func:`bucketed` and
+    :func:`cobucketed` are its callers."""
+    return tagged.groupby("__bucket").map_groups(run, batch_format="pyarrow")
 
-    def fn(t: pa.Table) -> pa.Table:
-        bucket = (_key_hash(t[key]) % np.uint64(num_buckets)).astype(np.int32)
-        t = t.append_column("__bucket", pa.array(bucket, pa.int32()))
-        t = t.append_column("__side", pa.array([side] * len(t), pa.string()))
-        return t.replace_schema_metadata(None)
 
-    return fn
+def _input_schemas(left, right, schemas) -> Tuple[pa.Schema, pa.Schema]:
+    """Each side's schema as a ``pa.Schema``, from its hint in ``schemas``
+    or from ``ds.schema()``; a type Ray cannot name (a pandas extension
+    dtype) reads as ``pa.null()``."""
+    out = []
+    for ds, hint in zip((left, right), schemas or (None, None)):
+        sch = hint if hint is not None else ds.schema()
+        if sch is None:
+            raise ValueError(
+                "input schema unavailable (empty derived dataset?) — pass "
+                "a schema hint for that side"
+            )
+        out.append(pa.schema([(n, _as_arrow_type(t) or pa.null())
+                              for n, t in zip(sch.names, sch.types)]))
+    return tuple(out)
+
+
+def _conform(t: pa.Table, sch: pa.Schema) -> pa.Table:
+    """``t``'s columns of ``sch``, in its order, cast to its types (a
+    ``pa.null()`` type keeps the data's own)."""
+    if not t.num_rows:
+        return sch.empty_table()
+    t = t.select(sch.names)
+    for i, f in enumerate(sch):
+        if f.type != pa.null() and t.schema.field(i).type != f.type:
+            t = t.set_column(i, f.name, t.column(i).cast(f.type))
+    return t
+
+
+def _hash_tag(key: str):
+    def tag(t: pa.Table, nb: int):
+        return None, _key_hash(t[key]) % np.uint64(nb)
+
+    return tag
+
+
+def cobucketed(left, right, key, fn, *, n_rows, schemas=None, tags=None):
+    """The package's one two-sided bucket shuffle: ``fn(l, r, bucket) ->
+    pa.Table`` runs once per bucket on the ``left`` rows (``l``) and the
+    ``right`` rows (``r``) that landed there.
+
+    ``n_rows`` sizes the buckets (:func:`derive_num_buckets`), as in
+    :func:`bucketed`; None counts both sides. ``schemas`` is an optional
+    ``(left_schema, right_schema)`` pair of hints: pass the schema of a
+    derived side whose plan ends in an all-to-all, where ``ds.schema()``
+    executes the whole plan, or that may be empty, where Ray reports
+    ``schema() = None``. A side without a hint reads ``ds.schema()``, and
+    a side with neither raises ``ValueError``. Only a side's schema
+    columns travel.
+
+    By default a row of either side goes to bucket ``_key_hash(row[key])
+    % nb``. ``tags = (tag_l, tag_r)`` replaces that: each is ``tag(t, nb)
+    -> (take_rows | None, bucket_ids)`` over one Arrow batch of its side,
+    where ``take_rows`` (row indices, repeats allowed) keeps, drops or
+    replicates rows and ``bucket_ids`` gives the bucket of each kept row.
+    Bucket ids need not lie in ``[0, nb)``: the salted tags put a hot key's
+    sub-buckets below zero.
+
+    ``l`` and ``r`` are Arrow tables with their side's columns, names and
+    schema types only; a side with no rows in a bucket arrives as an empty
+    table of its schema. ``bucket`` is the bucket id."""
+    sides = _input_schemas(left, right, schemas)
+    nb = derive_num_buckets(
+        left.count() + right.count() if n_rows is None else n_rows)
+    tags = tags or (_hash_tag(key),) * 2
+    # private column names: the two sides never share a column, so the
+    # union null-fills but never has to unify two types under one name
+    private = [[f"__{s}{i}" for i in range(len(sch))] for s, sch in enumerate(sides)]
+
+    def tagger(s: int):
+        sch, tag, names = sides[s], tags[s], private[s]
+
+        def fn_tag(t: pa.Table) -> pa.Table:
+            t = _conform(t, sch)
+            rows, b = tag(t, nb)
+            if rows is not None:
+                t = t.take(pa.array(rows, pa.int64()))
+            t = t.rename_columns(names)
+            t = t.append_column("__bucket", pa.array(np.asarray(b).astype(np.int32)))
+            t = t.append_column("__side", pa.array(np.full(len(t), s, np.int8)))
+            return t.replace_schema_metadata(None)
+
+        return fn_tag
+
+    def run(t: pa.Table) -> pa.Table:
+        side = t["__side"].to_numpy()
+        parts = []
+        for s, sch in enumerate(sides):
+            mask = side == s
+            parts.append(
+                t.select(private[s]).filter(pa.array(mask))
+                .rename_columns(sch.names) if mask.any() else sch.empty_table()
+            )
+        return fn(parts[0], parts[1], int(t["__bucket"][0].as_py()))
+
+    tagged = left.map_batches(tagger(0), batch_format="pyarrow").union(
+        right.map_batches(tagger(1), batch_format="pyarrow"))
+    return _shuffle(tagged, run)
 
 
 def detect_hot_keys(ds, key: str, threshold: int,
@@ -255,44 +359,34 @@ def detect_hot_keys(ds, key: str, threshold: int,
     return hot.rename(columns={"__est": "est"}).reset_index(drop=True)
 
 
-def _tag_fn_salted(side: str, key: str, num_buckets: int,
-                   hot_sorted: np.ndarray, spread_here: np.ndarray, salt: int):
-    """Skew-aware tag stage. Cold rows bucket by hash as usual. A hot key
-    ``hot_sorted[i]`` owns ``salt`` private sub-buckets starting at
-    ``num_buckets + i*salt``; the side with ``spread_here[i]`` SPREADS its
-    rows round-robin across them (the salt value never affects the join
-    output — only which worker computes each match), the other side
-    REPLICATES its rows to all ``salt`` of them so every spread row still
-    sees the full opposite set for its key."""
+def _tag_fn_salted(key: str, hot_sorted: np.ndarray, spread_here: np.ndarray,
+                   salt: int):
+    """Skew-aware :func:`cobucketed` tag. Cold rows bucket by hash as
+    usual, and a NULL key is never hot. A hot key ``hot_sorted[i]`` owns
+    ``salt`` private sub-buckets ``-1 - (i*salt + j)``, below every hash
+    bucket; the side with ``spread_here[i]`` SPREADS its rows round-robin
+    across them (the salt value never affects the join output — only which
+    worker computes each match), the other side REPLICATES its rows to all
+    ``salt`` of them so every spread row still sees the full opposite set
+    for its key."""
 
-    def fn(t: pa.Table) -> pa.Table:
-        kv = t[key].to_pandas()
-        bucket = (_key_hash(t[key]) % np.uint64(num_buckets)).astype(np.int64)
-        idx, hit = sorted_lookup(hot_sorted, np.asarray(kv))
-        spread = hit & spread_here[idx]
+    def tag(t: pa.Table, nb: int):
+        bucket = (_key_hash(t[key]) % np.uint64(nb)).astype(np.int64)
+        idx, hit = _valid_lookup(hot_sorted, t[key])
         repl = hit & ~spread_here[idx]
-        sub_base = np.int64(num_buckets) + idx.astype(np.int64) * salt
-        rows = np.flatnonzero(spread)
-        if len(rows):
-            bucket[rows] = sub_base[rows] + np.arange(len(rows)) % salt
+        sub = -1 - idx * salt
+        rows = np.flatnonzero(hit & spread_here[idx])
+        bucket[rows] = sub[rows] - np.arange(len(rows)) % salt
         rrows = np.flatnonzero(repl)
         if not len(rrows):
-            t = t.append_column("__bucket", pa.array(bucket.astype(np.int32)))
-            t = t.append_column("__side", pa.array([side] * len(t), pa.string()))
-            return t.replace_schema_metadata(None)
+            return None, bucket
         keep = np.flatnonzero(~repl)
-        rep_idx = np.concatenate([keep, np.repeat(rrows, salt)])
-        rep_bucket = np.concatenate([
+        return np.concatenate([keep, np.repeat(rrows, salt)]), np.concatenate([
             bucket[keep],
-            np.repeat(sub_base[rrows], salt)
-            + np.tile(np.arange(salt, dtype=np.int64), len(rrows)),
+            np.repeat(sub[rrows], salt) - np.tile(np.arange(salt), len(rrows)),
         ])
-        out = t.take(pa.array(rep_idx))
-        out = out.append_column("__bucket", pa.array(rep_bucket.astype(np.int32)))
-        out = out.append_column("__side", pa.array([side] * len(out), pa.string()))
-        return out.replace_schema_metadata(None)
 
-    return fn
+    return tag
 
 
 def _skew_plan(left, right, on: str, threshold: int, join_type: str,
@@ -342,74 +436,15 @@ def _keys_present(ds, key: str, hot_sorted: np.ndarray) -> np.ndarray:
     anywhere — per-sub-bucket emptiness proves nothing (the batch-local
     round-robin can leave any given sub-bucket empty)."""
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        idx, hit = sorted_lookup(hot_sorted, np.asarray(b[key]))
-        return pd.DataFrame({"idx": np.unique(idx[hit]).astype(np.int64)})
+    def partial(t: pa.Table) -> pa.Table:
+        idx, hit = _valid_lookup(hot_sorted, t[key])
+        return pa.table({"idx": np.unique(idx[hit]).astype(np.int64)})
 
-    seen = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    seen = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     present = np.zeros(len(hot_sorted), dtype=bool)
     if not seen.empty:
         present[seen["idx"].to_numpy()] = True
     return present
-
-
-def _empty_typed_frame(columns, schemas: Dict[str, str]) -> pd.DataFrame:
-    """Empty frame with stable dtypes so empty buckets unify with full ones."""
-    return pd.DataFrame(
-        {c: pd.Series(dtype=schemas.get(c, "object")) for c in columns}
-    )
-
-
-def _floor_sentinel(out_schema: Optional[pa.Schema]):
-    """One-row ``(__bucket=-1, __side='f')`` dataset to union into a join's
-    TAGGED stream before the bucket groupby. Real buckets are ≥ 0, so the
-    sentinel always forms its own group, and the bucket fn (seeing neither
-    an 'l' nor an 'r' row) emits the join's TYPED empty block — the output
-    schema survives a join that matched nothing (Ray reports ``schema() =
-    None`` for zero-group groupbys, which cascades downstream exactly when
-    one shard-day of a 100 TB run has no matching rows).
-
-    Riding the EXISTING union matters: a separate post-groupby
-    ``union(empty_typed_block)`` floor measured +46-84% on the join-family
-    queries at sf0.1 — the extra plan node blocks fusion of the groupby
-    output into downstream maps. The sentinel costs one row and one extra
-    (trivial) group instead. Returns None (no floor) when the caller could
-    not determine its output schema — an untyped sentinel block could then
-    disagree with the real blocks' schema."""
-    if out_schema is None:
-        return None
-    import ray.data as rd
-
-    return rd.from_arrow(pa.table({
-        "__bucket": pa.array([-1], pa.int32()),
-        "__side": pa.array(["f"], pa.string()),
-    }))
-
-
-def _dtype_spec(ds) -> Dict[str, str]:
-    """column → pandas dtype string used for empty-bucket frames."""
-    return _dtype_spec_from_schema(ds.schema())
-
-
-def _dtype_spec_from_schema(sch) -> Dict[str, str]:
-    """Like :func:`_dtype_spec` but from a schema object (``pa.Schema`` or
-    Ray's ``Schema`` — both expose ``.names``/``.types``)."""
-    spec: Dict[str, str] = {}
-    for name, t in zip(sch.names, sch.types):
-        if not isinstance(t, pa.DataType):
-            spec[name] = "object"
-        elif pa.types.is_integer(t):
-            prefix = "UInt" if pa.types.is_unsigned_integer(t) else "Int"
-            spec[name] = f"{prefix}{t.bit_width}"
-        elif pa.types.is_boolean(t):
-            spec[name] = "boolean"
-        elif pa.types.is_floating(t):
-            spec[name] = "float32" if t == pa.float32() else "float64"
-        elif pa.types.is_timestamp(t):
-            spec[name] = "datetime64[us]"
-        else:
-            spec[name] = "object"
-    return spec
 
 
 def sorted_lookup(keys: np.ndarray, probe: np.ndarray):
@@ -424,26 +459,36 @@ def sorted_lookup(keys: np.ndarray, probe: np.ndarray):
     return idx, hit
 
 
-def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
-                       join_type: str = "inner",
+def _valid_lookup(keys: np.ndarray, col):
+    """:func:`sorted_lookup` of an Arrow key column in which a NULL row is
+    a miss: only the valid rows are probed, since NumPy cannot order a
+    ``None`` against a string."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    idx = np.zeros(len(col), dtype=np.int64)
+    hit = np.zeros(len(col), dtype=bool)
+    idx[valid], hit[valid] = sorted_lookup(keys, col.drop_null().to_numpy())
+    return idx, hit
+
+
+def bucketed_hash_join(left, right, on: str, join_type: str = "inner",
+                       n_rows: Optional[int] = None,
                        left_schema: Optional[pa.Schema] = None,
                        right_schema: Optional[pa.Schema] = None,
                        hot_key_threshold: Optional[int] = None,
-                       hot_salt: int = 16, schema_floor: bool = False,
                        unique_right: bool = False):
-    """Portable explicit hash join: tag both sides with ``bucket =
-    hash(key) % B``, union, group by bucket, pandas-merge the two sides
-    inside each bucket. ``num_buckets=None`` scales B to the input row
-    count. ``unique_right=True`` raises ``ValueError`` from the bucket
-    that holds a repeated right key (the lookup contract of
-    :func:`join_keyed`).
+    """Portable explicit hash join: one :func:`cobucketed` shuffle on
+    ``on``, then a pandas merge of the two sides inside each bucket.
+    ``n_rows`` sizes the buckets; None counts both sides. A NULL key
+    matches nothing, as in SQL. ``unique_right=True`` raises
+    ``ValueError`` from the bucket that holds a repeated right key (the
+    lookup contract of :func:`join_keyed`).
 
     ``hot_key_threshold``: opt-in skew escape hatch. A single hot key
-    lands in ONE bucket by construction, no matter how large B is — at a
-    90%-one-key corpus the whole table materializes in one pandas group.
-    When a threshold is given, a bounded Misra-Gries probe
+    lands in ONE bucket by construction, no matter how many buckets there
+    are — at a 90%-one-key corpus the whole table materializes in one
+    pandas group. When a threshold is given, a bounded Misra-Gries probe
     (:func:`detect_hot_keys`, one extra pass per side) finds every key
-    that may exceed it; each hot key then gets ``hot_salt`` private
+    that may exceed it; each hot key then gets :data:`HOT_SALT` private
     sub-buckets — the heavier side's rows SPREAD round-robin across them,
     the lighter side's rows REPLICATE to all of them (left joins always
     spread the left side, since replicating left rows would duplicate
@@ -455,47 +500,24 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
     right alone cost one more pass over the left side
     (:func:`_keys_present`) at plan-construction time.
 
-    ``left_schema``/``right_schema``: pass the known output schema of a
-    DERIVED side whose plan contains an all-to-all (groupby/sort/another
-    join) — ``ds.schema()`` on such a plan executes the whole shuffle just
-    to infer types, then the join executes it AGAIN. Map-only plans infer
-    from one block and don't need the hint."""
-    lschema = left_schema if left_schema is not None else left.schema()
-    rschema = right_schema if right_schema is not None else right.schema()
-    if lschema is None or rschema is None:
-        raise ValueError(
-            "bucketed_hash_join: input schema unavailable (empty derived "
-            "dataset?) — pass left_schema/right_schema hints"
-        )
-    left_cols = list(lschema.names)
-    right_cols = list(rschema.names)
-    # shared non-key columns are KEPT, suffixed on the right ("_r") — a
-    # plain reindex would silently drop pandas' _x/_y suffixed pair and
-    # emit an all-null column. NB: both sides' values of a shared column
-    # must unify to one Arrow type through the tagged union.
-    rmap = {c: f"{c}_r" for c in right_cols if c in left_cols and c != on}
-    spec = _dtype_spec_from_schema(lschema)
-    spec.update({rmap.get(k, k): v for k, v in _dtype_spec_from_schema(rschema).items()})
-    if num_buckets is None:
-        num_buckets = derive_num_buckets(left.count() + right.count())
-
+    ``left_schema``/``right_schema``: the :func:`cobucketed` schema hints.
+    Pass the known schema of a DERIVED side whose plan contains an
+    all-to-all (groupby/sort/another join) — ``ds.schema()`` on such a plan
+    executes the whole shuffle just to infer types, then the join executes
+    it AGAIN. Map-only plans infer from one block and don't need the hint."""
+    salt = HOT_SALT
     plan = (
         _skew_plan(left, right, on, hot_key_threshold, join_type,
                    "bucketed_hash_join")
         if hot_key_threshold is not None
         else None
     )
-    hot_left_present = None
-    if plan is None:
-        ltag = _tag_fn("l", on, num_buckets)
-        rtag = _tag_fn("r", on, num_buckets)
-    else:
+    tags = hot_left_present = None
+    if plan is not None:
         hot_sorted, spread_left, left_seen = plan
-        last_regime["salt"] = hot_salt
-        ltag = _tag_fn_salted("l", on, num_buckets, hot_sorted, spread_left,
-                              hot_salt)
-        rtag = _tag_fn_salted("r", on, num_buckets, hot_sorted, ~spread_left,
-                              hot_salt)
+        last_regime["salt"] = salt
+        tags = (_tag_fn_salted(on, hot_sorted, spread_left, salt),
+                _tag_fn_salted(on, hot_sorted, ~spread_left, salt))
         if join_type in ("outer", "right"):
             # outer/right under salting: a replicated right row null-extends
             # once per sub-bucket whose spread (left) slice happens to be
@@ -509,50 +531,53 @@ def bucketed_hash_join(left, right, on: str, num_buckets: Optional[int] = None,
             if len(unseen):
                 hot_left_present[unseen] = _keys_present(
                     left, on, hot_sorted[unseen])
-    out_cols = left_cols + [rmap.get(c, c) for c in right_cols
-                            if c != on and (c not in left_cols or c in rmap)]
-    out_schema = _output_schema(out_cols, lschema, rschema, rename_right=rmap)
 
-    lt = left.map_batches(ltag, batch_format="pyarrow")
-    rt = right.map_batches(rtag, batch_format="pyarrow")
-    floor = _floor_sentinel(out_schema) if schema_floor else None
-    # arrow null-fill union: missing columns stay typed
-    both = lt.union(rt, floor) if floor is not None else lt.union(rt)
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        g = t.to_pandas(types_mapper=_nullable_types_mapper)
-        l = g[g["__side"] == "l"].reindex(columns=left_cols)
-        r = g[g["__side"] == "r"].reindex(columns=right_cols).rename(columns=rmap)
+    def join_bucket(lt: pa.Table, rt: pa.Table, bucket: int) -> pa.Table:
+        # shared non-key columns are KEPT, suffixed on the right ("_r") — a
+        # plain reindex would silently drop pandas' _x/_y suffixed pair and
+        # emit an all-null column
+        rmap = {c: f"{c}_r" for c in rt.column_names
+                if c in lt.column_names and c != on}
+        out_cols = lt.column_names + [rmap.get(c, c) for c in rt.column_names
+                                      if c != on]
+        out_schema = _output_schema(out_cols, lt.schema, rt.schema,
+                                    rename_right=rmap)
+        l = lt.to_pandas(types_mapper=_nullable_types_mapper)
+        r = rt.to_pandas(types_mapper=_nullable_types_mapper).rename(columns=rmap)
         if unique_right and r[on].duplicated().any():
             raise ValueError(f"bucketed_hash_join: repeated right key in {on!r}")
-        if l.empty or r.empty:
-            if join_type == "inner":
-                return _to_arrow_clean(_empty_typed_frame(out_cols, spec), out_schema)
-            # outer flavors fall through to pandas' own semantics
+        if join_type == "inner" and (l.empty or r.empty):
+            return out_schema.empty_table()
         if len(l) and len(r) and r[on].dtype != l[on].dtype:
             r = r.astype({on: l[on].dtype})
         how = join_type
-        if hot_left_present is not None and len(g):
-            b0 = int(g["__bucket"].iloc[0])
-            if b0 >= num_buckets:  # a hot key's private sub-bucket
-                hid, j = divmod(b0 - num_buckets, hot_salt)
-                # the flavor that keeps left null-extensions (if the join
-                # wants them) but NEVER null-extends the replicated side
-                no_repl_ext = "left" if join_type == "outer" else "inner"
-                if hot_left_present[hid]:
-                    # left has rows of this key somewhere → every replica
-                    # is matched globally; spread left rows (unique) keep
-                    # their own null-extensions
-                    how = no_repl_ext
-                else:
-                    # left truly has no rows of this key: null-extend the
-                    # replicas exactly once, in sub-bucket 0
-                    how = join_type if j == 0 else no_repl_ext
-        return _to_arrow_clean(
-            l.merge(r, on=on, how=how).reindex(columns=out_cols), out_schema
-        )
+        if hot_left_present is not None and bucket < 0:
+            # a hot key's private sub-bucket
+            hid, j = divmod(-1 - bucket, salt)
+            # the flavor that keeps left null-extensions (if the join
+            # wants them) but NEVER null-extends the replicated side
+            no_repl_ext = "left" if join_type == "outer" else "inner"
+            if hot_left_present[hid]:
+                # left has rows of this key somewhere → every replica
+                # is matched globally; spread left rows (unique) keep
+                # their own null-extensions
+                how = no_repl_ext
+            else:
+                # left truly has no rows of this key: null-extend the
+                # replicas exactly once, in sub-bucket 0
+                how = join_type if j == 0 else no_repl_ext
+        # SQL: a NULL key matches nothing, where pandas pairs NULL with
+        # NULL; unmatched NULL-key rows still null-extend on a kept side
+        if how in ("inner", "right"):
+            l = l[l[on].notna()]
+        r_null = r[on].isna()
+        out = l.merge(r[~r_null], on=on, how=how)
+        if how in ("outer", "right") and r_null.any():
+            out = pd.concat([out, r[r_null]], ignore_index=True)
+        return _to_arrow_clean(out.reindex(columns=out_cols), out_schema)
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return cobucketed(left, right, on, join_bucket, n_rows=n_rows,
+                      schemas=(left_schema, right_schema), tags=tags)
 
 
 JOIN_HOWS = ("inner", "left", "semi", "anti")
@@ -680,11 +705,7 @@ def _broadcast_lookup(big, table: Optional[pa.Table], big_key: str,
 
     def lookup(t: pa.Table) -> pa.Table:
         keys, values = ray.get(ref)
-        col = t[big_key]
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        idx = np.zeros(len(t), dtype=np.int64)
-        hit = np.zeros(len(t), dtype=bool)
-        idx[valid], hit[valid] = sorted_lookup(keys, col.drop_null().to_numpy())
+        idx, hit = _valid_lookup(keys, t[big_key])
         if how == "semi":
             return t.filter(pa.array(hit))
         if how == "anti":
@@ -726,22 +747,14 @@ def _bloom_membership(big, keys, n_keys: int, key: str, bschema: pa.Schema,
     maybe = big.map_batches(
         lambda t: t.filter(pa.array(may_match(t))), batch_format="pyarrow"
     ).materialize()  # counted for the bucket count, then shuffled once
-    nb = derive_num_buckets(maybe.count() + n_keys)
-    lt = maybe.map_batches(_tag_fn("l", key, nb), batch_format="pyarrow")
-    kt = keys.map_batches(_tag_fn("r", key, nb), batch_format="pyarrow")
 
-    def member_bucket(t: pa.Table) -> pa.Table:
-        is_l = pc.equal(t["__side"], "l")
-        rows = t.filter(is_l)
-        if not len(rows):
-            return bschema.empty_table()
-        found = pc.is_in(rows[key], value_set=t.filter(pc.invert(is_l))[key]
-                         .combine_chunks())
-        return rows.filter(found if semi else pc.invert(found)).select(
-            bschema.names)
+    def member_bucket(rows: pa.Table, ks: pa.Table, bucket: int) -> pa.Table:
+        found = pc.is_in(rows[key], value_set=ks[key].combine_chunks())
+        return rows.filter(found if semi else pc.invert(found))
 
-    checked = lt.union(kt).groupby("__bucket").map_groups(
-        member_bucket, batch_format="pyarrow")
+    checked = cobucketed(maybe, keys, key, member_bucket,
+                         n_rows=maybe.count() + n_keys,
+                         schemas=(bschema, pa.schema([bschema.field(key)])))
     if semi:
         return checked
     definite = big.map_batches(
@@ -750,19 +763,20 @@ def _bloom_membership(big, keys, n_keys: int, key: str, bschema: pa.Schema,
 
 
 def asof_join(left, right, key: str, left_ts: str, right_ts: str,
-              num_buckets: Optional[int] = None, direction: str = "backward",
+              direction: str = "backward",
               right_columns: Optional[Sequence[str]] = None,
               tolerance_sec: Optional[int] = None,
-              hot_key_threshold: Optional[int] = None, hot_salt: int = 16,
+              hot_key_threshold: Optional[int] = None,
               left_schema: Optional[pa.Schema] = None,
               right_schema: Optional[pa.Schema] = None,
-              schema_floor: bool = False):
+              n_rows: Optional[int] = None):
     """As-of join: for each left row, the latest right row of the same key
     with right_ts <= left_ts (direction='backward'). Inner semantics (left
-    rows without a match are dropped). ``num_buckets=None`` scales the
-    bucket count to the input row count. ``tolerance_sec`` bounds the
-    match window (interval-join semantics: right_ts within
-    [left_ts - tolerance, left_ts]); matches outside it are dropped.
+    rows without a match are dropped). One :func:`cobucketed` shuffle on
+    ``key``; ``n_rows`` sizes the buckets, None counts both sides.
+    ``tolerance_sec`` bounds the match window (interval-join semantics:
+    right_ts within [left_ts - tolerance, left_ts]); matches outside it
+    are dropped.
 
     ``hot_key_threshold``: same opt-in skew escape hatch as
     :func:`bucketed_hash_join`, with one fixed choice — the LEFT side
@@ -776,70 +790,40 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
     to skip a shuffle-for-schema AND to keep the join working when that
     side is EMPTY (Ray reports ``schema() = None`` for empty derived
     datasets, e.g. a filter that matched nothing in one shard-day)."""
-    lschema = left_schema if left_schema is not None else left.schema()
-    rs = right_schema if right_schema is not None else right.schema()
-    if lschema is None or rs is None:
-        raise ValueError(
-            "asof_join: input schema unavailable (empty derived dataset?) — "
-            "pass left_schema/right_schema hints"
-        )
-    left_cols = list(lschema.names)
-    right_cols = [key, right_ts] + [
-        c for c in (right_columns or rs.names) if c not in (key, right_ts)
-    ]
-    right_sel = right.select_columns(right_cols)
-    rschema = (
-        pa.schema([(n, t) for n, t in zip(rs.names, rs.types) if n in right_cols])
-        if right_schema is not None
-        else right_sel.schema()
-    )
-    # shared non-key right columns (possibly incl. the right timestamp)
-    # are kept under an "_r" suffix instead of being dropped by the
-    # post-merge reindex
-    rmap = {c: f"{c}_r" for c in right_cols if c in left_cols and c != key}
-    r_out = [rmap.get(c, c) for c in right_cols]
-    right_ts_out = rmap.get(right_ts, right_ts)
-    spec = _dtype_spec_from_schema(lschema)
-    spec.update(
-        {rmap.get(k, k): v for k, v in _dtype_spec_from_schema(rschema).items()}
-    )
-    if num_buckets is None:
-        num_buckets = derive_num_buckets(left.count() + right.count())
-
+    if right_columns:
+        cols = [key, right_ts] + [c for c in right_columns if c not in (key, right_ts)]
+        right = right.select_columns(cols)
+        if right_schema is not None:
+            right_schema = pa.schema([right_schema.field(c) for c in cols])
     plan = (
-        _skew_plan(left, right_sel, key, hot_key_threshold, "left", "asof_join")
+        _skew_plan(left, right, key, hot_key_threshold, "left", "asof_join")
         if hot_key_threshold is not None
         else None
     )
-    if plan is None:
-        ltag = _tag_fn("l", key, num_buckets)
-        rtag = _tag_fn("r", key, num_buckets)
-    else:
+    tags = None
+    if plan is not None:
         hot_sorted, spread_left, _ = plan  # all-True: asof spreads left only
-        last_regime["salt"] = hot_salt
-        ltag = _tag_fn_salted("l", key, num_buckets, hot_sorted, spread_left,
-                              hot_salt)
-        rtag = _tag_fn_salted("r", key, num_buckets, hot_sorted, ~spread_left,
-                              hot_salt)
-    out_cols = left_cols + [c for c in r_out if c not in left_cols]
-    out_schema = _output_schema(out_cols, lschema, rschema, rename_right=rmap)
+        last_regime["salt"] = HOT_SALT
+        tags = (_tag_fn_salted(key, hot_sorted, spread_left, HOT_SALT),
+                _tag_fn_salted(key, hot_sorted, ~spread_left, HOT_SALT))
 
-    lt = left.map_batches(ltag, batch_format="pyarrow")
-    rt = right_sel.map_batches(rtag, batch_format="pyarrow")
-    floor = _floor_sentinel(out_schema) if schema_floor else None
-    # arrow null-fill union: missing columns stay typed
-    both = lt.union(rt, floor) if floor is not None else lt.union(rt)
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        g = t.to_pandas(types_mapper=_nullable_types_mapper)
-        # blocks that came wholly from one side may lack the other side's
-        # columns entirely — reindex fills them before slicing.
+    def join_bucket(lt: pa.Table, rt: pa.Table, bucket: int) -> pa.Table:
+        right_cols = [key, right_ts] + [c for c in rt.column_names
+                                        if c not in (key, right_ts)]
+        # shared non-key right columns (possibly incl. the right timestamp)
+        # are kept under an "_r" suffix instead of being dropped by the
+        # post-merge reindex
+        rmap = {c: f"{c}_r" for c in right_cols if c in lt.column_names and c != key}
+        r_out = [rmap.get(c, c) for c in right_cols]
+        right_ts_out = rmap.get(right_ts, right_ts)
+        out_cols = lt.column_names + [c for c in r_out if c not in lt.column_names]
+        out_schema = _output_schema(out_cols, lt.schema, rt.schema, rename_right=rmap)
         # Null key/timestamp rows are dropped on both sides (SQL ASOF
         # semantics: NULL never satisfies the equality or the <=; pandas
         # merge_asof REFUSES null keys outright), so a shard-day with a
         # broken column degrades to zero matches instead of crashing.
         l = (
-            g[g["__side"] == "l"].reindex(columns=left_cols)
+            lt.to_pandas(types_mapper=_nullable_types_mapper)
             .dropna(subset=[key, left_ts])
             .sort_values(left_ts, kind="stable")
         )
@@ -847,7 +831,8 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
         # merge_asof(backward) picks the LAST row ≤ ts, i.e. the max of the
         # remaining columns — no separate dedupe shuffle needed upstream
         r = (
-            g[g["__side"] == "r"].reindex(columns=right_cols).rename(columns=rmap)
+            rt.select(right_cols).to_pandas(types_mapper=_nullable_types_mapper)
+            .rename(columns=rmap)
             .dropna(subset=[key, right_ts_out])
             .sort_values(
                 [right_ts_out, *[c for c in r_out if c != right_ts_out]],
@@ -855,8 +840,8 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
             )
         )
         if l.empty or r.empty:
-            return _to_arrow_clean(_empty_typed_frame(out_cols, spec), out_schema)
-        if key in l.columns and l[key].dtype != r[key].dtype:
+            return out_schema.empty_table()
+        if l[key].dtype != r[key].dtype:
             r = r.astype({key: l[key].dtype})
         # unify timestamp resolutions (parquet us vs pandas s after unions)
         for frame, col in ((l, left_ts), (r, right_ts_out)):
@@ -875,7 +860,8 @@ def asof_join(left, right, key: str, left_ts: str, right_ts: str,
             out.dropna(subset=[right_ts_out]).reindex(columns=out_cols), out_schema
         )
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return cobucketed(left, right, key, join_bucket, n_rows=n_rows,
+                      schemas=(left_schema, right_schema), tags=tags)
 
 
 def bucketed_aggregate(ds, keys, aggs: Dict[str, Tuple[str, str]], *,
@@ -1032,27 +1018,28 @@ def _range_values(arr: np.ndarray) -> np.ndarray:
 
 
 def range_join(points, intervals, *, point_col: str, lo_col: str, hi_col: str,
-               num_buckets: Optional[int] = None,
+               n_rows: Optional[int] = None,
                point_columns: Optional[Sequence[str]] = None,
                interval_columns: Optional[Sequence[str]] = None,
                points_schema: Optional[pa.Schema] = None,
-               intervals_schema: Optional[pa.Schema] = None,
-               schema_floor: bool = False):
+               intervals_schema: Optional[pa.Schema] = None):
     """Interval/range join: every (interval row × point row) pair with
     ``lo_col <= point_col <= hi_col`` (inclusive both ends, SQL BETWEEN).
+    A NULL point, or an interval with a NULL bound, pairs with nothing.
 
     Topology — RANGE partitioning, not hash (the value, not a key, decides
-    co-location): the observed point domain splits into ``num_buckets``
-    equal-width ranges; each point lands in exactly ONE bucket, each
-    interval replicates to every bucket it overlaps. Because a point
-    belongs to one bucket only, the pair set is exact with no downstream
-    dedupe. Inside a bucket the join is a vectorized sweep: points sorted
-    once, ``np.searchsorted`` turns each interval into a contiguous span,
-    pairs materialize via ``np.repeat`` + arange arithmetic — no Python
-    row loop, no cross product.
+    co-location): one :func:`cobucketed` shuffle whose tags split the
+    observed point domain into equal-width ranges, one per bucket; each
+    point lands in exactly ONE bucket, each interval replicates to every
+    bucket it overlaps. Because a point belongs to one bucket only, the
+    pair set is exact with no downstream dedupe. Inside a bucket the join
+    is a vectorized sweep: points sorted once, ``np.searchsorted`` turns
+    each interval into a contiguous span, pairs materialize via
+    ``np.repeat`` + arange arithmetic — no Python row loop, no cross
+    product. ``n_rows`` sizes the buckets; None counts both sides.
 
     Partitioning assumption (documented per the operator contract): bucket
-    width (domain / num_buckets) should be >> the typical interval length
+    width (domain / bucket count) should be >> the typical interval length
     so replication stays O(1) per interval — true for "1-hour windows over
     a month" shapes. A single interval spanning the whole domain
     replicates to every bucket (same hot-key limit as a hash join's hot
@@ -1064,15 +1051,11 @@ def range_join(points, intervals, *, point_col: str, lo_col: str, hi_col: str,
     suffixed ``_p`` on collision. Timestamps compare exactly (int64 us);
     other numerics as float64.
     """
+    import ray.data as rd
     from ray.data.aggregate import Count, Max, Min
 
-    psch = points_schema if points_schema is not None else points.schema()
-    isch = intervals_schema if intervals_schema is not None else intervals.schema()
-    if psch is None or isch is None:
-        raise ValueError(
-            "range_join: input schema unavailable (empty derived dataset?) "
-            "— pass points_schema/intervals_schema hints"
-        )
+    psch, isch = _input_schemas(points, intervals,
+                                (points_schema, intervals_schema))
     p_cols = list(point_columns or psch.names)
     if point_col not in p_cols:
         p_cols = [point_col] + p_cols
@@ -1082,19 +1065,12 @@ def range_join(points, intervals, *, point_col: str, lo_col: str, hi_col: str,
             i_cols = [c] + i_cols
     pts = points.select_columns(p_cols)
     ivs = intervals.select_columns(i_cols)
-
-    def _subschema(sch, cols):
-        have = {n: t for n, t in zip(sch.names, sch.types)}
-        return pa.schema([(c, have[c]) for c in cols])
-
-    psub, isub = _subschema(psch, p_cols), _subschema(isch, i_cols)
+    psub = pa.schema([psch.field(c) for c in p_cols])
+    isub = pa.schema([isch.field(c) for c in i_cols])
     pmap = {c: f"{c}_p" for c in p_cols if c in i_cols}
-    p_out = [pmap.get(c, c) for c in p_cols]
-    out_cols = i_cols + [c for c in p_out if c not in i_cols]
-    spec = _dtype_spec_from_schema(isub)
-    for k, v in _dtype_spec_from_schema(psub).items():
-        spec.setdefault(pmap.get(k, k), v)
-    out_schema = _output_schema(out_cols, isub, psub, rename_right=pmap)
+    p_out = [c for c in p_cols if pmap.get(c, c) not in i_cols]
+    out_schema = _output_schema(
+        i_cols + [pmap.get(c, c) for c in p_out], isub, psub, rename_right=pmap)
 
     # domain bounds AND row count of the point side in ONE aggregate pass —
     # separate .count() calls would re-execute the (possibly filtered/
@@ -1104,104 +1080,64 @@ def range_join(points, intervals, *, point_col: str, lo_col: str, hi_col: str,
             or bounds[f"min({point_col})"] is None:
         # no points → no pairs; return a TYPED empty result (downstream
         # code still sees the join's columns when one shard-day is empty)
-        import ray.data as rd
-
-        if out_schema is None:
-            return rd.from_pandas(_empty_typed_frame(out_cols, spec))
         return rd.from_arrow(out_schema.empty_table())
     # pandas inference turns python datetimes back into datetime64
     dlo, dhi = _range_values(
         pd.Series([bounds[f"min({point_col})"], bounds[f"max({point_col})"]]).to_numpy()
     )
-    if num_buckets is None:
+    if n_rows is None:
         # per-bucket memory is bounded by BOTH sides, so size from both:
         # the point count rides the bounds aggregate for free; the interval
-        # side costs one count() execution (callers with a known interval
-        # count should pass num_buckets to skip it). Sizing from points
-        # alone loses the bound when intervals >> points — the documented
-        # width >> interval-length assumption bounds per-interval
-        # REPLICATION, not the interval/point row ratio.
-        num_buckets = derive_num_buckets(int(bounds["count()"]) + ivs.count())
-    width = max((dhi - dlo) / num_buckets, 1e-9)
+        # side costs one count() execution (callers with a known row count
+        # should pass n_rows to skip it). Sizing from points alone loses
+        # the bound when intervals >> points — the documented width >>
+        # interval-length assumption bounds per-interval REPLICATION, not
+        # the interval/point row ratio.
+        n_rows = int(bounds["count()"]) + ivs.count()
 
-    def _bucket_of(v: np.ndarray) -> np.ndarray:
-        return np.clip(((v - dlo) / width).astype(np.int64), 0, num_buckets - 1)
+    def bucket_of(v: np.ndarray, nb: int) -> np.ndarray:
+        width = max((dhi - dlo) / nb, 1e-9)
+        return np.clip(((v - dlo) / width).astype(np.int64), 0, nb - 1)
 
-    def tag_points(t: pa.Table) -> pa.Table:
+    def valid(t: pa.Table, col: str) -> np.ndarray:
+        return pc.is_valid(t[col]).to_numpy(zero_copy_only=False)
+
+    def tag_points(t: pa.Table, nb: int):
+        ok = valid(t, point_col)
         v = _range_values(t[point_col].to_numpy(zero_copy_only=False))
-        t = t.append_column("__bucket", pa.array(_bucket_of(v).astype(np.int32)))
-        t = t.append_column("__side", pa.array(["p"] * len(t), pa.string()))
-        return t.replace_schema_metadata(None)
+        return (None if ok.all() else np.flatnonzero(ok)), bucket_of(v[ok], nb)
 
-    def tag_intervals(t: pa.Table) -> pa.Table:
+    def tag_intervals(t: pa.Table, nb: int):
         """Replicate each interval row to every bucket it overlaps
         (vectorized: np.repeat by per-row bucket-span counts)."""
         lo = _range_values(t[lo_col].to_numpy(zero_copy_only=False))
         hi = _range_values(t[hi_col].to_numpy(zero_copy_only=False))
-        b0 = _bucket_of(lo)
-        b1 = _bucket_of(hi)
-        keep = hi >= lo  # degenerate intervals drop out early
-        # intervals wholly outside the point domain still clip into an edge
-        # bucket; the in-bucket sweep finds no points there — exact, just
-        # one wasted row
-        idx = np.arange(len(t))[keep]
-        b0k, b1k = b0[keep], b1[keep]
-        counts = (b1k - b0k + 1).astype(np.int64)
-        rep_idx = np.repeat(idx, counts)
-        # per-replica bucket: arange over the flattened spans
-        offs = np.arange(counts.sum(), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        buckets = (np.repeat(b0k, counts) + offs).astype(np.int32)
-        rep = t.take(pa.array(rep_idx))
-        rep = rep.append_column("__bucket", pa.array(buckets))
-        rep = rep.append_column("__side", pa.array(["i"] * len(rep), pa.string()))
-        return rep.replace_schema_metadata(None)
+        # NULL bounds (a NULL timestamp reads as int64 min here) and
+        # degenerate intervals drop out early. Intervals wholly outside the
+        # point domain still clip into an edge bucket; the in-bucket sweep
+        # finds no points there — exact, just one wasted row
+        keep = np.flatnonzero((hi >= lo) & valid(t, lo_col) & valid(t, hi_col))
+        b0 = bucket_of(lo[keep], nb)
+        counts = bucket_of(hi[keep], nb) - b0 + 1
+        offs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(keep, counts), np.repeat(b0, counts) + offs
 
-    pt = pts.map_batches(tag_points, batch_format="pyarrow")
-    it = ivs.map_batches(tag_intervals, batch_format="pyarrow")
-    floor = _floor_sentinel(out_schema) if schema_floor else None
-    both = pt.union(it, floor) if floor is not None else pt.union(it)
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        g = t.to_pandas(types_mapper=_nullable_types_mapper)
-        p = g[g["__side"] == "p"].reindex(columns=p_cols)
-        i = g[g["__side"] == "i"].reindex(columns=i_cols)
-        if not len(p) or not len(i):
-            return _to_arrow_clean(
-                _empty_typed_frame(out_cols, spec), schema=out_schema
-            )
+    def join_bucket(p: pa.Table, i: pa.Table, bucket: int) -> pa.Table:
         pv = _range_values(p[point_col].to_numpy())
         order = np.argsort(pv, kind="stable")
         pv = pv[order]
-        p = p.iloc[order]
-        lo = _range_values(i[lo_col].to_numpy())
-        hi = _range_values(i[hi_col].to_numpy())
-        starts = np.searchsorted(pv, lo, side="left")
-        ends = np.searchsorted(pv, hi, side="right")
-        counts = np.maximum(ends - starts, 0).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return _to_arrow_clean(
-                _empty_typed_frame(out_cols, spec), schema=out_schema
-            )
-        i_idx = np.repeat(np.arange(len(i)), counts)
-        p_idx = np.repeat(starts, counts) + (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        )
-        out = pd.concat(
-            [
-                i.iloc[i_idx].reset_index(drop=True),
-                p.iloc[p_idx].rename(columns=pmap).reset_index(drop=True)[
-                    [c for c in p_out if c not in i_cols]
-                ],
-            ],
-            axis=1,
-        )
-        return _to_arrow_clean(out[out_cols], schema=out_schema)
+        starts = np.searchsorted(pv, _range_values(i[lo_col].to_numpy()), side="left")
+        ends = np.searchsorted(pv, _range_values(i[hi_col].to_numpy()), side="right")
+        counts = np.maximum(ends - starts, 0)
+        span = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        ip = i.take(pa.array(np.repeat(np.arange(len(i)), counts), pa.int64()))
+        pp = p.take(pa.array(order[np.repeat(starts, counts) + span], pa.int64()))
+        return pa.Table.from_arrays(
+            [ip[c] for c in i_cols] + [pp[c] for c in p_out],
+            names=out_schema.names)
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return cobucketed(pts, ivs, None, join_bucket, n_rows=n_rows,
+                      schemas=(psub, isub), tags=(tag_points, tag_intervals))
 
 
 def partitioned_window(ds, key: str, order_cols: Sequence[str], apply_fn,

@@ -1,18 +1,21 @@
-"""``stages.joins.bucketed`` is the package's one hash-bucket shuffle.
+"""``stages.joins.bucketed`` is the package's one hash-bucket shuffle, and
+``stages.joins.cobucketed`` its two-sided form.
 
 Two properties keep it that way:
 
 * the bucket count may change the plan, never the answer: every ported
-  helper (and the catalog queries built on ``bucketed``) returns the same
-  multiset of rows whatever ``joins.MIN_BUCKETS`` is, NULL keys and
-  strided integer keys included;
+  helper and two-sided operator (and the catalog queries built on
+  ``bucketed``) returns the same multiset of rows whatever
+  ``joins.MIN_BUCKETS`` is, NULL keys, strided integer keys and the
+  salted hot-key regime included;
 * no module but ``stages/joins.py`` hand-rolls a bucket tag or carries a
-  bucket-count parameter.
+  bucket-count parameter, and inside it one helper groups by the tag.
 """
 
 import ast
 import pathlib
 import re
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -175,6 +178,74 @@ def _run_collapse():
     return collapse_drop_hashes(_sigs_ds())
 
 
+def _join_tables():
+    """Two-sided inputs: integer keys that are multiples of 8, NULL keys
+    on both sides, one key on 40% of the left rows (hot at threshold 60),
+    timestamps for the as-of and range joins (NULL bounds included), and
+    a small side with unique keys for ``join_keyed``."""
+    rng = np.random.default_rng(4)
+    n, nr = 300, 120
+    lk = rng.integers(0, 30, n) * 8
+    lk[rng.random(n) < 0.4] = 16
+    rk = rng.integers(0, 40, nr) * 8
+    ts = pa.timestamp("us")
+    left = pa.table({
+        "k": pa.array(lk, pa.int64(), mask=rng.random(n) < 0.1),
+        "lv": pa.array(np.arange(n), pa.int64()),
+        "ts": pa.array(rng.integers(0, 10**9, n) * 1000, ts),
+    })
+    right = pa.table({
+        "k": pa.array(rk, pa.int64(), mask=rng.random(nr) < 0.1),
+        "rv": pa.array(np.arange(nr), pa.int64()),
+        "rts": pa.array(rng.integers(0, 10**9, nr) * 1000, ts),
+    })
+    lo = rng.integers(0, 10**9, 40) * 1000
+    intervals = pa.table({
+        "iid": pa.array(np.arange(40), pa.int64()),
+        "lo": pa.array(lo, ts, mask=rng.random(40) < 0.1),
+        "hi": pa.array(lo + rng.integers(0, 10**8, 40) * 1000, ts,
+                       mask=rng.random(40) < 0.1),
+    })
+    sk = rng.choice(np.arange(45) * 8, 30, replace=False)
+    small = pa.table({
+        "sk": pa.array(sk, pa.int64(), mask=np.arange(30) == 0),
+        "sv": pa.array(np.arange(30), pa.int64()),
+    })
+    return left, right, intervals, small
+
+
+def _blocks(t: pa.Table):
+    import ray.data as rd
+
+    return rd.from_arrow([t.slice(i, 50) for i in range(0, t.num_rows, 50)])
+
+
+def _run_hash_join(**kw):
+    left, right, _, _ = _join_tables()
+    return joins.bucketed_hash_join(_blocks(left), _blocks(right), on="k",
+                                    join_type="outer", **kw)
+
+
+def _run_asof_join(**kw):
+    left, right, _, _ = _join_tables()
+    return joins.asof_join(_blocks(left), _blocks(right), key="k",
+                           left_ts="ts", right_ts="rts", **kw)
+
+
+def _run_range_join():
+    left, _, intervals, _ = _join_tables()
+    return joins.range_join(_blocks(left), _blocks(intervals), point_col="ts",
+                            lo_col="lo", hi_col="hi")
+
+
+def _run_join_keyed(how):
+    left, _, _, small = _join_tables()
+    with mock.patch.object(joins, "BROADCAST_BYTES", 0):
+        out = joins.join_keyed(_blocks(left), small, on=("k", "sk"), how=how)
+    assert joins.last_regime["regime"] == "shuffle"
+    return out
+
+
 HELPERS = {
     "bucketed": _run_bucketed,
     "bucketed_aggregate": _run_bucketed_aggregate,
@@ -188,6 +259,13 @@ HELPERS = {
     "simhash_pairs": _run_simhash,
     "embedding_near_dup_pairs": _run_embedding,
     "collapse_drop_hashes": _run_collapse,
+    "bucketed_hash_join": _run_hash_join,
+    "bucketed_hash_join_salted": lambda: _run_hash_join(hot_key_threshold=60),
+    "asof_join": _run_asof_join,
+    "asof_join_salted": lambda: _run_asof_join(hot_key_threshold=60),
+    "range_join": _run_range_join,
+    **{f"join_keyed_shuffle_{how}": (lambda how=how: _run_join_keyed(how))
+       for how in joins.JOIN_HOWS},
 }
 
 CATALOG = ["modal_event_type_user", "cohort_retention_events",
@@ -224,12 +302,16 @@ def test_bucket_policy_lives_only_in_joins_module():
     ``num_partitions`` parameter, no inline ``rows / 250_000`` sizing and
     no ``groupby`` on one of the retired tag columns. Two ``"bucket"``
     columns stay because they are not hash buckets: pack_documents' doc_id
-    RANGE shard and the quantile-bucket output of quantile_buckets."""
+    RANGE shard and the quantile-bucket output of quantile_buckets. No
+    module, stages/joins.py included, names a per-call ``num_buckets``,
+    ``schema_floor`` or ``hot_salt``; and in stages/joins.py only
+    ``_shuffle`` groups by ``"__bucket"``."""
     pkg = pathlib.Path(joins.__file__).parents[1]
     roots = [pkg, pkg.parent / "jobs"]
     banned = re.compile(
         r"\bn_buckets\b|\bn_shards\b|/\s*250_000"
         r"|groupby\(\"(?:__b|__gb|__cbucket|__wbucket|bucket|coarse)\"\)")
+    retired = re.compile(r"\bnum_buckets\b|\bschema_floor\b|\bhot_salt\b")
     allowed = {
         ("pipelines/queries/textcorpus.py",
          'tagged.groupby("bucket").aggregate(Sum("n_tokens", alias_name="tok")),'),
@@ -240,11 +322,11 @@ def test_bucket_policy_lives_only_in_joins_module():
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
-            if rel == "stages/joins.py":
-                continue
             text = path.read_text()
             for no, line in enumerate(text.splitlines(), 1):
-                if banned.search(line) and (rel, line.strip()) not in allowed:
+                if retired.search(line) or (
+                        rel != "stages/joins.py" and banned.search(line)
+                        and (rel, line.strip()) not in allowed):
                     hits.append(f"{root.name}/{rel}:{no}: {line.strip()}")
             for node in ast.walk(ast.parse(text)):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -254,6 +336,18 @@ def test_bucket_policy_lives_only_in_joins_module():
                             hits.append(f"{root.name}/{rel}:{a.lineno}: "
                                         f"{node.name}(num_partitions)")
     assert not hits, "\n".join(hits)
+
+    owners = [
+        fn.name
+        for fn in ast.parse(pathlib.Path(joins.__file__).read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "groupby" and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "__bucket"
+    ]
+    assert owners == ["_shuffle"], owners
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -143,37 +143,6 @@ def test_facts_empty_corpus(ray_session, facts_empty_dir, name):
     assert _materialize(fn(facts_empty_dir)) >= 0
 
 
-def test_join_schema_floor_opt_in(ray_session, empty_dir):
-    """schema_floor=True unions a (__bucket=-1) sentinel into the tagged
-    stream, so a join that matched NOTHING still reports its typed output
-    schema (default off: the sentinel costs ~0.3-0.7 s per query at sf0.1
-    and the catalog's driver folds are already column-guarded)."""
-    import ray.data as rd
-
-    from schema_guru_ray.stages.joins import bucketed_hash_join
-
-    orders = rd.read_parquet(os.path.join(empty_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(os.path.join(empty_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_name"])
-    cust = cust.map_batches(
-        lambda t: t.rename_columns(["o_custkey", "c_name"]),
-        batch_format="pyarrow",
-    )
-    out = bucketed_hash_join(
-        orders, cust, on="o_custkey",
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("o_custkey", pa.int64())]),
-        right_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("c_name", pa.string())]),
-        schema_floor=True,
-    )
-    assert out.count() == 0
-    sch = out.schema()
-    assert sch is not None
-    assert set(sch.names) == {"o_orderkey", "o_custkey", "c_name"}
-
-
 def test_export_job_empty(ray_session, empty_dir, tmp_path):
     """The resumable shuffled export commits (0-row) partition manifests on
     an empty corpus instead of crashing in the shard-count fold — resume

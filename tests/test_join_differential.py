@@ -4,8 +4,9 @@ operators against DuckDB on identical in-memory tables.
 The structured oracle suite (test_oracle_parity) checks the CATALOG's
 fixed shapes; this module fuzzes the OPERATORS themselves — random key
 cardinalities, skew (70%-one-key), timestamp layouts and interval widths,
-always through the bucketed/distributed regime (tiny num_buckets so every
-bucket is multi-key, plus the salted path on skewed draws) — and demands
+always through the bucketed/distributed regime (``joins.MIN_BUCKETS``
+patched small so every bucket is multi-key, plus the salted path on
+skewed draws) — and demands
 row-for-row equality with DuckDB's answer. Seeds are fixed: failures
 reproduce exactly.
 """
@@ -80,11 +81,14 @@ def _keys(rng, n, card):
 @pytest.mark.usefixtures("ray_session")
 class TestHashJoinDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_inner_and_left_match_duckdb(self, seed):
+    def test_inner_and_left_match_duckdb(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
+        monkeypatch.setattr(joins, "HOT_SALT", 4)
         rng = np.random.default_rng(seed)
         nl, nr = int(rng.integers(5, 400)), int(rng.integers(5, 400))
         card = int(rng.integers(1, 40))
@@ -102,11 +106,11 @@ class TestHashJoinDifferential:
             want = con.execute(sql).df()
             # hot_key_threshold on every other draw: the salted regime must
             # be answer-invariant whether or not any key actually is hot
-            kw = {"hot_key_threshold": 50, "hot_salt": 4} if seed % 2 else {}
+            kw = {"hot_key_threshold": 50} if seed % 2 else {}
             got = bucketed_hash_join(
                 rd.from_pandas(left).repartition(3),
                 rd.from_pandas(right).repartition(2),
-                on="k", num_buckets=4, join_type=how, **kw,
+                on="k", join_type=how, **kw,
             ).to_pandas()
             _assert_same(got, want, ["k", "lv", "rv"], f"hash_join/{how}/seed{seed}")
 
@@ -114,11 +118,13 @@ class TestHashJoinDifferential:
 @pytest.mark.usefixtures("ray_session")
 class TestAsofJoinDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_backward_asof_matches_duckdb(self, seed):
+    def test_backward_asof_matches_duckdb(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import asof_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         rng = np.random.default_rng(seed)
         nl, nr = int(rng.integers(5, 300)), int(rng.integers(5, 300))
         card = int(rng.integers(1, 20))
@@ -153,19 +159,21 @@ class TestAsofJoinDifferential:
         got = asof_join(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            key="k", left_ts="ts", right_ts="rts", num_buckets=4,
+            key="k", left_ts="ts", right_ts="rts",
             tolerance_sec=tol,
         ).to_pandas()
         _assert_same(got, want, ["k", "ts", "lv", "rts", "rv"],
                      f"asof_join/seed{seed}/tol={tol}")
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_forward_asof_matches_duckdb(self, seed):
+    def test_forward_asof_matches_duckdb(self, seed, monkeypatch):
         """direction='forward': earliest right row with rts >= ts."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import asof_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         rng = np.random.default_rng(seed)
         nl, nr = int(rng.integers(5, 300)), int(rng.integers(5, 300))
         card = int(rng.integers(1, 20))
@@ -190,7 +198,7 @@ class TestAsofJoinDifferential:
         got = asof_join(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            key="k", left_ts="ts", right_ts="rts", num_buckets=4,
+            key="k", left_ts="ts", right_ts="rts",
             direction="forward",
         ).to_pandas()
         _assert_same(got, want, ["k", "ts", "lv", "rts", "rv"],
@@ -200,11 +208,13 @@ class TestAsofJoinDifferential:
 @pytest.mark.usefixtures("ray_session")
 class TestRangeJoinDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_between_join_matches_duckdb(self, seed):
+    def test_between_join_matches_duckdb(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import range_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         rng = np.random.default_rng(seed)
         npts, nint = int(rng.integers(5, 400)), int(rng.integers(2, 60))
         points = pd.DataFrame({
@@ -217,20 +227,34 @@ class TestRangeJoinDifferential:
             "lo": lo, "hi": (lo + width).astype(np.int64),
             "iid": np.arange(nint, dtype=np.int64),
         })
-        con = duckdb.connect()
-        con.register("p", points)
-        con.register("i", intervals)
-        want = con.execute(
-            "SELECT i.iid, i.lo, i.hi, p.pid, p.p FROM i JOIN p "
-            "ON p.p BETWEEN i.lo AND i.hi"
-        ).df()
-        got = range_join(
-            rd.from_pandas(points).repartition(3),
-            rd.from_pandas(intervals).repartition(2),
-            point_col="p", lo_col="lo", hi_col="hi", num_buckets=4,
-        ).to_pandas()
-        _assert_same(got, want, ["iid", "lo", "hi", "pid", "p"],
-                     f"range_join/seed{seed}")
+        # the same draw as timestamps, with NULL points and NULL bounds:
+        # SQL BETWEEN with a NULL operand matches nothing
+        base = pd.Timestamp("2024-01-01")
+        ts_points = points.assign(p=base + pd.to_timedelta(points["p"], unit="s"))
+        ts_points.loc[ts_points.index % 11 == 0, "p"] = pd.NaT
+        ts_intervals = intervals.assign(
+            lo=base + pd.to_timedelta(intervals["lo"], unit="s"),
+            hi=base + pd.to_timedelta(intervals["hi"], unit="s"),
+        )
+        ts_intervals.loc[ts_intervals.index % 5 == 0, "lo"] = pd.NaT
+        ts_intervals.loc[ts_intervals.index % 7 == 3, "hi"] = pd.NaT
+        for kind, pts, ivs in (("int64", points, intervals),
+                               ("timestamp", ts_points, ts_intervals)):
+            con = duckdb.connect()
+            con.register("p", pts)
+            con.register("i", ivs)
+            want = con.execute(
+                "SELECT i.iid, i.lo, i.hi, p.pid, p.p FROM i JOIN p "
+                "ON p.p BETWEEN i.lo AND i.hi"
+            ).df()
+            got = range_join(
+                rd.from_pandas(pts).repartition(3),
+                rd.from_pandas(ivs).repartition(2),
+                point_col="p", lo_col="lo", hi_col="hi",
+            ).to_pandas()
+            cols = ["iid", "lo", "hi", "pid", "p"]
+            _assert_same(got.reindex(columns=cols), want, cols,
+                         f"range_join/{kind}/seed{seed}")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -326,11 +350,13 @@ class TestBucketedAggregateDifferential:
 @pytest.mark.usefixtures("ray_session")
 class TestFullOuterJoinDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_full_outer_matches_duckdb(self, seed):
+    def test_full_outer_matches_duckdb(self, seed, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         rng = np.random.default_rng(seed)
         nl, nr = int(rng.integers(5, 300)), int(rng.integers(5, 300))
         # disjoint-ish cardinality windows so both null-extension
@@ -347,13 +373,13 @@ class TestFullOuterJoinDifferential:
         got = bucketed_hash_join(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            on="k", num_buckets=4, join_type="outer",
+            on="k", join_type="outer",
         ).to_pandas()
         _assert_same(got, want, ["k", "lv", "rv"], f"full_outer/seed{seed}")
 
     @pytest.mark.parametrize("how", ["outer", "right"])
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_salted_outer_flavors_match_duckdb(self, how, seed):
+    def test_salted_outer_flavors_match_duckdb(self, how, seed, monkeypatch):
         """Regression (round-5 fuzz find): the salted skew regime used to
         null-extend a REPLICATED right row once per sub-bucket whose
         spread slice was empty — full outer returned 1778 rows where the
@@ -362,8 +388,11 @@ class TestFullOuterJoinDifferential:
         replicas exactly once)."""
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join, last_regime
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
+        monkeypatch.setattr(joins, "HOT_SALT", 4)
         rng = np.random.default_rng(seed)
         nl, nr = 300, 400
         lk = rng.integers(0, 6, nl).astype(np.int64)
@@ -381,8 +410,8 @@ class TestFullOuterJoinDifferential:
         got = bucketed_hash_join(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            on="k", num_buckets=4, join_type=how,
-            hot_key_threshold=50, hot_salt=4,
+            on="k", join_type=how,
+            hot_key_threshold=50,
         ).to_pandas()
         assert last_regime.get("hot_keys"), "salted regime must engage"
         _assert_same(got, want, ["k", "lv", "rv"], f"salted_{how}/seed{seed}")
@@ -404,6 +433,8 @@ class TestFullOuterJoinDifferential:
             return real(ds, key, hot_sorted)
 
         monkeypatch.setattr(joins, "_keys_present", spy)
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
+        monkeypatch.setattr(joins, "HOT_SALT", 4)
         rng = np.random.default_rng(5)
         lk = rng.integers(0, 6, 300).astype(np.int64)
         lk[rng.random(300) < 0.6] = 2
@@ -416,8 +447,8 @@ class TestFullOuterJoinDifferential:
             got = joins.bucketed_hash_join(
                 rd.from_pandas(left).repartition(3),
                 rd.from_pandas(right).repartition(2),
-                on="k", num_buckets=4, join_type="outer",
-                hot_key_threshold=50, hot_salt=4,
+                on="k", join_type="outer",
+                hot_key_threshold=50,
             ).to_pandas()
             assert probed == want_probed
             con = duckdb.connect()
@@ -426,6 +457,63 @@ class TestFullOuterJoinDifferential:
             want = con.execute(
                 "SELECT k, l.lv, r.rv FROM l FULL JOIN r USING (k)").df()
             _assert_same(got, want, ["k", "lv", "rv"], f"probe/{right_hot}")
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestNullStringKeyDifferential:
+    """String keys with NULLs on both sides, plain and salted: a NULL key
+    matches nothing and is never hot. The salted regime used to look the
+    NULL up among the sorted hot keys, where NumPy cannot order ``None``
+    against a string (``TypeError``), and the pandas merge paired a NULL
+    left key with a NULL right key."""
+
+    SQL = {
+        "inner": "SELECT l.k, l.lv, r.rv FROM l JOIN r USING (k)",
+        "outer": "SELECT k, l.lv, r.rv FROM l FULL JOIN r USING (k)",
+        "asof": "SELECT l.k, l.ts, l.lv, r.rts, r.rv "
+                "FROM l ASOF JOIN r ON l.k = r.k AND l.ts >= r.rts",
+    }
+
+    @pytest.mark.parametrize("threshold", [None, 100])
+    @pytest.mark.parametrize("how", list(SQL))
+    def test_null_string_keys_match_duckdb(self, how, threshold, monkeypatch):
+        import ray.data as rd
+
+        from schema_guru_ray.stages import joins
+
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
+        monkeypatch.setattr(joins, "HOT_SALT", 4)
+        rng = np.random.default_rng(7)
+        lk = np.array(["hot"] * 300 + [None] * 5 + ["a", "b"], dtype=object)
+        rk = np.array(["hot", "a", None, "c"], dtype=object)
+        base = pd.Timestamp("2024-01-01")
+        left = pd.DataFrame({
+            "k": lk, "lv": np.arange(len(lk), dtype=np.int64),
+            "ts": base + pd.to_timedelta(rng.integers(0, 1000, len(lk)), unit="s"),
+        })
+        right = pd.DataFrame({
+            "k": rk, "rv": np.arange(len(rk), dtype=np.int64) * 10,
+            "rts": base + pd.to_timedelta([100, 0, 0, 0], unit="s"),
+        })
+        con = duckdb.connect()
+        con.register("l", left)
+        con.register("r", right)
+        want = con.execute(self.SQL[how]).df()
+        lds = rd.from_pandas(left).repartition(3)
+        rds = rd.from_pandas(right)
+        if how == "asof":
+            got = joins.asof_join(lds, rds, key="k", left_ts="ts", right_ts="rts",
+                                  hot_key_threshold=threshold).to_pandas()
+            cols = ["k", "ts", "lv", "rts", "rv"]
+        else:
+            got = joins.bucketed_hash_join(
+                lds, rds.drop_columns(["rts"]), on="k", join_type=how,
+                hot_key_threshold=threshold).to_pandas()
+            cols = ["k", "lv", "rv"]
+        if threshold is not None:
+            assert joins.last_regime["hot_keys"] == ["hot"]
+        assert len(got) == len(want), f"{how}/{threshold}: {len(got)} vs {len(want)}"
+        assert _rows(got, cols) == _rows(want, cols)
 
 
 # BROADCAST_BYTES per join_keyed regime; -1 sends even an empty (0-byte)

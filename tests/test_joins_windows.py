@@ -16,11 +16,13 @@ class TestJoins:
         right = pd.DataFrame({"k": [1, 2, 4], "y": ["a", "b", "d"]})
         return rd.from_pandas(left).repartition(2), rd.from_pandas(right), left, right
 
-    def test_bucketed_hash_join(self, sides):
+    def test_bucketed_hash_join(self, sides, monkeypatch):
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         lds, rds, left, right = sides
-        out = bucketed_hash_join(lds, rds, on="k", num_buckets=4).to_pandas()
+        out = bucketed_hash_join(lds, rds, on="k").to_pandas()
         want = left.merge(right, on="k")
         assert sorted(out["x"].tolist()) == sorted(want["x"].tolist())
 
@@ -54,15 +56,17 @@ class TestJoins:
         # ev c: none before 01-01 → dropped; ev d: none (<09) → dropped; ev e: no key
         assert dict(zip(out["ev"], out["val"])) == {"a": 100, "b": 200}
 
-    def test_asof_join_preserves_int_dtype(self, ray_session):
+    def test_asof_join_preserves_int_dtype(self, ray_session, monkeypatch):
         """Round-1 red oracle cell: the tagged union's null-fill degraded
         int64 columns to float64 inside the buckets (77 → 77.0). The output
         Arrow schema must carry the SOURCE integer types."""
         import pyarrow as pa
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import asof_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         left = pd.DataFrame(
             {
                 "key": np.array([1, 1, 2], dtype=np.int64),
@@ -80,7 +84,7 @@ class TestJoins:
         )
         out = asof_join(
             rd.from_pandas(left).repartition(2), rd.from_pandas(right),
-            key="key", left_ts="ts", right_ts="rts", num_buckets=4,
+            key="key", left_ts="ts", right_ts="rts",
         )
         sch = {n: t for n, t in zip(out.schema().names, out.schema().types)}
         assert sch["eid"] == pa.int64()
@@ -90,16 +94,18 @@ class TestJoins:
         got = out.to_pandas().sort_values("eid")
         assert got["val"].tolist() == [100, 100, 300]
 
-    def test_bucketed_join_dtypes_match_pandas_merge(self, sides):
+    def test_bucketed_join_dtypes_match_pandas_merge(self, sides, monkeypatch):
         """The bucketed join emits the Arrow schema of the same join done
         by a pandas merge (the union null-fill must not degrade int64 to
         float64 inside the buckets; round 1 masked it)."""
         import pyarrow as pa
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         lds, rds, left, right = sides
-        out = bucketed_hash_join(lds, rds, on="k", num_buckets=4)
+        out = bucketed_hash_join(lds, rds, on="k")
         want = left.merge(right, on="k")
         got_types = dict(zip(out.schema().names, out.schema().types))
         want_schema = pa.Schema.from_pandas(want, preserve_index=False)
@@ -317,16 +323,18 @@ class TestSharedColumnJoins:
     side suffixed '_r'), not silently dropped to all-null by the
     post-merge reindex."""
 
-    def test_bucketed_join_keeps_shared_column(self, ray_session):
+    def test_bucketed_join_keeps_shared_column(self, ray_session, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import bucketed_hash_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         left = pd.DataFrame({"k": [1, 2], "status": ["L1", "L2"], "x": [10, 20]})
         right = pd.DataFrame({"k": [1, 2], "status": ["R1", "R2"]})
         out = (
             bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                               on="k", num_buckets=4)
+                               on="k")
             .to_pandas()
             .sort_values("k")
             .reset_index(drop=True)
@@ -335,11 +343,13 @@ class TestSharedColumnJoins:
         assert out["status"].tolist() == ["L1", "L2"]
         assert out["status_r"].tolist() == ["R1", "R2"]
 
-    def test_asof_join_keeps_shared_column_and_ts(self, ray_session):
+    def test_asof_join_keeps_shared_column_and_ts(self, ray_session, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import asof_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 2)
         left = pd.DataFrame(
             {
                 "key": [1, 1],
@@ -356,7 +366,7 @@ class TestSharedColumnJoins:
         )
         out = (
             asof_join(rd.from_pandas(left), rd.from_pandas(right),
-                      key="key", left_ts="ts", right_ts="ts", num_buckets=2)
+                      key="key", left_ts="ts", right_ts="ts")
             .to_pandas()
             .sort_values("ts")
             .reset_index(drop=True)
@@ -409,11 +419,13 @@ class TestRangeJoin:
                 out.append({**ir.to_dict(), **prow.to_dict()})
         return out
 
-    def test_numeric_matches_brute_force(self, ray_session):
+    def test_numeric_matches_brute_force(self, ray_session, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import range_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 16)
         rng = np.random.default_rng(11)
         pts = pd.DataFrame(
             {"pid": np.arange(400), "x": rng.uniform(0, 1000, 400)}
@@ -426,7 +438,7 @@ class TestRangeJoin:
             range_join(
                 rd.from_pandas(pts).repartition(4),
                 rd.from_pandas(ivs).repartition(3),
-                point_col="x", lo_col="lo", hi_col="hi", num_buckets=16,
+                point_col="x", lo_col="lo", hi_col="hi",
             )
             .to_pandas()
             .sort_values(["iid", "pid"])
@@ -442,11 +454,13 @@ class TestRangeJoin:
             want[["iid", "pid"]].astype("int64"),
         )
 
-    def test_degenerate_and_out_of_domain_intervals(self, ray_session):
+    def test_degenerate_and_out_of_domain_intervals(self, ray_session, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import range_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 4)
         pts = pd.DataFrame({"pid": [1, 2, 3], "x": [10.0, 20.0, 30.0]})
         ivs = pd.DataFrame(
             {
@@ -457,15 +471,17 @@ class TestRangeJoin:
         )
         got = range_join(
             rd.from_pandas(pts), rd.from_pandas(ivs),
-            point_col="x", lo_col="lo", hi_col="hi", num_buckets=4,
+            point_col="x", lo_col="lo", hi_col="hi",
         ).to_pandas()
         assert got["iid"].tolist() == [4] and got["pid"].tolist() == [2]
 
-    def test_timestamp_exact_and_collision_suffix(self, ray_session):
+    def test_timestamp_exact_and_collision_suffix(self, ray_session, monkeypatch):
         import ray.data as rd
 
+        from schema_guru_ray.stages import joins
         from schema_guru_ray.stages.joins import range_join
 
+        monkeypatch.setattr(joins, "MIN_BUCKETS", 3)
         base = pd.Timestamp("2024-01-01")
         pts = pd.DataFrame(
             {
@@ -482,7 +498,7 @@ class TestRangeJoin:
         )
         got = range_join(
             rd.from_pandas(pts), rd.from_pandas(ivs),
-            point_col="ts", lo_col="lo", hi_col="hi", num_buckets=3,
+            point_col="ts", lo_col="lo", hi_col="hi",
         ).to_pandas()
         # shared "id" column: interval side keeps the name, point side _p
         assert "id" in got.columns and "id_p" in got.columns

@@ -45,18 +45,18 @@ class TestSkewJoin:
         for key in hot["k"]:
             assert true_counts[key] > 100  # only plausibly-hot keys survive
 
-    def test_inner_join_90pct_one_key_matches_oracle(self, ray_session):
+    def test_inner_join_90pct_one_key_matches_oracle(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from schema_guru_ray.stages import joins
 
+        monkeypatch.setattr(joins, "HOT_SALT", 8)
         left, right = _skewed_frames()
         out = joins.bucketed_hash_join(
             rd.from_pandas(left).repartition(8),
             rd.from_pandas(right).repartition(2),
             on="k",
             hot_key_threshold=5_000,
-            hot_salt=8,
         ).to_pandas()
         assert joins.last_regime["op"] == "bucketed_hash_join"
         assert 7 in joins.last_regime["hot_keys"]
@@ -67,11 +67,12 @@ class TestSkewJoin:
             lhs[["k", "x", "y"]], rhs[["k", "x", "y"]], check_dtype=False
         )
 
-    def test_left_join_skewed_matches_oracle(self, ray_session):
+    def test_left_join_skewed_matches_oracle(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from schema_guru_ray.stages import joins
 
+        monkeypatch.setattr(joins, "HOT_SALT", 8)
         left, right = _skewed_frames()
         # drop the hot key from the right side: every hot row must surface
         # exactly once with a null y (replicated-left would duplicate them)
@@ -82,7 +83,6 @@ class TestSkewJoin:
             on="k",
             join_type="left",
             hot_key_threshold=5_000,
-            hot_salt=8,
         ).to_pandas()
         assert all(joins.last_regime["spread_left"])  # left joins spread left
         want = left.merge(right_no_hot, on="k", how="left")
@@ -92,11 +92,12 @@ class TestSkewJoin:
         assert lhs["x"].tolist() == rhs["x"].tolist()
         assert lhs["y"].isna().equals(rhs["y"].isna())
 
-    def test_inner_join_hot_on_right_spreads_right(self, ray_session):
+    def test_inner_join_hot_on_right_spreads_right(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from schema_guru_ray.stages import joins
 
+        monkeypatch.setattr(joins, "HOT_SALT", 8)
         # mirror image: the RIGHT side carries the 90% key, so the planner
         # must spread right / replicate left for that key
         right, left = _skewed_frames()
@@ -106,7 +107,6 @@ class TestSkewJoin:
             rd.from_pandas(right).repartition(8),
             on="k",
             hot_key_threshold=5_000,
-            hot_salt=8,
         ).to_pandas()
         hot_idx = joins.last_regime["hot_keys"].index(7)
         assert joins.last_regime["spread_left"][hot_idx] is False
@@ -114,11 +114,12 @@ class TestSkewJoin:
         assert len(out) == len(want)
         assert sorted(out["rx"].tolist()) == sorted(want["rx"].tolist())
 
-    def test_string_keys_salted(self, ray_session):
+    def test_string_keys_salted(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from schema_guru_ray.stages import joins
 
+        monkeypatch.setattr(joins, "HOT_SALT", 4)
         rng = np.random.default_rng(3)
         keys = np.where(rng.random(8_000) < 0.85, "hot", "cold")
         left = pd.DataFrame({"k": keys, "x": np.arange(8_000)})
@@ -128,7 +129,6 @@ class TestSkewJoin:
             rd.from_pandas(right),
             on="k",
             hot_key_threshold=2_000,
-            hot_salt=4,
         ).to_pandas()
         assert "hot" in joins.last_regime["hot_keys"]
         want = left.merge(right, on="k")
@@ -145,28 +145,30 @@ class TestSkewJoin:
         left, _ = _skewed_frames(n_left=4_000)
         t = pa.Table.from_pandas(left, preserve_index=False)
         salt = 8
-        tagged = _tag_fn_salted(
-            "l", "k", 16, np.array([7]), np.array([True]), salt
-        )(t)
-        df = tagged.to_pandas()
+
+        def tagged(spread):
+            rows, bucket = _tag_fn_salted("k", np.array([7]), np.array([spread]),
+                                          salt)(t, 16)
+            return (t if rows is None else t.take(rows)).append_column(
+                "__bucket", pa.array(bucket))
+
+        df = tagged(True).to_pandas()
         hot = df[df["k"] == 7]
         per_bucket = hot.groupby("__bucket").size()
         assert len(per_bucket) == salt  # spread across all sub-buckets
         assert per_bucket.max() <= np.ceil(len(hot) / salt)
         # replication side: every sub-bucket sees the full hot set
-        tagged_r = _tag_fn_salted(
-            "r", "k", 16, np.array([7]), np.array([False]), salt
-        )(t)
-        dfr = tagged_r.to_pandas()
+        dfr = tagged(False).to_pandas()
         hot_r = dfr[dfr["k"] == 7]
         assert len(hot_r) == len(hot) * salt
         assert (hot_r.groupby("__bucket").size() == len(hot)).all()
 
-    def test_asof_join_skewed_matches_merge_asof(self, ray_session):
+    def test_asof_join_skewed_matches_merge_asof(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from schema_guru_ray.stages import joins
 
+        monkeypatch.setattr(joins, "HOT_SALT", 8)
         rng = np.random.default_rng(5)
         n = 10_000
         k = np.where(rng.random(n) < 0.9, 7, rng.integers(100, 120, n)).astype(
@@ -189,7 +191,6 @@ class TestSkewJoin:
             left_ts="ts",
             right_ts="rts",
             hot_key_threshold=3_000,
-            hot_salt=8,
         ).to_pandas()
         assert joins.last_regime["op"] == "asof_join"
         assert 7 in joins.last_regime["hot_keys"]
