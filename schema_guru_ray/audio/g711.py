@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from schema_guru_ray.audio.wav import WavDecodeError
+from schema_guru_ray.audio.wav import WavDecodeError, riff_chunks
 
 WAVE_FORMAT_ALAW = 6
 WAVE_FORMAT_MULAW = 7
@@ -109,20 +109,10 @@ def decode_wav_g711(buf: bytes) -> Tuple[np.ndarray, int]:
     """RIFF/WAVE with a G.711 payload (fmt tag 6/7, mono, 8-bit) →
     (int16 samples, sample_rate). Strict, mirroring ``wav.decode_wav``'s
     contract: anything malformed raises WavDecodeError."""
-    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise WavDecodeError("bad RIFF header")
-    (riff_size,) = struct.unpack_from("<I", buf, 4)
-    if riff_size + 8 != len(buf):
-        raise WavDecodeError("truncated RIFF payload")
-    pos, sample_rate, data, tag = 12, None, None, None
-    while pos + 8 <= len(buf):
-        cid = buf[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", buf, pos + 4)
-        body = buf[pos + 8 : pos + 8 + size]
-        if len(body) != size:
-            raise WavDecodeError("truncated chunk")
+    sample_rate, data, tag = None, None, None
+    for cid, body in riff_chunks(buf, 12):
         if cid == b"fmt ":
-            if size < 16:
+            if len(body) < 16:
                 raise WavDecodeError("short fmt chunk")
             tag, channels, sample_rate, _, _, bits = struct.unpack_from(
                 "<HHIIHH", body, 0
@@ -135,7 +125,6 @@ def decode_wav_g711(buf: bytes) -> Tuple[np.ndarray, int]:
                 raise WavDecodeError("bad sample rate")
         elif cid == b"data":
             data = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
     if sample_rate is None or data is None or tag is None:
         raise WavDecodeError("missing fmt/data chunk")
     codes = np.frombuffer(data, dtype=np.uint8)

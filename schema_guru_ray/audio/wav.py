@@ -9,7 +9,7 @@ decodable audio, BASELINE.json north_star).
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -34,22 +34,37 @@ def encode_wav(pcm: np.ndarray, sample_rate: int) -> bytes:
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
-def decode_wav(buf: bytes) -> Tuple[np.ndarray, int]:
-    """RIFF/WAVE bytes -> (int16 samples, sample_rate). Strict."""
-    if len(buf) < 44 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+def riff_chunks(buf, min_len: int) -> Iterator[Tuple[bytes, memoryview]]:
+    """Walk a RIFF/WAVE buffer (``bytes`` or a ``memoryview``, e.g. from
+    ``binary_views``) and yield ``(chunk id, body)`` per chunk, the body a
+    zero-copy view. Strict: a buffer shorter than ``min_len`` or without
+    the RIFF/WAVE header, a RIFF size other than the buffer's, and a chunk
+    that runs past the end raise WavDecodeError. The 4-byte ids are
+    compared as ``bytes``: comparing a memoryview slice with a bytes
+    literal goes element by element and costs several times more."""
+    mv = memoryview(buf)
+    n = len(mv)
+    if n < min_len or mv[:4].tobytes() != b"RIFF" or mv[8:12].tobytes() != b"WAVE":
         raise WavDecodeError("bad RIFF header")
-    (riff_size,) = struct.unpack_from("<I", buf, 4)
-    if riff_size + 8 != len(buf):
+    (riff_size,) = struct.unpack_from("<I", mv, 4)
+    if riff_size + 8 != n:
         raise WavDecodeError("truncated RIFF payload")
-    pos, sample_rate, data = 12, None, None
-    while pos + 8 <= len(buf):
-        cid = buf[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", buf, pos + 4)
-        body = buf[pos + 8 : pos + 8 + size]
+    pos = 12
+    while pos + 8 <= n:
+        (size,) = struct.unpack_from("<I", mv, pos + 4)
+        body = mv[pos + 8 : pos + 8 + size]
         if len(body) != size:
             raise WavDecodeError("truncated chunk")
+        yield mv[pos : pos + 4].tobytes(), body
+        pos += 8 + size + (size & 1)  # chunks are word-aligned
+
+
+def decode_wav(buf: bytes) -> Tuple[np.ndarray, int]:
+    """RIFF/WAVE bytes -> (int16 samples, sample_rate). Strict."""
+    sample_rate, data = None, None
+    for cid, body in riff_chunks(buf, 44):
         if cid == b"fmt ":
-            if size < 16:
+            if len(body) < 16:
                 raise WavDecodeError("short fmt chunk")
             audio_fmt, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
             if audio_fmt != 1 or channels != 1 or bits != 16:
@@ -58,7 +73,6 @@ def decode_wav(buf: bytes) -> Tuple[np.ndarray, int]:
                 raise WavDecodeError("bad sample rate")
         elif cid == b"data":
             data = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
     if sample_rate is None or data is None:
         raise WavDecodeError("missing fmt/data chunk")
     if len(data) % 2:

@@ -16,16 +16,19 @@ Topology (SURVEY.md §3.5):
 Only tiny pickled aggregate states shuffle; the wide ``bytes`` column is
 projected away by the validator stage itself.
 
-A checkpointed run (:func:`run_validation_checkpointed`) runs this topology
-once per plan of dirty chunks, not once per chunk:
+A checkpointed run (:func:`run_validation_checkpointed`) runs one Ray Data
+execution per plan of dirty chunks, not one per chunk, and none of the
+tail above:
 
     read_clips(every dirty file, include_paths) → path → ``__chunk`` digest
-      → validate (the tag rides through) → materialize + coalesce once
-      ├─ verdicts, violations: write_parquet(partition_cols=["__chunk"])
-      │    into the plan's staging dir → each ``__chunk=<digest>`` subdir
-      │    moves into its chunk's tmp dir
-      └─ per-(chunk, codec) partials → fold_keyed by (__chunk, codec)
-           → driver finalize per chunk: codec_verdicts.parquet + sketches.json
+      → validate (the tag rides through)
+      → write_datasink(_PlanSink), fused into the read tasks; per task:
+          ├─ per chunk: one verdict file + one violation file under
+          │    staging/{verdicts,violations}/__chunk=<digest>/
+          └─ returns its per-(chunk, codec) CodecAgg partials
+    driver: partials → fold_keyed by (__chunk, codec)
+      → finalize per chunk: codec_verdicts.parquet + sketches.json
+      → each ``__chunk=<digest>`` subdir moves into its chunk's tmp dir
 
 and the runner then commits each chunk on its own. The baseline merge and
 the per-partition drift report read the committed sketch blobs through
@@ -44,6 +47,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray.data import Datasink, from_pandas
+from ray.data.block import BlockAccessor
 
 from schema_guru_ray.fold import DRIVER_FOLD_ROWS, fold_keyed, map_items
 from schema_guru_ray.sketches.drift import ks_statistic, psi
@@ -91,7 +96,9 @@ def validate_clips(ds, cfg: ValidationConfig = ValidationConfig()):
 
 # rows per block once materialized verdicts reach the tail operators: the
 # validator batch (512 clips) is far too small a unit for a Ray task over
-# tiny verdict rows
+# tiny verdict rows. Only the public tail functions (codec_verdicts,
+# violations_dataset, duplicate_clip_ids) coalesce; the checkpoint plan
+# writes and aggregates inside its write tasks and never materializes.
 TAIL_ROWS = 4096
 
 
@@ -243,6 +250,55 @@ class CodecPartialAggregator:
         return pa.Table.from_pylist(rows, schema=pa.schema(fields))
 
 
+class _PlanSink(Datasink):
+    """The write end of a checkpoint plan (:func:`run_validation_checkpointed`).
+
+    Each write task takes the ``__chunk``-tagged verdict blocks of its read
+    task and, per chunk, writes one verdict file and one violation file
+    (when the chunk has violations) under
+    ``staging/{verdicts,violations}/__chunk=<digest>/`` with the tag
+    dropped: the layout ``write_parquet(partition_cols=["__chunk"])``
+    leaves. A file is named by the task index, so a retried task overwrites
+    what its failed attempt wrote. The task returns the
+    ``(__chunk, codec)`` CodecAgg partials of the rows it wrote, and the
+    driver collects them in ``partials``: the verdicts are built, written
+    and aggregated in one Ray Data execution."""
+
+    def __init__(self, staging: str, cfg: ValidationConfig):
+        self.staging = staging
+        self.cfg = cfg
+        self.partials = pd.DataFrame(columns=["__chunk", "codec", "agg"])
+
+    def _write_file(self, rows: pa.Table, kind: str, chunk: str, task_idx: int) -> None:
+        import os
+
+        import pyarrow.parquet as pq
+
+        d = os.path.join(self.staging, kind, f"__chunk={chunk}")
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(rows, os.path.join(d, f"part-{task_idx:05d}.parquet"))
+
+    def write(self, blocks, ctx) -> Optional[pa.Table]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return None
+        verdicts = pa.concat_tables(tables)
+        tags = verdicts["__chunk"]
+        for chunk in pc.unique(tags).to_pylist():
+            rows = verdicts.filter(pc.equal(tags, chunk)).drop_columns(["__chunk"])
+            self._write_file(rows, "verdicts", chunk, ctx.task_idx)
+            violations = explode_violations(rows)
+            if violations.num_rows:
+                self._write_file(violations, "violations", chunk, ctx.task_idx)
+        return CodecPartialAggregator(self.cfg)(verdicts)
+
+    def on_write_complete(self, write_result) -> None:
+        frames = [t.to_pandas() for t in write_result.write_returns if t is not None]
+        if frames:
+            self.partials = pd.concat(frames, ignore_index=True)
+
+
 def _combine_codec_aggs(frame: pd.DataFrame, key: List[str]) -> pd.DataFrame:
     """Merge CodecAgg states per distinct ``key`` value."""
     rows = []
@@ -253,15 +309,6 @@ def _combine_codec_aggs(frame: pd.DataFrame, key: List[str]) -> pd.DataFrame:
             acc = a if acc is None else acc.merge(a)
         rows.append({**dict(zip(key, vals)), "agg": pickle.dumps(acc)})
     return pd.DataFrame(rows, columns=[*key, "agg"])
-
-
-def _fold_codec_aggs(verdicts, cfg: ValidationConfig, key: List[str]) -> pd.DataFrame:
-    """One merged CodecAgg per ``key`` value over ``verdicts``: per-block
-    partials (over the coalesced blocks) folded by :func:`fold_keyed`."""
-    partials = _coalesced(verdicts).map_batches(
-        CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
-    )
-    return fold_keyed(partials, key, lambda frame: _combine_codec_aggs(frame, key))
 
 
 _VERDICT_DTYPES = {
@@ -305,7 +352,11 @@ def codec_verdicts(
     The store keys the null codec as ``NULL_CODEC``, so it persists as
     JSON; a baseline may key it either way.
     """
-    folded = _fold_codec_aggs(verdicts, cfg, ["codec"])
+    partials = _coalesced(verdicts).map_batches(
+        CodecPartialAggregator(cfg), batch_format="pyarrow", batch_size=None
+    )
+    folded = fold_keyed(partials, ["codec"],
+                        lambda frame: _combine_codec_aggs(frame, ["codec"]))
     return _finalize_codecs(folded, cfg, baseline, return_store)
 
 
@@ -403,17 +454,17 @@ def run_validation_checkpointed(
         raise FileNotFoundError(f"no parquet files under {clips_dir}")
 
     def process(chunks, staging):
-        # one Ray Data plan over every dirty chunk: rows carry their
-        # chunk's digest, each write lands one hive subdir per chunk, and
-        # the codec fold keys on (chunk, codec)
+        # one Ray Data execution over every dirty chunk: rows carry their
+        # chunk's digest, the plan sink writes one hive subdir per chunk
+        # and returns the (chunk, codec) partials the fold keys on
         digests = [partition_digest(part_files) for part_files, _ in chunks]
         chunk_of = {f: d for (part_files, _), d in zip(chunks, digests) for f in part_files}
         ds = read_clips(sorted(chunk_of), include_paths=True).map_batches(
             _tag_chunks, fn_kwargs={"chunk_of": chunk_of}, batch_format="pyarrow")
-        verdicts = _coalesced(validate_clips(ds, cfg).materialize()).materialize()
-        for name, rows in (("verdicts", verdicts), ("violations", violations_dataset(verdicts))):
-            rows.write_parquet(os.path.join(staging, name), partition_cols=["__chunk"])
-        folded = _fold_codec_aggs(verdicts, cfg, ["__chunk", "codec"])
+        sink = _PlanSink(staging, cfg)
+        validate_clips(ds, cfg).write_datasink(sink)
+        folded = fold_keyed(from_pandas(sink.partials), ["__chunk", "codec"],
+                            lambda frame: _combine_codec_aggs(frame, ["__chunk", "codec"]))
         by_chunk = dict(list(folded.groupby("__chunk"))) if len(folded) else {}
         from schema_guru_ray.state.sketch_store import save_baseline, sketch_cfg_hash
 

@@ -423,6 +423,150 @@ class TestValidatePlanDifferential:
         assert s["partitions"][0]["metrics"]["codecs_total"] == 5  # the null codec is one
 
 
+def _write_shards(clips_dir, tables):
+    import pyarrow.parquet as pq
+
+    clips_dir.mkdir()
+    for i, t in enumerate(tables):
+        pq.write_table(t, clips_dir / f"part-{i:03d}.parquet")
+    return sorted(str(p) for p in clips_dir.iterdir())
+
+
+def _assert_chunks_match_own_runs(out, summary, files, cfg, files_per_partition):
+    """Each committed chunk holds what the public validation functions
+    compute over its files alone: verdict and violation rows (no row
+    twice), the codec verdict table and the ``_SUCCESS`` metrics."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from schema_guru_ray.pipelines.validate import (
+        codec_verdicts,
+        validate_clips,
+        violations_dataset,
+    )
+
+    chunks = checkpoint.partition_chunks(files, files_per_partition)
+    assert [p["digest"] for p in summary["partitions"]] == \
+        [partition_digest(c) for c in chunks]
+    for entry, chunk in zip(summary["partitions"], chunks):
+        pdir = os.path.join(out, f"partition={entry['digest']}")
+        verdicts = validate_clips(rd.read_parquet(chunk), cfg).materialize()
+        for name, rows in (("verdicts", verdicts), ("violations", violations_dataset(verdicts))):
+            want = rows.to_pandas()
+            d = os.path.join(pdir, name)
+            assert os.path.isdir(d) == (len(want) > 0)
+            if len(want):
+                assert _row_multiset(pq.read_table(d).to_pandas()) == _row_multiset(want)
+        got_ids = pq.read_table(os.path.join(pdir, "verdicts"), columns=["clip_id"])
+        assert got_ids.num_rows == verdicts.count()
+        cv = codec_verdicts(verdicts, cfg)
+        pd.testing.assert_frame_equal(
+            pd.read_parquet(os.path.join(pdir, "codec_verdicts.parquet")),
+            cv.assign(violations_by_kind=cv["violations_by_kind"].map(json.dumps)))
+        assert entry["metrics"] == {
+            "n_clips": verdicts.count(),
+            "n_ok": int(cv["n_ok"].sum()),
+            "n_violations": int(cv["n_violations"].sum()),
+            "codecs_passed": int(cv["passed"].sum()),
+            "codecs_total": int(len(cv)),
+        }
+
+
+class TestPlanSink:
+    """The checkpointed validation plan runs as one Ray Data execution that
+    ends in ``validate._PlanSink``: its write tasks leave each chunk's
+    verdict and violation files and return the codec partials."""
+
+    @pytest.mark.parametrize("n_files, chunks_per_plan, executions", [
+        (2, 16, 1),  # one dirty chunk
+        (6, 16, 1),  # three dirty chunks, one plan
+        (6, 2, 2),   # three dirty chunks in plans of two
+    ])
+    def test_one_execution_per_plan(self, ray_session, tmp_path, monkeypatch,
+                                    n_files, chunks_per_plan, executions):
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        from schema_guru_ray.pipelines.validate import run_validation_checkpointed
+        from schema_guru_ray.sources.clips import generate_clips_table
+
+        tbl = generate_clips_table(8 * n_files)
+        _write_shards(tmp_path / "clips", [tbl.slice(8 * i, 8) for i in range(n_files)])
+        monkeypatch.setattr(checkpoint, "CHUNKS_PER_PLAN", chunks_per_plan)
+        calls, real = [], StreamingExecutor.execute
+
+        def execute(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        out = str(tmp_path / "out")
+        s = run_validation_checkpointed(str(tmp_path / "clips"), out, files_per_partition=2)
+        assert (s["ran"], s["plans"]) == (n_files // 2, executions)
+        assert len(calls) == executions
+
+        del calls[:]
+        s = run_validation_checkpointed(str(tmp_path / "clips"), out, files_per_partition=2)
+        assert s["ran"] == 0 and not calls  # a no-op resume runs nothing
+
+    def test_retried_write_task_overwrites_its_own_files(self, ray_session, tmp_path,
+                                                         monkeypatch):
+        """A write task that dies after writing one file, on its first
+        attempt only, is retried by Ray; the retry rewrites the same file
+        names, so the committed tree is what a clean run commits."""
+        from schema_guru_ray.pipelines import validate
+        from schema_guru_ray.sources.clips import ClipsConfig, generate_clips_table
+
+        tbl = generate_clips_table(60, ClipsConfig(seed=3, rate_corrupt=0.1, rate_snr=0.1))
+        files = _write_shards(tmp_path / "clips", [tbl.slice(15 * i, 15) for i in range(4)])
+        marker = tmp_path / "first-attempt-died"
+
+        class DiesOnce(validate._PlanSink):
+            def _write_file(self, rows, kind, chunk, task_idx):
+                super()._write_file(rows, kind, chunk, task_idx)
+                if not marker.exists():
+                    marker.touch()
+                    os._exit(1)
+
+        monkeypatch.setattr(validate, "_PlanSink", DiesOnce)
+        cfg = validate.ValidationConfig()
+        out = str(tmp_path / "out")
+        s = validate.run_validation_checkpointed(str(tmp_path / "clips"), out, cfg,
+                                                 files_per_partition=2)
+        assert marker.exists() and (s["ran"], s["plans"]) == (2, 1)
+        _assert_chunks_match_own_runs(out, s, files, cfg, 2)
+
+    def test_plan_of_empty_chunks(self, ray_session, tmp_path):
+        """Chunks whose files hold no rows commit a typed empty codec
+        verdict table and a zero-clip sketch store, and no verdict or
+        violation dir."""
+        import pandas as pd
+
+        from schema_guru_ray.pipelines.validate import (
+            _VERDICT_DTYPES,
+            run_validation_checkpointed,
+        )
+        from schema_guru_ray.sources.clips import generate_clips_table
+        from schema_guru_ray.state.sketch_store import load_baseline
+
+        empty = generate_clips_table(4).slice(0, 0)
+        _write_shards(tmp_path / "clips", [empty] * 3)
+        out = str(tmp_path / "out")
+        s = run_validation_checkpointed(str(tmp_path / "clips"), out, files_per_partition=2)
+        assert (s["ran"], s["plans"]) == (2, 1)
+        for entry in s["partitions"]:
+            pdir = os.path.join(out, f"partition={entry['digest']}")
+            assert sorted(os.listdir(pdir)) == [
+                "_SUCCESS.json", "codec_verdicts.parquet", "sketches.json"]
+            cv = pd.read_parquet(os.path.join(pdir, "codec_verdicts.parquet"))
+            assert len(cv) == 0 and list(cv.columns) == list(_VERDICT_DTYPES)
+            assert cv.dtypes["n_clips"] == "int64" and cv.dtypes["passed"] == "bool"
+            store, meta = load_baseline(os.path.join(pdir, "sketches.json"))
+            assert store == {} and meta["meta"] == {"n_clips": 0}
+            assert entry["metrics"] == {"n_clips": 0, "n_ok": 0, "n_violations": 0,
+                                        "codecs_passed": 0, "codecs_total": 0}
+
+
 def test_partition_set_comes_only_from_the_runner():
     """Only state/checkpoint.py knows how partition dirs are named: no
     module in the package or jobs/ names a partition by index or globs
