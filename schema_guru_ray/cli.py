@@ -99,10 +99,10 @@ def cmd_schema(args) -> int:
         raw = read_ndjson(args.input) if args.ndjson else read_json_dir(args.input)
         if args.errors_path:
             error_rows(raw).write_parquet(args.errors_path)
-        # materialize: infer_schema needs ds.count() for the quantity rules,
-        # and without this the whole parse pipeline would execute twice
-        # (count + derive). The reference's CLI holds the parsed corpus in
-        # memory too (SchemaCommand.scala:92-104).
+        # materialize: a corpus under 10 documents is derived twice by
+        # infer_schema (the base64 quantity rule needs its row count), and
+        # the parse pipeline must not run again for it. The reference's CLI
+        # holds the parsed corpus in memory too (SchemaCommand.scala:92-104).
         ds = valid_docs(raw).materialize()
         json_column = "doc"
 

@@ -10,19 +10,26 @@ segmented) → merge:
   through a sharded worker level first when many (the reference's
   ``RDD.reduce`` final merge, SchemaGuruRDD.scala:89, without ever
   collecting rows);
-* segmented: ``groupby('segment').map_groups(merge)`` over states only —
-  the rows themselves never shuffle, unlike the reference's
-  ``RDD.groupBy`` which materializes whole groups
+* segmented: the same fold keyed by ``segment`` (no ``groupby``), then one
+  finalize per segment on the driver — the rows themselves never shuffle,
+  unlike the reference's ``RDD.groupBy`` which materializes whole groups
   (JsonPathExtractorRDD.scala:73-88).
+
+The corpus size the base64 rule reads (``SchemaContext.quantity``) comes
+from the fold's own row count: an unset quantity derives like any quantity
+of 10 or more, so only a corpus under 10 rows is derived a second time.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 import pandas as pd
+import pyarrow as pa
 
 from schema_guru_ray.context import SchemaContext
 from schema_guru_ray.fold import fold_keyed
@@ -39,26 +46,43 @@ from schema_guru_ray.state.checkpoint import (
 )
 
 
+def _combine_segments(ctx: SchemaContext):
+    """``fold_keyed`` combine for StateBatcher rows: one row per distinct
+    ``segment``, its states merged (associatively, hypothesis-tested) and
+    its counts summed."""
+
+    def combine(frame: pd.DataFrame) -> pd.DataFrame:
+        acc: Dict[str, list] = {}
+        for seg, buf, n_errors, n_rows in zip(frame["segment"], frame["state"],
+                                               frame["n_errors"], frame["n_rows"]):
+            state = pickle.loads(buf)
+            a = acc.get(seg)
+            if a is None:
+                acc[seg] = [state, int(n_errors), int(n_rows)]
+            else:
+                a[0] = merge(a[0], state, ctx)
+                a[1] += int(n_errors)
+                a[2] += int(n_rows)
+        return pd.DataFrame({
+            "segment": list(acc),
+            "state": [pickle.dumps(a[0]) for a in acc.values()],
+            "n_errors": [a[1] for a in acc.values()],
+            "n_rows": [a[2] for a in acc.values()],
+        })
+
+    return combine
+
+
 def fold_states(states_ds, ctx: SchemaContext,
                 est_states: Optional[int] = None) -> Dict[str, Any]:
-    """Merge the per-batch state rows into one global state through
-    :func:`schema_guru_ray.fold.fold_keyed` (unkeyed; the states merge
-    associatively, hypothesis-tested). Returns {state, n_errors, n_rows}.
+    """Merge the per-batch state rows of an unsegmented StateBatcher (all in
+    segment ``""``) into one global state through
+    :func:`schema_guru_ray.fold.fold_keyed`. Returns {state, n_errors,
+    n_rows}.
 
     ``est_states`` is accepted and ignored: ``fold_keyed`` picks its
     regime from the row count, and existing callers still pass it."""
-
-    def combine(frame: pd.DataFrame) -> pd.DataFrame:
-        acc: State = ZERO
-        for buf in frame["state"]:
-            acc = merge(acc, pickle.loads(buf), ctx)
-        return pd.DataFrame({
-            "state": [pickle.dumps(acc)],
-            "n_errors": [int(frame["n_errors"].sum())],
-            "n_rows": [int(frame["n_rows"].sum())],
-        })
-
-    out = fold_keyed(states_ds, [], combine)
+    out = fold_keyed(states_ds, [], _combine_segments(ctx))
     if out.empty:
         return {"state": ZERO, "n_errors": 0, "n_rows": 0}
     return {"state": pickle.loads(out["state"].iloc[0]),
@@ -80,19 +104,26 @@ def infer_schema(
     shape); otherwise the typed Arrow columns are derived directly.
 
     Returns {schema, warnings, n_errors, n_rows}. The heavy work streams;
-    only serialized states reach the driver."""
-    if ctx.quantity is None:
-        # corpus-size-dependent rules (base64, SchemaGenerator.scala:191-200)
-        # need the row count up front — cheap parquet-metadata count
-        from dataclasses import replace as _replace
+    only serialized states reach the driver.
 
-        ctx = _replace(ctx, quantity=ds.count())
-    states = ds.map_batches(
-        StateBatcher(ctx, json_column=json_column),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    folded = fold_states(states, ctx)
+    An unset ``ctx.quantity`` is the corpus size. The base64 rule
+    (SchemaGenerator.scala:191-200) only asks whether it is under 10, and
+    None derives as any size of 10 or more does, so the corpus is derived
+    once with it unset and a second time only when the fold counts fewer
+    than 10 rows — never a separate count execution."""
+
+    def derive_fold(ctx: SchemaContext) -> Dict[str, Any]:
+        states = ds.map_batches(
+            StateBatcher(ctx, json_column=json_column),
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
+        return fold_states(states, ctx)
+
+    folded = derive_fold(ctx)
+    if ctx.quantity is None and folded["n_rows"] < 10:
+        ctx = replace(ctx, quantity=folded["n_rows"])
+        folded = derive_fold(ctx)
     state = folded["state"]
     schema = merge_and_transform(state, ctx)
     if vendor and name:
@@ -127,18 +158,14 @@ def infer_schema_checkpointed(
     yields byte-identical output to a fresh one (tested).
 
     Returns {schema, warnings, n_errors, n_rows, manifest}."""
-    import json as _json
-
     import ray.data as rd
 
     # corpus-size-dependent rules (base64 quantity gate) must see the
     # TOTAL corpus size, not a per-partition count — otherwise the schema
     # would depend on the chunking and diverge from infer_schema
     if ctx.quantity is None:
-        from dataclasses import replace as _replace
-
         total = rd.read_parquet(list(input_files)).count()  # metadata-cheap
-        ctx = _replace(ctx, quantity=total)
+        ctx = replace(ctx, quantity=total)
 
     # the quantity gate only asks "quantity < 10" (formats.suggest_pattern),
     # so hashing that bit rather than the count keeps an append from
@@ -181,7 +208,7 @@ def infer_schema_checkpointed(
     active = manifest["active"]
     for digest, pdir in zip(active, active_dirs(out_dir, active)):
         with open(os.path.join(pdir, "_SUCCESS.json")) as f:
-            meta = _json.load(f)
+            meta = json.load(f)
         if (meta.get("config_hash") != cfg_hash
                 or partition_digest(meta.get("inputs", [])) != digest):
             raise RuntimeError(
@@ -215,8 +242,13 @@ def infer_schema_segmented(
     JSONPath (``$.event``) evaluated against each document with the
     reference's key normalization (JsonPathExtractor.scala:39-78).
 
-    Returns a Dataset of rows (segment, schema_json, n_errors, n_rows) —
-    suitable for partitioned write; never materializes groups of rows."""
+    The per-batch states fold per segment through
+    :func:`schema_guru_ray.fold.fold_keyed`; each segment's merged state is
+    finalized on the driver. Returns a Dataset of rows (segment,
+    schema_json, n_errors, n_rows), sorted by segment — suitable for
+    partitioned write; never materializes groups of rows."""
+    import ray.data as rd
+
     is_path = segment_key.startswith("$")
     states = ds.map_batches(
         StateBatcher(
@@ -229,19 +261,15 @@ def infer_schema_segmented(
         batch_size=batch_size,
     )
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        acc: State = ZERO
-        for buf in g["state"]:
-            acc = merge(acc, pickle.loads(buf), ctx)
-        import json as _json
-
-        return pd.DataFrame(
-            {
-                "segment": [g["segment"].iloc[0]],
-                "schema_json": [_json.dumps(merge_and_transform(acc, ctx), sort_keys=True)],
-                "n_errors": [int(g["n_errors"].sum())],
-                "n_rows": [int(g["n_rows"].sum())],
-            }
-        )
-
-    return states.groupby("segment").map_groups(merge_group, batch_format="pandas")
+    out = fold_keyed(states, ["segment"], _combine_segments(ctx))
+    if out.empty:
+        out = pd.DataFrame({"segment": [], "state": [], "n_errors": [], "n_rows": []})
+    out = out.sort_values("segment", ignore_index=True)
+    return rd.from_arrow(pa.table({
+        "segment": pa.array(out["segment"], pa.string()),
+        "schema_json": pa.array(
+            [json.dumps(merge_and_transform(pickle.loads(b), ctx), sort_keys=True)
+             for b in out["state"]], pa.string()),
+        "n_errors": pa.array(out["n_errors"], pa.int64()),
+        "n_rows": pa.array(out["n_rows"], pa.int64()),
+    }))

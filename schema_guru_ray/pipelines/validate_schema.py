@@ -8,6 +8,13 @@ This is the engine's generalization of the reference's round-trip contract
 derived schema) into a production validation stage: the schema dict is tiny
 and ships in the task closure; rows never leave their batch; violations are
 a Dataset (never collected to the driver).
+
+Each batch compiles the schema once (``finalize.compile_schema``: a tree of
+per-node checker closures, tens of microseconds for an event schema) and
+checks its values with it; the checkers return the exact messages of the
+interpreting ``finalize.validate_instance``, which stays as their oracle.
+There is no cache across batches: a compile costs less than a lookup keyed
+on the schema would.
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ from typing import Any, Dict, List, Optional
 
 import pyarrow as pa
 
-from schema_guru_ray.schema.finalize import validate_instance
+from schema_guru_ray.schema.finalize import compile_schema
 
 
 def _validate_json_batch(batch: pa.Table, *, schema: Dict[str, Any],
                          json_column: str, id_column: Optional[str]) -> pa.Table:
+    check = compile_schema(schema)
     ids = (
         batch.column(id_column).to_pylist()
         if id_column
@@ -39,7 +47,7 @@ def _validate_json_batch(batch: pa.Table, *, schema: Dict[str, Any],
             out_ids.append(rid)
             out_errs.append(f"$: invalid JSON: {e}")
             continue
-        for err in validate_instance(doc, schema):
+        for err in check(doc):
             out_ids.append(rid)
             out_errs.append(err)
     return pa.Table.from_arrays(
@@ -53,9 +61,9 @@ _SCALAR_KEYS = {"type", "minLength", "maxLength", "minimum", "maximum", "enum"}
 
 def _candidate_mask(batch: pa.Table, c: str, sub: Dict[str, Any]):
     """Vectorized PRE-FILTER for one column: a bool mask that is a SUPERSET
-    of the rows ``validate_instance`` would flag (None = cannot prove
+    of the rows the schema's checker would flag (None = cannot prove
     anything, every row is a candidate). Exactness argument: for scalar
-    values the validator checks only type / length / bounds / enum
+    values the checker checks only type / length / bounds / enum
     (finalize.validate_instance), each of which is replicated here with a
     conservative (⊇) mask; any subschema with non-scalar structure or an
     Arrow column type outside {int, float, bool, string} falls back to
@@ -125,7 +133,8 @@ def _validate_row_batch(batch: pa.Table, *, schema: Dict[str, Any],
     (binary columns skipped — content checks live in the audio stage).
     A vectorized per-column candidate mask (:func:`_candidate_mask`)
     proves conforming rows clean without touching Python objects; the
-    exact ``validate_instance`` loop runs only over flagged (row, column)
+    exact checker compiled from each column's subschema
+    (``finalize.compile_schema``) runs only over flagged (row, column)
     cells, preserving the row-major violation order of the naive loop."""
     import numpy as np
 
@@ -150,13 +159,14 @@ def _validate_row_batch(batch: pa.Table, *, schema: Dict[str, Any],
         if mask is not None and not len(idxs):
             continue
         data = batch.column(c).to_pylist()
+        check, path = compile_schema(sub), f"$.{c}"
         for i in idxs:
             v = data[i]
             if isinstance(v, float) and v != v:  # NaN → null semantics
                 v = None
             elif isinstance(v, (_dt.datetime, _dt.date)):
                 v = v.isoformat()  # timestamps render as date-time strings
-            for err in validate_instance(v, sub, path=f"$.{c}"):
+            for err in check(v, path):
                 hits.append((int(i), ci, ids[i], err))
     hits.sort(key=lambda h: (h[0], h[1]))
     return pa.Table.from_arrays(

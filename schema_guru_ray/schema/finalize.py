@@ -18,7 +18,9 @@ order yields identical bytes (SURVEY.md §4 last row).
 
 ``validate_instance`` is the matching validator (RandomValidSpec.scala:35-69
 round-trip contract: every instance validates against its own derived
-schema), reused by the constraint-validation pipelines for row checks.
+schema). ``compile_schema`` builds the same validator as a tree of checker
+closures, which the constraint-validation pipelines run; the interpreter
+stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -331,3 +333,148 @@ def validate_instance(value, schema: Dict[str, Any], path: str = "$") -> List[st
             for i, v in enumerate(value):
                 errs.extend(validate_instance(v, items, f"{path}[{i}]"))
     return errs
+
+
+# --- compiled validation ------------------------------------------------------
+
+_TYPE_NAMES = {type(None): "null", bool: "boolean", str: "string", int: "integer",
+               float: "number", dict: "object", list: "array"}
+
+
+def _type_name(v) -> str:
+    """``validate_instance``'s ``type_of``: exact types by lookup, subclasses
+    through the same isinstance chain."""
+    name = _TYPE_NAMES.get(type(v))
+    if name is not None:
+        return name
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "boolean"
+    if isinstance(v, str):
+        return "string"
+    if isinstance(v, int):
+        return "integer"
+    if isinstance(v, float):
+        return "number"
+    if isinstance(v, dict):
+        return "object"
+    return "array"
+
+
+def _family(t: str) -> str:
+    return "numeric" if t in ("integer", "number") else t
+
+
+_ABSENT = object()
+
+
+def _compile_node(schema: Dict[str, Any]):
+    """One checker closure for one schema node, or None when the node is
+    ``{}``. The checker returns a list of ``(relative path, message)``
+    pairs; paths are only built for values that fail."""
+    if not schema:
+        return None
+    typ = schema.get("type")
+    types = typ if isinstance(typ, list) else [typ] if typ else []
+    allowed = {t for t in types if isinstance(t, str)}
+    if "number" in types:
+        allowed.add("integer")
+    min_len = schema.get("minLength", _ABSENT)
+    max_len = schema.get("maxLength", _ABSENT)
+    minimum = schema.get("minimum", _ABSENT)
+    maximum = schema.get("maximum", _ABSENT)
+    has_enum = "enum" in schema
+    members: set = set()
+    unhashable: list = []
+    always_binds = True
+    bind_families: set = set()
+    if has_enum:
+        # bool entries never match a non-bool value (true must not equal
+        # enum value 1), and only non-bool values reach the enum test
+        entries = [e for e in schema["enum"] if not isinstance(e, bool)]
+        for e in entries:
+            try:
+                hash(e)
+            except TypeError:
+                unhashable.append(e)
+                continue
+            if e == e:  # NaN equals nothing, so it can be left out
+                members.add(e)
+        always_binds = len([t for t in types if t != "null"]) <= 1
+        bind_families = {_family(_type_name(e)) for e in entries}
+    props = {k: _compile_node(s) for k, s in schema.get("properties", {}).items()}
+    closed = schema.get("additionalProperties") is False
+    walk_object = bool(props) or closed
+    items = schema.get("items")
+    item_check = _compile_node(items) if items else None
+    check_length = min_len is not _ABSENT or max_len is not _ABSENT
+    check_bounds = minimum is not _ABSENT or maximum is not _ABSENT
+
+    def check(value):
+        vt = _TYPE_NAMES.get(type(value)) or _type_name(value)
+        if types and vt not in allowed:
+            return [("", f"type {vt} not in {types}")]
+        if vt == "object":
+            if not walk_object:
+                return ()
+            errs = []
+            for k, v in value.items():
+                if k in props:
+                    sub = props[k]
+                    found = sub(v) if sub is not None else None
+                    if found:
+                        errs.extend((f".{k}{p}", m) for p, m in found)
+                elif closed:
+                    errs.append(("", f"additional property {k!r} not allowed"))
+            return errs
+        if vt == "array":
+            if item_check is None:
+                return ()
+            errs = []
+            for i, v in enumerate(value):
+                found = item_check(v)
+                if found:
+                    errs.extend((f"[{i}]{p}", m) for p, m in found)
+            return errs
+        errs = ()  # scalars allocate a list only when they fail
+        if vt == "string":
+            if check_length:
+                n = len(value)
+                if min_len is not _ABSENT and n < min_len:
+                    errs = [("", f"length {n} < minLength {min_len}")]
+                if max_len is not _ABSENT and n > max_len:
+                    errs = [*errs, ("", f"length {n} > maxLength {max_len}")]
+        elif check_bounds and (vt == "integer" or vt == "number"):
+            if minimum is not _ABSENT and value < minimum:
+                errs = [("", f"{value} < minimum {minimum}")]
+            if maximum is not _ABSENT and value > maximum:
+                errs = [*errs, ("", f"{value} > maximum {maximum}")]
+        if (has_enum and vt != "null" and vt != "boolean"
+                and (always_binds or _family(vt) in bind_families)
+                and value not in members
+                and not any(value == e for e in unhashable)):
+            errs = [*errs, ("", f"{value!r} not in enum")]
+        return errs
+
+    return check
+
+
+def compile_schema(schema: Dict[str, Any]):
+    """Compile a derived JSON Schema dict into a checker,
+    ``check(value, path="$") -> List[str]``, that returns exactly what
+    ``validate_instance(value, schema, path)`` returns, in the same order.
+
+    The schema is read once: each node becomes a closure holding its
+    property dispatch dict, type set, bounds, hashed enum members and the
+    type families its enum binds. Compiling the schema of a typical event
+    takes tens of microseconds, so callers compile once per batch and keep
+    no cache. ``validate_instance`` stays as the readable oracle."""
+    node = _compile_node(schema)
+
+    def check(value, path: str = "$") -> List[str]:
+        if node is None:
+            return []
+        return [f"{path}{p}: {m}" for p, m in node(value)]
+
+    return check

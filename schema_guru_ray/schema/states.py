@@ -393,7 +393,9 @@ class Accumulator:
 
     Once a path's format, pattern or enum is None it stays None (None
     absorbs in ``_eq_or_none`` and in the enum tombstone), so the
-    suggesters and enum inserts are skipped from then on. A value that
+    suggesters and enum inserts are skipped from then on. While a format
+    holds, a new value is tested with that format's validator alone
+    (``formats.FORMAT_IS``; the format families are mutually exclusive). A value that
     raises ``TypeError`` may leave part of itself behind: callers that
     continue past an error rebuild (see :func:`derive_with_failures`)."""
 
@@ -452,7 +454,7 @@ class Accumulator:
                 node.string = [fmt.suggest_format(v), fmt.suggest_pattern(v, self._quantity),
                                n, n, self._new_enum(v)]
                 return
-            if s[0] is not None and fmt.suggest_format(v) != s[0]:
+            if s[0] is not None and not fmt.FORMAT_IS[s[0]](v):
                 s[0] = None
             if s[1] is not None and fmt.suggest_pattern(v, self._quantity) != s[1]:
                 s[1] = None

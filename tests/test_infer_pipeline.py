@@ -354,3 +354,57 @@ class TestInferPipelines:
             files, str(tmp_path / "ck4"), ctx, files_per_partition=1
         )["schema"]
         assert _json.dumps(direct, sort_keys=True) == _json.dumps(ck, sort_keys=True)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCorpusSizeFromTheFold:
+    """infer_schema reads the corpus size from its own fold instead of a
+    separate count: an unset quantity derives as any size >= 10 does, and a
+    corpus under 10 rows is derived again with its row count."""
+
+    # short base64-like strings: the pattern applies at 10 rows or more only
+    # (StringPatternAnnotationSpec.scala:22-58)
+    B64 = ["aGVsbG8=", "d29ybGQh", "YWJjZA==", "Zm9vYmFy"]
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11])
+    def test_schema_equals_explicit_quantity(self, n):
+        import ray.data as rd
+
+        from schema_guru_ray.pipelines.infer import infer_schema
+        from schema_guru_ray.schema.formats import BASE64_PATTERN
+
+        rows = [{"b": self.B64[i % 4], "k": i,
+                 "doc": json.dumps({"b": self.B64[i % 4], "n": [self.B64[0]]})}
+                for i in range(n)]
+        ds = rd.from_items(rows)
+        for cols, json_column in ((["b", "k"], None), (["doc"], "doc")):
+            part = ds.select_columns(cols)
+            unset = infer_schema(part, SchemaContext(), json_column=json_column)
+            given = infer_schema(part, SchemaContext(quantity=n), json_column=json_column)
+            assert unset == given
+            assert unset["n_rows"] == n
+            b = unset["schema"]["properties"]["b"]
+            assert b.get("pattern") == (BASE64_PATTERN if n >= 10 else None)
+
+    def test_projected_read_runs_one_execution(self, tmp_path, monkeypatch):
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        from schema_guru_ray.pipelines.infer import infer_schema
+
+        pq.write_table(pa.table({"a": list(range(40)), "s": ["x"] * 40,
+                                 "doc": ['{"k": 1}'] * 40}), tmp_path / "t.parquet")
+        calls, real = [], StreamingExecutor.execute
+
+        def execute(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        ds = rd.read_parquet(str(tmp_path / "t.parquet"))
+        res = infer_schema(ds.select_columns(["a", "s"]), SchemaContext())
+        assert res["n_rows"] == 40 and len(calls) == 1
+        del calls[:]
+        res = infer_schema(ds.select_columns(["doc"]), SchemaContext(), json_column="doc")
+        assert res["n_rows"] == 40 and len(calls) == 1

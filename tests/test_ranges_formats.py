@@ -99,3 +99,67 @@ class TestMaxLengthCorrection:
     def test_uri_maxlength(self):
         s = merge_and_transform(derive_value("http://a.io/b", CTX), CTX)
         assert s["maxLength"] == 8192
+
+
+# --- format validators: exclusivity and the ipv4 octet regex -----------------
+
+import ipaddress  # noqa: E402
+import itertools  # noqa: E402
+import re  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_FORMAT_LIKE = st.one_of(
+    st.text(max_size=40),
+    st.uuids().map(str),
+    st.datetimes().map(lambda d: d.isoformat()),
+    st.datetimes().map(lambda d: d.isoformat() + "Z"),
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: f"{a}%eth-0"),
+    st.sampled_from(["http://", "https://", "ftp://", "mailto:"]).flatmap(
+        lambda s: st.from_regex(r"[a-z0-9.:/\-T]{0,20}", fullmatch=True).map(lambda t: s + t)),
+    st.from_regex(r"[0-9a-fA-F:.\-T/ ]{0,40}", fullmatch=True),
+)
+
+
+@given(s=_FORMAT_LIKE, tail=st.sampled_from(["", "\n", " ", "x", "-", ":", "/"]))
+@settings(max_examples=1000, deadline=None)
+def test_a_known_format_is_tested_by_its_own_validator(s, tail):
+    """The five format families are mutually exclusive, so the first-match
+    chain names format f exactly when f's own validator accepts, which is
+    what lets the accumulator test a known format with one validator."""
+    for v in (s, s + tail, s.upper()):
+        want = fmt.suggest_format(v)
+        for name in fmt.FORMAT_NAMES:
+            assert fmt.FORMAT_IS[name](v) == (want == name), (v, name, want)
+
+
+_OLD_IPV4_CAND = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
+
+
+def _old_is_ipv4(s):
+    """The previous implementation: a digit pre-filter, then ipaddress."""
+    if not _OLD_IPV4_CAND.match(s):
+        return False
+    try:
+        ipaddress.IPv4Address(s)
+        return True
+    except ValueError:
+        return False
+
+
+def test_ipv4_regex_matches_ipaddress():
+    octets = ["0", "00", "01", "1", "9", "10", "99", "100", "199", "249", "250", "255",
+              "256", "260", "300", "999", "1000", "a", "", "٣", "１", " 1"]
+    seen = 0
+    for parts in (3, 4, 5):
+        rng = itertools.product(octets, repeat=parts)
+        if parts == 5:  # thin the five-part products out to a fixed stride
+            rng = itertools.islice(rng, 0, None, 101)
+        for combo in rng:
+            s = ".".join(combo)
+            for v in (s, s + "\n", s + " ", "\n" + s):
+                assert fmt.is_ipv4(v) == _old_is_ipv4(v), repr(v)
+                seen += 1
+    assert seen >= 200_000
