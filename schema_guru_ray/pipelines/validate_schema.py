@@ -13,8 +13,8 @@ Each batch compiles the schema once (``finalize.compile_schema``: a tree of
 per-node checker closures, tens of microseconds for an event schema) and
 checks its values with it; the checkers return the exact messages of the
 interpreting ``finalize.validate_instance``, which stays as their oracle.
-There is no cache across batches: a compile costs less than a lookup keyed
-on the schema would.
+There is no cache across batches: a compile is far below a batch's fixed
+cost (about 50 µs for the perfbench event schema on one CPU).
 """
 
 from __future__ import annotations
