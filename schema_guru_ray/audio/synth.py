@@ -7,6 +7,12 @@ The validation stage re-synthesizes the expected PCM from (clip_id,
 sample_rate, n_samples) alone and checks decoded-PCM allclose via SNR>=30dB
 plus transcript equality (BASELINE.json north_star) — no side-channel
 ground-truth table is needed at validation time.
+
+One synthesis implementation, :func:`synth_blocks`, serves both sides: the
+validator and the generator synthesize whole batches in length-sorted
+blocks, and :func:`reference_pcm` / :func:`reference_pcm_f32` are its
+one-row case, so a clip's samples do not depend on the rows it was
+synthesized with.
 """
 
 from __future__ import annotations
@@ -34,37 +40,49 @@ def clip_seed(clip_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(clip_id.encode(), digest_size=8).digest(), "little")
 
 
-def signal_params(clip_id: str):
-    """(freqs, amps, phases) of the clip's sine mixture.
+# float32 elements per synthesis block. Rows of one component count and
+# similar length are synthesized together as one (rows, longest row)
+# block of at most this many samples, which stays L2-resident across the
+# per-term passes; a longer row is a block of its own.
+BLOCK_ELEMENTS = 32 * 1024
 
-    Derived straight from blake2b digest bytes rather than a PCG64
-    Generator: constructing ``Generator(PCG64(seed))`` costs ~25 us/clip
-    (SeedSequence entropy mixing) and this function runs once per clip in
-    the validation hot path — at the sf0.1 clip mix RNG setup was ~40% of
-    the whole validator. 16 u32 words from one 64-byte digest give every
-    draw at 2^-32 resolution: k uniform on {1,2,3}, freqs uniform on
-    [80, 3400) Hz, amps Dirichlet(1) via normalized exponentials
-    (-log(1-u)), phases uniform on [0, 2*pi). Bytes change vs the PCG64
-    form — GEN_VERSION in sources/clips.py regenerates cached corpora."""
-    d = hashlib.blake2b(clip_id.encode(), digest_size=64, person=b"sig").digest()
-    # Pure-scalar arithmetic where it is bit-identical to the original
-    # numpy form (u4 -> f64 conversion, a*b+c on doubles): numpy calls on
-    # <=3-element arrays cost ~1-3 us each and this runs once per clip in
-    # the validation hot path. np.log1p stays (math.log1p differs in the
-    # last ulp ~20% of the time, which would change corpus bytes and force
-    # a GEN_VERSION bump); np.sum/np.divide on <=3 elements reduce
-    # left-to-right exactly like the scalar form.
-    w = struct.unpack("<16I", d)
-    scale = 2.0 ** -32
-    k = 1 + int(w[0] * scale * 3.0)
-    freqs = [80.0 + (3400.0 - 80.0) * (w[1 + i] * scale) for i in range(k)]
-    e = (-np.log1p(np.array([-(w[4 + i] * scale) for i in range(k)]))) + 1e-12
-    s = 0.0
-    for v in e:
-        s += float(v)
-    amps = [float(v) / s for v in e]
-    phases = [2 * np.pi * (w[7 + i] * scale) for i in range(k)]
-    return freqs, amps, phases
+_TWO_PI_F32 = np.float32(2 * np.pi)
+
+
+def _param_columns(clip_ids):
+    """``(k, freqs, amps, phases)`` of each id's sine mixture: ``k`` an
+    int64 column, the rest float64 ``(n, 3)`` arrays whose terms past
+    ``k`` are 0.
+
+    Drawn straight from blake2b digest bytes rather than a PCG64
+    Generator, whose SeedSequence set-up costs ~25 us/clip. 16 u32 words
+    from one 64-byte digest give every draw at 2^-32 resolution: k
+    uniform on {1,2,3}, freqs uniform on [80, 3400) Hz, amps Dirichlet(1)
+    via normalized exponentials (-log(1-u)), phases uniform on [0, 2*pi).
+    Each column op is the float64 op of the former per-clip scalar form,
+    in the same order, and the dead terms' exponentials are 0, so the
+    normalizer sums ``(e0 + e1) + e2`` left to right as that form did.
+    np.log1p stays: math.log1p differs in the last ulp ~20% of the time,
+    which would change corpus bytes and force a GEN_VERSION bump."""
+    digests = b"".join(
+        hashlib.blake2b(c.encode(), digest_size=64, person=b"sig").digest() for c in clip_ids
+    )
+    u = np.frombuffer(digests, dtype="<u4").reshape(-1, 16) * 2.0 ** -32
+    k = 1 + (u[:, 0] * 3.0).astype(np.int64)
+    live = np.arange(3) < k[:, None]
+    freqs = np.where(live, 80.0 + (3400.0 - 80.0) * u[:, 1:4], 0.0)
+    e = np.where(live, -np.log1p(-u[:, 4:7]) + 1e-12, 0.0)
+    amps = e / ((e[:, 0] + e[:, 1]) + e[:, 2])[:, None]
+    phases = np.where(live, 2 * np.pi * u[:, 7:10], 0.0)
+    return k, freqs, amps, phases
+
+
+def signal_params(clip_id: str):
+    """(freqs, amps, phases) of the clip's sine mixture, one float per
+    component (see :func:`_param_columns`)."""
+    k, freqs, amps, phases = _param_columns([clip_id])
+    k = int(k[0])
+    return freqs[0, :k].tolist(), amps[0, :k].tolist(), phases[0, :k].tolist()
 
 
 def reference_pcm(clip_id: str, sample_rate: int, n_samples: int) -> np.ndarray:
@@ -76,75 +94,102 @@ def reference_pcm(clip_id: str, sample_rate: int, n_samples: int) -> np.ndarray:
     (measured 4.6 ms -> 1.2 ms per 2 s/48 kHz clip). Precision is bounded
     by the float32 phase argument (grows with t): worst measured SNR vs
     the float64 form is 49.6 dB at 4 s/48 kHz/3.4 kHz — 19 dB above the
-    30 dB validation threshold — and since BOTH sides share this function,
-    clean clips remain byte-exact (SNR = inf) on any corpus generated by
-    the same code (GEN_VERSION in sources/clips.py keys the cache)."""
-    return _synth_scaled(clip_id, sample_rate, n_samples).astype(np.int16)
+    30 dB validation threshold — and since BOTH sides share
+    :func:`synth_blocks`, clean clips remain byte-exact (SNR = inf) on any
+    corpus generated by the same code (GEN_VERSION in sources/clips.py
+    keys the cache)."""
+    return reference_pcms([clip_id], [sample_rate], [n_samples])[0]
+
+
+def reference_pcms(clip_ids, sample_rates, lengths) -> list:
+    """:func:`reference_pcm` of every row, synthesized in blocks
+    (:func:`synth_blocks`)."""
+    out = [None] * len(clip_ids)
+    for rows, block in synth_blocks(clip_ids, sample_rates, lengths):
+        pcm = block.astype(np.int16)
+        for j, r in enumerate(rows.tolist()):
+            out[r] = pcm[j, : lengths[r]]
+    return out
 
 
 def reference_pcm_f32(clip_id: str, sample_rate: int, n_samples: int) -> np.ndarray:
-    """The QUANTIZED reference samples as float32, in a per-process scratch
-    buffer (valid until the next synthesis call — consume immediately).
+    """The QUANTIZED reference samples as float32: the one-row case of
+    :func:`synth_blocks`, in its per-process scratch buffer (valid until
+    the next synthesis call — consume immediately).
 
     ``np.trunc`` of the scaled float32 signal equals ``astype(np.int16)``
     exactly for values inside (-32768, 32768) — which this signal is by
-    construction (|sig| ≤ ~19661, see :func:`reference_pcm`) — so every
-    element equals :func:`reference_pcm`'s int16 value and downstream
-    float32 arithmetic (SNR dot products) is bit-identical to converting
-    the int16 form back to float32. Skipping the int16 materialization +
-    re-widening saves two full per-sample passes in the validation hot
-    path, which is memory-bandwidth-bound at high parallelism
-    (BASELINE.md scaling ladder)."""
-    return _synth_scaled(clip_id, sample_rate, n_samples)
+    construction (|sig| ≤ ~19661) — so every element equals
+    :func:`reference_pcm`'s int16 value and downstream float32
+    arithmetic (SNR dot products) is bit-identical to converting the
+    int16 form back to float32."""
+    ((_, block),) = synth_blocks([clip_id], [sample_rate], [n_samples])
+    return block[0]
 
 
-def _synth_scaled(clip_id: str, sample_rate: int, n_samples: int) -> np.ndarray:
-    """QUANTIZED float32 sine mixture in a per-process scratch buffer.
+def synth_blocks(clip_ids, sample_rates, lengths):
+    """Synthesize the quantized reference of every ``(clip_id,
+    sample_rate, length)`` row, yielding ``(rows, block)`` per group of
+    rows: ``rows`` an index array into the inputs and ``block`` a
+    ``(len(rows), longest length)`` float32 array whose row ``j`` starts
+    with the ``lengths[rows[j]]`` samples of input row ``rows[j]`` (the
+    rest of the row is the same signal continued). A block lives in a
+    per-process scratch buffer until the next group is synthesized.
 
-    Every value is an exact int16 (``np.trunc`` of the scaled signal —
-    identical to ``astype(np.int16)`` for this signal's in-range values,
-    see :func:`reference_pcm_f32`). Grow-only scratch buffers: the
-    original form allocated ~5 fresh float32 arrays per sine term (mul,
-    add, sin, scale, accumulate) — ~400 KB each for a 2 s/48 kHz clip,
-    pure malloc + memory-bus cost. Same ops in the same order via out=
-    params → bit-identical samples. (An L2-tiled variant was measured
-    SLOWER here both single-core and at 16 workers — the 3-buffer working
-    set stays cache-resident on this host, so tiling only added numpy
-    dispatch overhead: 1433 → 1193 Msamp/s aggregate at 16 procs.)"""
-    freqs, amps, phases = signal_params(clip_id)
-    t = _sample_indices(n_samples) / np.float32(sample_rate)
-    two_pi = np.float32(2 * np.pi)
-    term, sig = _scratch(n_samples)
-    acc = None
-    for f, a, p in zip(freqs, amps, phases):
-        np.multiply(t, np.float32(f) * two_pi, out=term)
-        np.add(term, np.float32(p), out=term)
-        np.sin(term, out=term)
-        np.multiply(term, np.float32(a), out=term)
-        if acc is None:
-            acc = sig
-            np.copyto(acc, term)
-        else:
-            np.add(acc, term, out=acc)
-    # np.clip(-32768, 32767) was a mathematical no-op here — amps sum to 1
-    # (+~1e-7 float32 rounding) so |sig| * 0.6 * 32767 <= ~19661 — and
-    # dropping it keeps bytes identical while saving one full array pass.
-    np.multiply(acc, np.float32(AMPLITUDE), out=acc)
-    return np.trunc(acc, out=acc)
+    Rows are sorted by ``(k, length)`` and cut into a new group at a
+    change of ``k`` or when rows × longest length would pass
+    ``BLOCK_ELEMENTS``. Each group is one block with the per-row scalars
+    broadcast as columns, computed with the float32 ops of the per-clip
+    form in the same order (``t = arange / sr``; per term multiply, add,
+    ``sin``, multiply and accumulate; then × ``AMPLITUDE`` and
+    ``trunc``), so every row's samples are bit-identical to synthesizing
+    it alone. The few numpy calls per group, not per row, are the gain:
+    at the corpus' short clips the per-clip form was call-bound."""
+    k, freqs, amps, phases = _param_columns(clip_ids)
+    wf = freqs.astype(np.float32) * _TWO_PI_F32
+    p32 = phases.astype(np.float32)
+    a32 = amps.astype(np.float32)
+    sr32 = np.asarray(sample_rates, dtype=np.float32)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    for rows in _groups(k, lengths):
+        m, width = len(rows), int(lengths[rows[-1]])
+        t, term, acc = (b[: m * width].reshape(m, width) for b in _scratch(m * width))
+        np.divide(_sample_indices(width), sr32[rows, None], out=t)
+        for j in range(int(k[rows[0]])):
+            out = acc if j == 0 else term
+            np.multiply(t, wf[rows, j, None], out=out)
+            np.add(out, p32[rows, j, None], out=out)
+            np.sin(out, out=out)
+            np.multiply(out, a32[rows, j, None], out=out)
+            if j:
+                np.add(acc, term, out=acc)
+        # np.clip(-32768, 32767) would be a no-op here — amps sum to 1
+        # (+~1e-7 float32 rounding) so |sig| * 0.6 * 32767 <= ~19661
+        np.multiply(acc, np.float32(AMPLITUDE), out=acc)
+        yield rows, np.trunc(acc, out=acc)
 
 
-_SCRATCH_F32 = (np.empty(0, dtype=np.float32), np.empty(0, dtype=np.float32))
+def _groups(k: np.ndarray, lengths: np.ndarray):
+    """Index arrays of the synthesis groups (see :func:`synth_blocks`)."""
+    order = np.lexsort((lengths, k))
+    ks, ns = k[order].tolist(), lengths[order].tolist()
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or ks[i] != ks[start] or (i - start + 1) * ns[i] > BLOCK_ELEMENTS:
+            yield order[start:i]
+            start = i
+
+
+_SCRATCH_F32 = (np.empty(0, dtype=np.float32),) * 3
 
 
 def _scratch(n: int):
-    """Two grow-only per-process float32 work buffers, sliced to n."""
+    """Three grow-only per-process float32 work buffers of at least n."""
     global _SCRATCH_F32
     if _SCRATCH_F32[0].shape[0] < n:
-        _SCRATCH_F32 = (
-            np.empty(max(n, 2 * _SCRATCH_F32[0].shape[0]), dtype=np.float32),
-            np.empty(max(n, 2 * _SCRATCH_F32[1].shape[0]), dtype=np.float32),
-        )
-    return _SCRATCH_F32[0][:n], _SCRATCH_F32[1][:n]
+        size = max(n, 2 * _SCRATCH_F32[0].shape[0])
+        _SCRATCH_F32 = tuple(np.empty(size, dtype=np.float32) for _ in range(3))
+    return _SCRATCH_F32
 
 
 _ARANGE_F32 = np.arange(0, dtype=np.float32)

@@ -9,7 +9,7 @@ decodable audio, BASELINE.json north_star).
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -80,16 +80,24 @@ def decode_wav(buf: bytes) -> Tuple[np.ndarray, int]:
     return np.frombuffer(data, dtype="<i2"), sample_rate
 
 
+def _snr_from_powers(p_sig: float, p_err: float) -> float:
+    if p_err == 0.0:
+        return float("inf")
+    if p_sig == 0.0:
+        return float("-inf")
+    return 10.0 * np.log10(p_sig / p_err)
+
+
 _ERR_SCRATCH = np.empty(0, dtype=np.float32)
 
 
 def snr_db_ref_f32(ref_f32: np.ndarray, decoded: np.ndarray) -> float:
-    """:func:`snr_db` for a reference already in float32 (the validator's
-    quantized-synthesis scratch, ``synth.reference_pcm_f32``): the error
-    vector lands in a grow-only scratch buffer and the int16 ``decoded``
-    widens inside the subtract ufunc — no per-clip allocations, two fewer
-    full-array passes. Bit-identical result to
-    ``snr_db(ref_f32.astype(np.int16), decoded)`` for in-range values."""
+    """:func:`snr_db` for a reference already in float32 (the quantized
+    synthesis, ``synth.reference_pcm_f32``): the error vector lands in a
+    grow-only scratch buffer and the int16 ``decoded`` widens inside the
+    subtract ufunc — no per-clip allocations, two fewer full-array passes.
+    Bit-identical result to ``snr_db(ref_f32.astype(np.int16), decoded)``
+    for in-range values."""
     global _ERR_SCRATCH
     n = ref_f32.shape[0]
     if ref_f32.shape != decoded.shape or n == 0:
@@ -98,13 +106,32 @@ def snr_db_ref_f32(ref_f32: np.ndarray, decoded: np.ndarray) -> float:
         _ERR_SCRATCH = np.empty(max(n, 2 * _ERR_SCRATCH.shape[0]), dtype=np.float32)
     err = _ERR_SCRATCH[:n]
     np.subtract(ref_f32, decoded, out=err)
-    p_sig = float(np.dot(ref_f32, ref_f32))
-    p_err = float(np.dot(err, err))
-    if p_err == 0.0:
-        return float("inf")
-    if p_sig == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(p_sig / p_err)
+    return _snr_from_powers(float(np.dot(ref_f32, ref_f32)), float(np.dot(err, err)))
+
+
+def snr_db_rows(ref: np.ndarray, decoded: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`snr_db_ref_f32` of each row of a synthesis block
+    (``synth.synth_blocks``) against its decoded int16 PCM, bit-identical:
+    row ``j`` of ``ref`` starts with the reference of ``decoded[j]`` and
+    the rest of the row is padding.
+
+    The error block is ``ref`` less a copy of ``ref`` whose rows start
+    with their PCM, so the padding subtracts to 0. A row whose errors are
+    all 0 — a clean clip — is ``+inf`` with no dot product: both sides
+    hold integers, so the error power is 0 exactly when every error is.
+    The other rows (noisy clips, G.711) take the same two dot products
+    over their row slices as :func:`snr_db_ref_f32`, and zero samples
+    still give ``-inf``."""
+    err = ref.copy()
+    for j, pcm in enumerate(decoded):
+        err[j, : len(pcm)] = pcm
+    np.subtract(ref, err, out=err)
+    out = np.full(len(decoded), np.inf)
+    for j in np.flatnonzero(err.any(axis=1)).tolist():
+        r, e = ref[j, : len(decoded[j])], err[j, : len(decoded[j])]
+        out[j] = _snr_from_powers(float(np.dot(r, r)), float(np.dot(e, e)))
+    out[[j for j, pcm in enumerate(decoded) if not len(pcm)]] = float("-inf")
+    return out
 
 
 def snr_db(reference: np.ndarray, decoded: np.ndarray) -> float:
@@ -118,10 +145,4 @@ def snr_db(reference: np.ndarray, decoded: np.ndarray) -> float:
     # far inside the 30 dB threshold's design margin
     ref = reference.astype(np.float32)
     err = ref - decoded.astype(np.float32)
-    p_sig = float(np.dot(ref, ref))
-    p_err = float(np.dot(err, err))
-    if p_err == 0.0:
-        return float("inf")
-    if p_sig == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(p_sig / p_err)
+    return _snr_from_powers(float(np.dot(ref, ref)), float(np.dot(err, err)))

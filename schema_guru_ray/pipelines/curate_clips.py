@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-
-from schema_guru_ray.stages.binview import binary_views
 import pyarrow as pa
 
 from schema_guru_ray.pipelines.validate import ValidationConfig
@@ -106,21 +104,13 @@ class _ValidateAndSign:
         from schema_guru_ray.stages.profile import stable_hash64
 
         ids = batch["clip_id"].to_pylist()
-        bufs = binary_views(batch["bytes"])
-        srs = batch["sr_hz"].to_pylist()
-        durs = batch["dur_ms"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        transcripts = batch["transcript"].to_pylist()
-        keep = np.zeros(len(ids), dtype=bool)
+        _, violations, decoded = self.validator.validate(batch)
+        keep = np.array([not v for v in violations], dtype=bool)
         sigs = []
-        for i in range(len(ids)):
-            _, _, viols, pcm, sr = self.validator._validate_row_full(
-                ids[i], bufs[i], srs[i], durs[i], codecs[i], transcripts[i]
-            )
-            if viols:
+        for d, k in zip(decoded, keep):
+            if not k:
                 continue
-            keep[i] = True
-            f = clip_features(pcm, sr).astype(np.float64)
+            f = clip_features(*d).astype(np.float64)
             sigs.append(np.packbits((self.planes @ f) > 0).tobytes().hex())
         out = batch.filter(pa.array(keep))
         kept_ids = pd.Series(np.asarray(ids, dtype=object)[keep])

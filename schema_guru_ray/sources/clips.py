@@ -89,7 +89,9 @@ def _content_rng(clip_id: str, salt: int) -> np.random.Generator:
 
 
 def _content_for(clip_id: str, cfg: ClipsConfig):
-    """(sr_hz, n_samples, dur_ms, pcm, transcript) — pure function of clip_id."""
+    """(sr_hz, n_samples, dur_ms, transcript) — pure function of clip_id.
+    The PCM is the reference signal of ``(clip_id, sr_hz, n_samples)``,
+    synthesized for a whole batch of rows at once."""
     rng = _content_rng(clip_id, 0xC0_47E47)
     sr = int(SR_VALUES[rng.choice(len(SR_VALUES), p=SR_WEIGHTS)])
     dur = float(
@@ -99,9 +101,8 @@ def _content_for(clip_id: str, cfg: ClipsConfig):
     )
     n_samples = max(1, round(dur * sr / 1000.0))
     dur_ms = round(n_samples / sr * 1000.0)
-    pcm = synth.reference_pcm(clip_id, sr, n_samples)
     transcript = synth.reference_transcript(clip_id)
-    return sr, n_samples, dur_ms, pcm, transcript
+    return sr, n_samples, dur_ms, transcript
 
 
 def generate_rows(indices: np.ndarray, cfg: ClipsConfig, with_labels: bool = False):
@@ -109,6 +110,10 @@ def generate_rows(indices: np.ndarray, cfg: ClipsConfig, with_labels: bool = Fal
     lists (+ ``violations`` ground-truth list-of-lists when requested)."""
     cols = {k: [] for k in ("clip_id", "bytes", "sr_hz", "dur_ms", "codec", "transcript")}
     labels: List[List[str]] = []
+    # two passes: the row draws up to each clip's content, then (after one
+    # batch synthesis of every row's reference) the rest; each row keeps
+    # its own injection rng, so its draws come in the same order
+    drawn = []
     for i in indices:
         i = int(i)
         irng = np.random.Generator(
@@ -127,9 +132,13 @@ def generate_rows(indices: np.ndarray, cfg: ClipsConfig, with_labels: bool = Fal
             clip_id = _clip_id_for(cfg.seed, j)
             row_labels.append("duplicate_clip_id")
 
-        sr, n_samples, dur_ms, pcm, transcript = _content_for(clip_id, cfg)
+        sr, n_samples, dur_ms, transcript = _content_for(clip_id, cfg)
         codec = CODECS[int(_content_rng(clip_id, 0xC0DEC).choice(len(CODECS), p=CODEC_WEIGHTS))]
+        drawn.append((irng, row_labels, clip_id, sr, n_samples, dur_ms, transcript, codec))
 
+    ids, srs, lengths = ([d[k] for d in drawn] for k in (2, 3, 4))
+    pcms = synth.reference_pcms(ids, srs, lengths)
+    for (irng, row_labels, clip_id, sr, _, dur_ms, transcript, codec), pcm in zip(drawn, pcms):
         corrupt = irng.random() < cfg.rate_corrupt
         ref_on_bad = irng.random() < cfg.rate_ref_transcript_on_bad
         ref_on_good = irng.random() < cfg.rate_ref_null_on_good

@@ -17,6 +17,13 @@ table:
 * referential: transcript non-null IFF audio decodable;
 * sr_hz within the valid enum; dur_ms consistent with decoded sample count.
 
+A batch is validated in three passes (:meth:`ClipValidator.validate`):
+every row decodes through the registry; the rows that reach the SNR check
+are synthesized together in length-sorted 2-D blocks and scored by exact
+equality, with dot products only for rows that differ; then each row's
+violation list is assembled. Every verdict is bit-identical to validating
+the row alone (``_validate_row_full``, the test oracle).
+
 Run as ``ds.map_batches(warm_kernel(ClipValidator, ...), batch_size=B,
 batch_format="pyarrow")`` — construction-time state (decoder registry,
 thresholds) loads once per worker process (stages/warm.py).
@@ -30,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 
 from schema_guru_ray.audio import synth
-from schema_guru_ray.audio.wav import WavDecodeError, decode_wav, snr_db_ref_f32
+from schema_guru_ray.audio.wav import WavDecodeError, decode_wav, snr_db_ref_f32, snr_db_rows
 from schema_guru_ray.sources.clips import SR_VALUES
 from schema_guru_ray.stages.binview import binary_views
 
@@ -101,46 +108,30 @@ class ClipValidator:
                 _stub_codec(codec) if strict_codecs else _decode_pcm_s16le
             )
 
-    def _validate_row(
-        self,
-        clip_id: str,
-        buf: Optional[bytes],
-        sr_col: int,
-        dur_col: int,
-        codec: str,
-        transcript: Optional[str],
-    ) -> Tuple[bool, float, List[str]]:
-        d, s, v, _, _ = self._validate_row_full(
-            clip_id, buf, sr_col, dur_col, codec, transcript
-        )
-        return d, s, v
+    def _decode(self, buf, codec: Optional[str]) -> Optional[Tuple[np.ndarray, int]]:
+        """``(pcm, sr)`` of a clip through the codec registry, or None when
+        it does not decode."""
+        if buf is None:
+            return None
+        try:
+            return self.decoders.get(codec, _decode_pcm_s16le)(buf)
+        except (WavDecodeError, NotImplementedError):
+            return None
 
-    def _validate_row_full(
+    def _violations(
         self,
-        clip_id: str,
-        buf: Optional[bytes],
-        sr_col: int,
-        dur_col: int,
-        codec: str,
+        decoded: Optional[Tuple[np.ndarray, int]],
+        snr: float,
+        clip_id: Optional[str],
+        sr_col: Optional[int],
+        dur_col: Optional[int],
+        codec: Optional[str],
         transcript: Optional[str],
-    ) -> Tuple[bool, float, List[str], Optional[np.ndarray], Optional[int]]:
-        """Like :meth:`_validate_row` but also returns the decoded
-        ``(pcm, sr)`` so fused stages (validate + content-sign in the
-        curation chain) can reuse the decode instead of paying a second
-        full decode pass over the corpus."""
+    ) -> List[str]:
+        """One row's violation kinds, in a fixed order, given its decode
+        and (for a decodable row with an id) its SNR."""
         violations: List[str] = []
-        decodable = False
-        snr = float("nan")
-        pcm = None
-        sr_wav = None
-        decoder = self.decoders.get(codec, _decode_pcm_s16le)
-        if buf is not None:
-            try:
-                pcm, sr_wav = decoder(buf)
-                decodable = True
-            except (WavDecodeError, NotImplementedError):
-                decodable = False
-        if not decodable:
+        if decoded is None:
             violations.append("undecodable_audio")
             if transcript is not None:
                 violations.append("transcript_on_undecodable")
@@ -153,6 +144,7 @@ class ClipValidator:
             # reference signal/transcript cannot be synthesized, so the
             # allclose/transcript invariants are unverifiable — that is
             # itself a violation, not a crash (10^12-row contract)
+            pcm, sr_wav = decoded
             violations.append("null_clip_id")
             if transcript is None:
                 violations.append("null_transcript_on_decodable")
@@ -161,13 +153,7 @@ class ClipValidator:
             elif abs(round(len(pcm) / sr_wav * 1000.0) - dur_col) > self.dur_tolerance_ms:
                 violations.append("dur_inconsistent")
         else:
-            # quantized reference synthesized straight into float32 scratch;
-            # SNR bit-identical to the int16-materialized form (see
-            # synth.reference_pcm_f32 / wav.snr_db_ref_f32) with four fewer
-            # full per-sample passes — the validation headline is
-            # memory-bandwidth-bound at high parallelism
-            expected = synth.reference_pcm_f32(clip_id, sr_wav, len(pcm))
-            snr = snr_db_ref_f32(expected, pcm)
+            pcm, sr_wav = decoded
             if snr < self.snr_threshold_db:
                 violations.append("snr_below_threshold")
             if transcript is None:
@@ -193,40 +179,89 @@ class ClipValidator:
             # label is a metadata-contract violation even when the payload
             # happens to decode via the fallback WAV parser
             violations.append("codec_out_of_range")
-        return decodable, snr, violations, pcm, sr_wav
+        return violations
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def validate(self, batch: pa.Table):
+        """Validate a clips batch in three passes: decode every row, score
+        the rows that reach the SNR check (decodable, with an id) against
+        their references synthesized in blocks (``synth.synth_blocks``,
+        ``wav.snr_db_rows``), then list each row's violations. Returns
+        ``(snr_db, violations, decoded)``, one entry per row; ``decoded``
+        holds each row's ``(pcm, sr)`` or None, so a fused stage (validate
+        + content-sign in the curation chain) reuses the decode."""
         clip_ids = batch["clip_id"].to_pylist()
         # zero-copy views of the Arrow value buffer — to_pylist() would
         # copy the whole audio payload once per validation pass
         bufs = binary_views(batch["bytes"])
-        srs = batch["sr_hz"].to_pylist()
-        durs = batch["dur_ms"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        transcripts = batch["transcript"].to_pylist()
-        n = len(clip_ids)
-        decodable = np.zeros(n, dtype=bool)
-        snrs = np.full(n, np.nan)
-        oks = np.zeros(n, dtype=bool)
-        viols: List[List[str]] = []
-        for i in range(n):
-            d, s, v = self._validate_row(
-                clip_ids[i], bufs[i], srs[i], durs[i], codecs[i], transcripts[i]
-            )
-            decodable[i] = d
-            snrs[i] = s
-            oks[i] = not v
-            viols.append(v)
+        srs, durs, codecs, transcripts = (
+            batch[c].to_pylist() for c in ("sr_hz", "dur_ms", "codec", "transcript")
+        )
+        decoded = [self._decode(buf, codec) for buf, codec in zip(bufs, codecs)]
+        snrs = np.full(len(clip_ids), np.nan)
+        scored = [i for i, (d, cid) in enumerate(zip(decoded, clip_ids))
+                  if d is not None and cid is not None]
+        for rows, block in synth.synth_blocks(
+            [clip_ids[i] for i in scored],
+            [decoded[i][1] for i in scored],
+            [len(decoded[i][0]) for i in scored],
+        ):
+            idx = [scored[r] for r in rows.tolist()]
+            snrs[idx] = snr_db_rows(block, [decoded[i][0] for i in idx])
+        violations = [
+            self._violations(*row)
+            for row in zip(decoded, snrs.tolist(), clip_ids, srs, durs, codecs, transcripts)
+        ]
+        return snrs, violations, decoded
+
+    def _validate_row(
+        self,
+        clip_id: str,
+        buf: Optional[bytes],
+        sr_col: int,
+        dur_col: int,
+        codec: str,
+        transcript: Optional[str],
+    ) -> Tuple[bool, float, List[str]]:
+        d, s, v, _, _ = self._validate_row_full(
+            clip_id, buf, sr_col, dur_col, codec, transcript
+        )
+        return d, s, v
+
+    def _validate_row_full(
+        self,
+        clip_id: str,
+        buf: Optional[bytes],
+        sr_col: int,
+        dur_col: int,
+        codec: str,
+        transcript: Optional[str],
+    ) -> Tuple[bool, float, List[str], Optional[np.ndarray], Optional[int]]:
+        """One row validated on its own — one synthesis and one SNR per
+        clip — and its decoded ``(pcm, sr)``. No stage calls it: it is the
+        oracle :meth:`validate`'s blocks are tested against
+        (tests/test_validator_batch.py)."""
+        decoded = self._decode(buf, codec)
+        snr = float("nan")
+        if decoded is not None and clip_id is not None:
+            pcm, sr_wav = decoded
+            snr = snr_db_ref_f32(synth.reference_pcm_f32(clip_id, sr_wav, len(pcm)), pcm)
+        violations = self._violations(
+            decoded, snr, clip_id, sr_col, dur_col, codec, transcript)
+        pcm, sr_wav = decoded if decoded is not None else (None, None)
+        return decoded is not None, snr, violations, pcm, sr_wav
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        snrs, violations, decoded = self.validate(batch)
         out = pa.Table.from_arrays(
             [
-                pa.array(clip_ids, pa.string()),
-                pa.array(codecs, pa.string()),
-                pa.array(srs, pa.int32()),
-                pa.array(durs, pa.int32()),
-                pa.array(decodable),
+                batch["clip_id"].cast(pa.string()),
+                batch["codec"].cast(pa.string()),
+                batch["sr_hz"].cast(pa.int32()),
+                batch["dur_ms"].cast(pa.int32()),
+                pa.array([d is not None for d in decoded], pa.bool_()),
                 pa.array(snrs),
-                pa.array(oks),
-                pa.array(viols, pa.list_(pa.string())),
+                pa.array([not v for v in violations], pa.bool_()),
+                pa.array(violations, pa.list_(pa.string())),
             ],
             schema=VERDICT_SCHEMA,
         )
